@@ -10,30 +10,36 @@ the fitted model reproduces every supplied keystream bit.
 Surviving candidates then have their jump sizes recovered: writing the
 undecimated register output as b_t = Tr(u a^t) for a root a of the
 public feedback polynomial, the decimated stream is Tr(u g^t) with
-g = a^r, which is linear in the coordinates of u.  For each admissible
-r the m x m trace system is solved and the solution checked against
-further stream bits.  The winning (r, u) yields the register's initial
-state via b_t = Tr(u a^t).
+g = a^r.  The connection polynomial f that Berlekamp-Massey fits to that
+stream is the minimal polynomial of g, so the admissible jumps are the r
+coprime to 2^m - 1 with f(a^r) = 0.  A table of a^k for 0 <= k < 2^m - 1,
+built once per call, makes each root test wt(f) lookups.  Only the first
+r that passes gets its m x m trace system solved for u, which is linear
+in the coordinates of u, and (r, u) yields the register's initial state
+via b_t = Tr(u a^t).  The search is still O(2^m) table lookups and uses
+4 * 2^m bytes per call (about 0.04 s and 256 KiB at m = 16).
 
 Note that (r, u) is only determined up to Frobenius conjugacy:
 Tr(u g^t) = Tr(u^2 (g^2)^t), so jumps r and 2r mod (2^m - 1) with
-matching u-powers generate identical streams.  The ascending search
-returns the smallest admissible r of the class, and the assembled key
-is keystream-equivalent to the one used for encryption.
+matching u-powers generate identical streams.  The roots of f are
+exactly the conjugates of g, so the ascending root search returns the
+smallest admissible r of the class, and the assembled key is
+keystream-equivalent to the one used for encryption.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .analysis import LfsrFit, berlekamp_massey
 from .errors import UnsupportedParameterError
 from .field import FieldContext, FieldElement, field_context
-from .gf2 import BinaryPolynomial, BitMatrix, BitVector, invert
+from .gf2 import BitMatrix, BitVector, invert
 from .generator import AsgKey, AsgParams, keystream, validate_params
 from .registers import (
     BitSequence,
@@ -47,7 +53,11 @@ ORACLE_WORK_CAP = 1 << 26
 
 @dataclass
 class AttackCounters:
-    """Work actually performed, for empirical complexity measurements."""
+    """Work actually performed, for empirical complexity measurements.
+
+    ``trace_solves`` counts trace systems solved, at most one per
+    `recover_decimation` call.
+    """
 
     a_states_tried: int = 0
     bm_runs: int = 0
@@ -65,17 +75,12 @@ class AttackCounters:
 class AttackConfig:
     """Attack inputs and knobs.
 
-    ``verify_margin`` is the number of keystream bits the caller wants
-    held out beyond what fitting consumes; candidates are always checked
-    against every supplied bit, so the margin takes effect whenever the
-    keystream is long enough to provide it.  It is floored at l + 20 so
-    that the expected number of chance survivors across all 2^(l+1)
-    guesses stays below 2^-19 at the suggested keystream length.
+    Candidates are always checked against every supplied keystream bit,
+    which must each be 0 or 1.
     """
 
     params: AsgParams
     keystream: list[int]
-    verify_margin: int | None = None
     max_candidates: int = 16
     worker_count: int = 1
 
@@ -88,21 +93,21 @@ class AttackConfig:
             raise ValueError(
                 f"keystream of {len(self.keystream)} bits is below the "
                 f"minimum requirement of 3(m+n) = {minimum}")
-        floor = self.params.l + 20
-        if self.verify_margin is None:
-            object.__setattr__(self, "verify_margin", floor)
-        elif self.verify_margin < floor:
-            raise ValueError(f"verify_margin must be at least l + 20 = {floor}")
+        bad = next((t for t, b in enumerate(self.keystream) if b not in (0, 1)), None)
+        if bad is not None:
+            raise ValueError(
+                f"keystream entry {bad} is {self.keystream[bad]!r}, not 0 or 1")
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be positive")
         if self.worker_count < 1:
             raise ValueError("worker_count must be positive")
 
 
-def suggested_keystream_length(params: AsgParams, verify_margin: int | None = None) -> int:
-    """Comfortable default: 4(m+n) bits for fitting plus the verify margin."""
-    margin = params.l + 20 if verify_margin is None else verify_margin
-    return 4 * (params.m + params.n) + margin
+def suggested_keystream_length(params: AsgParams) -> int:
+    """Comfortable default: 4(m+n) bits for fitting plus l + 20 more, which
+    keeps the expected number of chance survivors across all 2^(l+1)
+    guesses below 2^-19."""
+    return 4 * (params.m + params.n) + params.l + 20
 
 
 class FitFailure(Enum):
@@ -216,13 +221,12 @@ class DecimationFit:
     initial_bits: BitVector
 
 
-@lru_cache(maxsize=None)
-def _trace_solver(ctx: FieldContext, r: int):
-    """Per-(field, r) system: gamma, the m x m trace matrix, and its inverse.
+def trace_system_matrix(ctx: FieldContext, r: int) -> BitMatrix:
+    """The m x m trace system for gamma = alpha^r, linear in the
+    coordinates of u: row t, column i holds Tr(x^i * gamma^t).
 
-    Row t, column i holds Tr(x^i * gamma^t).  The inverse is None when
-    the matrix is rank deficient (not observed for primitive moduli, but
-    treated as recoverable data rather than assumed impossible).
+    It is invertible whenever gamma has degree m, since 1, gamma, ...,
+    gamma^(m-1) is then a basis and the trace form is non-degenerate.
     """
     m = ctx.m
     gamma = ctx.pow(ctx.alpha.mask, r)
@@ -235,79 +239,78 @@ def _trace_solver(ctx: FieldContext, r: int):
                 row |= 1 << i
         rows.append(row)
         g = ctx.mul(g, gamma)
-    matrix = BitMatrix(m, m, tuple(rows))
-    try:
-        inv = invert(matrix)
-    except ValueError:
-        inv = None
-    return gamma, matrix, inv
-
-
-def trace_system_matrix(ctx: FieldContext, r: int) -> BitMatrix:
-    """The m x m coefficient matrix of the trace system for gamma = alpha^r."""
-    return _trace_solver(ctx, r)[1]
+    return BitMatrix(m, m, tuple(rows))
 
 
 def recover_decimation(ctx: FieldContext, observed: BitSequence,
                        verify_bits: int | None = None,
-                       counters: AttackCounters | None = None,
-                       connection_filter: BinaryPolynomial | None = None) -> DecimationFit | None:
+                       counters: AttackCounters | None = None) -> DecimationFit | None:
     """Find (r, u) with observed_t = Tr(u (alpha^r)^t), plus the register head.
 
-    Ascending candidates r coprime to 2^m - 1 are tried; the first whose
-    solved u survives `verify_bits` further stream positions wins.  The
-    all-zero solution is excluded (a zero register state is invalid), and
-    None means no admissible pair explains the stream.
-
-    ``connection_filter`` is an optional shortcut, off by default: skip
-    any r whose substitute feedback (the minimal polynomial of alpha^r)
-    differs from a connection polynomial already fitted to the stream.
-    Conjugate exponents share the minimal polynomial, so the filter never
-    changes which candidate wins, only how many systems get solved.
+    Returns the smallest r coprime to 2^m - 1 for which some u explains
+    the first m + verify_bits observed bits, or None.  The connection
+    polynomial f fitted to those bits must have degree m, and r is the
+    first coprime exponent with f(alpha^r) = 0; one trace system then
+    gives u, which must be nonzero (a zero register state is invalid) and
+    reproduce observed bits m .. m + verify_bits - 1.  verify_bits
+    defaults to 2m and must be at least m, because a connection
+    polynomial of degree m is unique only on 2m or more bits (Massey).
     """
     m = ctx.m
     v = 2 * m if verify_bits is None else verify_bits
+    if v < m:
+        raise ValueError(f"verify_bits must be at least m = {m}, got {v}")
     if len(observed) < m + v:
         raise ValueError(f"need at least m + {v} = {m + v} observed bits")
-    head_mask = 0
-    for t in range(m):
-        head_mask |= (observed[t] & 1) << t
+    fit = berlekamp_massey(observed[:m + v])
+    if fit.linear_complexity != m:
+        return None
     period = (1 << m) - 1
+    # exp[k] = alpha^k: alpha is the class of x, so each step is one shift
+    # and at most one reduction
+    exp = array("I", [0]) * period
+    e, top, modulus = 1, 1 << m, ctx.modulus.mask
+    for k in range(period):
+        exp[k] = e
+        e <<= 1
+        if e & top:
+            e ^= modulus
+    taps = [i for i in range(m + 1) if fit.connection.coefficient(i)]
     for r in range(1, period):
         if math.gcd(r, period) != 1:
             continue
-        if connection_filter is not None:
-            if ctx.element(ctx.pow(ctx.alpha.mask, r)).minimal_polynomial() != connection_filter:
-                continue
-        gamma, _, inv = _trace_solver(ctx, r)
-        if counters:
-            counters.trace_solves += 1
-        if inv is None:
-            continue
-        u = 0
-        for j, row in enumerate(inv.row_masks):
-            u |= ((row & head_mask).bit_count() & 1) << j
-        if u == 0:
-            continue
-        # solution matches observed[:m] by construction; check the rest
-        e = ctx.pow(gamma, m)
-        e = ctx.mul(u, e)
-        ok = True
-        for t in range(m, m + v):
-            if ctx.trace_of(e) != observed[t]:
-                ok = False
-                break
-            e = ctx.mul(e, gamma)
-        if not ok:
-            continue
-        alpha = ctx.alpha.mask
-        bits = []
-        e = u
-        for _ in range(m):
-            bits.append(ctx.trace_of(e))
-            e = ctx.mul(e, alpha)
-        return DecimationFit(r, ctx.element(u), BitVector.from_bits(bits))
-    return None
+        root = 0
+        for i in taps:
+            root ^= exp[r * i % period]
+        if root == 0:
+            break
+    else:
+        return None
+    inv = invert(trace_system_matrix(ctx, r))
+    if counters:
+        counters.trace_solves += 1
+    head_mask = 0
+    for t in range(m):
+        head_mask |= (observed[t] & 1) << t
+    u = 0
+    for j, row in enumerate(inv.row_masks):
+        u |= ((row & head_mask).bit_count() & 1) << j
+    if u == 0:
+        return None
+    # the solution matches observed[:m] by construction; check the rest
+    gamma = exp[r]
+    e = ctx.mul(u, exp[r * m % period])
+    for t in range(m, m + v):
+        if ctx.trace_of(e) != observed[t]:
+            return None
+        e = ctx.mul(e, gamma)
+    alpha = ctx.alpha.mask
+    bits = []
+    e = u
+    for _ in range(m):
+        bits.append(ctx.trace_of(e))
+        e = ctx.mul(e, alpha)
+    return DecimationFit(r, ctx.element(u), BitVector.from_bits(bits))
 
 
 @dataclass(frozen=True)
@@ -384,13 +387,14 @@ def run_attack(config: AttackConfig) -> AttackReport:
 
     Every reported key regenerates the entire input keystream; reports
     are deterministic for a given config regardless of worker_count
-    (wall time aside).  The candidate list is truncated to
+    (wall time aside).  At most min(worker_count, 2^l, CPU count)
+    processes run the sweep.  The candidate list is truncated to
     max_candidates after the full sweep, so counters always reflect the
     complete search.
     """
     start = time.perf_counter()
     total = 1 << config.params.l
-    workers = min(config.worker_count, total)
+    workers = min(config.worker_count, total, os.cpu_count() or 1)
     bounds = [(total * i // workers, total * (i + 1) // workers)
               for i in range(workers)]
     if workers == 1:

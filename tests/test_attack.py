@@ -1,11 +1,15 @@
+import concurrent.futures
 import math
+import os
 import random
 
 import pytest
 
+from asgrs.analysis import LfsrFit
 from asgrs.attack import (
     AttackConfig,
     AttackCounters,
+    DecimationFit,
     FitFailure,
     _control_bits,
     brute_force_oracle,
@@ -20,7 +24,7 @@ from asgrs.attack import (
 from asgrs.errors import UnsupportedParameterError
 from asgrs.field import field_context
 from asgrs.generator import keystream, keystream_trace
-from asgrs.gf2 import BitVector, rank
+from asgrs.gf2 import BinaryPolynomial, BitVector, invert, rank
 from asgrs.registers import primitive_polynomial
 
 from conftest import make_params, random_valid_key
@@ -31,6 +35,24 @@ P875 = make_params(8, 7, 5)
 
 def coset_leader(r, period, width):
     return min((r << j) % period for j in range(width))
+
+
+def ascending_trace_search(ctx, systems, observed, verify_bits):
+    """Reference jump recovery: for each coprime r in ascending order,
+    solve u from the first m bits with the precomputed inverse trace
+    system and keep the first nonzero u that reproduces the next
+    verify_bits bits."""
+    m = ctx.m
+    head = sum((observed[t] & 1) << t for t in range(m))
+    for r, gamma, inv in systems:
+        u = sum(((row & head).bit_count() & 1) << j for j, row in enumerate(inv.row_masks))
+        if u == 0:
+            continue
+        u = ctx.element(u)
+        if all((u * gamma ** t).trace() == observed[t] for t in range(m, m + verify_bits)):
+            head_bits = [(u * ctx.alpha ** t).trace() for t in range(m)]
+            return DecimationFit(r, u, BitVector.from_bits(head_bits))
+    return None
 
 
 class TestReconstructStreams:
@@ -186,25 +208,39 @@ class TestRecoverDecimation:
         ctx = field_context(primitive_polynomial(3))
         assert recover_decimation(ctx, [0] * 12) is None
 
-    def test_connection_filter_does_not_change_winner(self, rng):
-        ctx = field_context(primitive_polynomial(5))
-        for r in (3, 7, 11):
-            u = ctx.element(rng.randrange(1, 32))
-            gamma = ctx.alpha ** r
-            observed = [(u * gamma ** t).trace() for t in range(15)]
-            plain = recover_decimation(ctx, observed)
-            feedback = gamma.minimal_polynomial()
-            filtered = recover_decimation(ctx, observed, connection_filter=feedback)
-            assert plain == filtered
-            # a mismatched filter skips every candidate
-            wrong = ctx.alpha.minimal_polynomial()
-            if wrong != feedback:
-                assert recover_decimation(ctx, observed, connection_filter=wrong) is None
-
     def test_short_observation_rejected(self):
         ctx = field_context(primitive_polynomial(3))
         with pytest.raises(ValueError):
             recover_decimation(ctx, [1, 0, 1])
+
+    def test_verify_bits_below_m_rejected(self):
+        ctx = field_context(primitive_polynomial(5))
+        observed = [(ctx.alpha ** t).trace() for t in range(15)]
+        assert recover_decimation(ctx, observed, verify_bits=5) is not None
+        with pytest.raises(ValueError, match="at least m"):
+            recover_decimation(ctx, observed, verify_bits=4)
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_matches_ascending_trace_search(self, m, rng):
+        ctx = field_context(primitive_polynomial(m))
+        period = (1 << m) - 1
+        systems = [(r, ctx.alpha ** r, invert(trace_system_matrix(ctx, r)))
+                   for r in range(1, period) if math.gcd(r, period) == 1]
+        cases = []
+        for r, gamma, _ in systems:
+            u = ctx.element(rng.randrange(1, period + 1))
+            cases.append([(u * gamma ** t).trace() for t in range(3 * m)])
+        for _ in range(20):
+            # random bit strings, and register outputs whose connection
+            # polynomial has degree m but is rarely primitive
+            cases.append([rng.randrange(2) for _ in range(3 * m)])
+            conn = BinaryPolynomial((1 << m) | rng.randrange(1 << m))
+            head = BitVector(rng.randrange(1, 1 << m), m)
+            cases.append(LfsrFit(m, conn, head).extend(3 * m))
+        for observed in cases:
+            for v in (m, 2 * m):
+                assert (recover_decimation(ctx, observed[:m + v], verify_bits=v)
+                        == ascending_trace_search(ctx, systems, observed, v))
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_trace_system_full_rank(self, m):
@@ -237,9 +273,11 @@ class TestRunAttack:
         with pytest.raises(ValueError, match="3\\(m\\+n\\)"):
             AttackConfig(P875, [0] * (3 * 12 - 1))
 
-    def test_margin_floor_enforced(self):
-        with pytest.raises(ValueError):
-            AttackConfig(P334, [0] * 30, verify_margin=3)
+    def test_non_binary_keystream_rejected(self):
+        z = [0, 1] * 15
+        z[7] = 2
+        with pytest.raises(ValueError, match="entry 7 is 2"):
+            AttackConfig(P334, z)
 
     def test_random_bits_yield_only_consistent_keys(self, rng):
         z = [rng.randrange(2) for _ in range(3 * 7)]
@@ -256,6 +294,20 @@ class TestRunAttack:
         for rep in reports[1:]:
             assert rep.recovered_keys == reports[0].recovered_keys
             assert rep.counters == reports[0].counters
+
+    def test_worker_count_clamped_to_cpus(self, rng, monkeypatch):
+        # a missing clamp reaches the pool stub and fails without starting
+        # any process
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_attack asked for a process pool")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        key = random_valid_key(P334, rng)
+        z = keystream(P334, key, suggested_keystream_length(P334))
+        report = run_attack(AttackConfig(P334, z, worker_count=100_000))
+        assert report.counters.a_states_tried == 1 << P334.l
+        assert report.recovered_keys == run_attack(AttackConfig(P334, z)).recovered_keys
 
     def test_max_candidates_cap(self, rng):
         key = random_valid_key(P334, rng)
