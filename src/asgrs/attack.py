@@ -1,11 +1,20 @@
 """Algebraic key recovery for the ASG(r,s) from a short keystream.
 
 The search runs over all 2^l control states and both guesses for the
-first decimated B-bit.  For each guess the two decimated streams are
-peeled out of consecutive keystream differences (a step with control
-bit 1 changes only the B-side stream, a step with 0 only the C-side),
-short LFSRs are fitted to them, and the guess is kept only if replaying
-the fitted model reproduces every supplied keystream bit.
+first decimated B-bit.  Every span-l state lies on one de Bruijn cycle,
+so each worker steps the control register through one period and reads
+each state's control sequence off it as a window.  Per state the two
+decimated streams are peeled out of consecutive keystream differences
+once (a step with control bit 1 changes only the B-side stream, a step
+with 0 only the C-side), for beta_0 = 0; the streams for beta_0 = 1 are
+their bitwise complements.  Per guess Berlekamp-Massey fits short LFSRs
+to the first 2m and 2n harvested bits, and the guess is kept only if
+each fitted connection polynomial generates every harvested bit of its
+stream.  This linear-consistency test accepts exactly the guesses whose
+fitted model, replayed under the guessed control sequence, reproduces
+every supplied keystream bit: harvested bits satisfy beta_p ^ lambda_q
+= z_t by construction, so the replay matches z at every step if and
+only if the fitted streams equal the harvested ones.
 
 Surviving candidates then have their jump sizes recovered: writing the
 undecimated register output as b_t = Tr(u a^t) for a root a of the
@@ -35,6 +44,8 @@ import time
 from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate, compress
+from operator import not_, xor
 
 from .analysis import LfsrFit, berlekamp_massey
 from .errors import UnsupportedParameterError
@@ -43,8 +54,10 @@ from .gf2 import BitMatrix, BitVector, invert
 from .generator import AsgKey, AsgParams, keystream, validate_params
 from .registers import (
     BitSequence,
+    DeBruijnRegister,
     LfsrSpec,
-    _de_bruijn_next,
+    de_bruijn_cycle,
+    de_bruijn_sequence,
     output_sequence,
 )
 
@@ -125,15 +138,16 @@ class CandidateModel:
     lambda_fit: LfsrFit
 
 
-def _control_bits(params: AsgParams, a_mask: int, count: int) -> list[int]:
-    taps = LfsrSpec(params.l, params.poly_a).taps_mask
-    span = params.l
-    out = []
-    s = a_mask
-    for _ in range(count):
-        out.append(s & 1)
-        s = _de_bruijn_next(s, taps, span)
-    return out
+def _control_windows(base: LfsrSpec, steps: int) -> tuple[bytes, array]:
+    """Control bits along one de Bruijn period, repeated to cover `steps`
+    more, and each state's position on the cycle: the first `steps`
+    control bits from state s are bits[start[s]:start[s] + steps]."""
+    states = de_bruijn_cycle(base)
+    period = len(states)
+    start = array("I", [0]) * period
+    for i, s in enumerate(states):
+        start[s] = i
+    return bytes(s & 1 for s in states) * (steps // period + 2), start
 
 
 def reconstruct_streams(a_seq: BitSequence, keystream: BitSequence,
@@ -149,15 +163,72 @@ def reconstruct_streams(a_seq: BitSequence, keystream: BitSequence,
         return [], []
     if len(a_seq) < len(keystream) - 1:
         raise ValueError("control sequence shorter than keystream - 1")
-    beta = [beta0 & 1]
-    lam = [keystream[0] ^ (beta0 & 1)]
-    for t in range(len(keystream) - 1):
-        diff = keystream[t] ^ keystream[t + 1]
-        if a_seq[t]:
-            beta.append(beta[-1] ^ diff)
-        else:
-            lam.append(lam[-1] ^ diff)
-    return beta, lam
+    diffs = list(map(xor, keystream, keystream[1:]))
+    return _peel(diffs, a_seq, map(not_, a_seq), beta0 & 1, keystream[0] ^ (beta0 & 1))
+
+
+def _peel(diffs: list[int], ones: BitSequence, zeros: BitSequence, beta0: int,
+          lam0: int) -> tuple[list[int], list[int]]:
+    # diffs[t] = z_t ^ z_{t+1}; ones/zeros mark the steps with control 1/0
+    return (list(accumulate(compress(diffs, ones), xor, initial=beta0)),
+            list(accumulate(compress(diffs, zeros), xor, initial=lam0)))
+
+
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
+
+
+def _pack(bits: list[int]) -> int:
+    """The bits as one integer, bit t = bits[t]."""
+    return int(bytes(bits[::-1]).translate(_BIT_DIGITS), 2)
+
+
+def _fit_prefixes(params: AsgParams, beta: list[int], lam: list[int],
+                  counters: AttackCounters | None) -> tuple[LfsrFit, LfsrFit] | FitFailure:
+    """Fit both registers on the first 2m (resp. 2n) harvested bits,
+    rejecting any fit above the public register length."""
+    m, n = params.m, params.n
+    beta_fit = berlekamp_massey(beta[:2 * m])
+    if counters:
+        counters.bm_runs += 1
+    if beta_fit.linear_complexity > m:
+        return FitFailure.COMPLEXITY_EXCEEDED
+    lambda_fit = berlekamp_massey(lam[:2 * n])
+    if counters:
+        counters.bm_runs += 1
+    if lambda_fit.linear_complexity > n:
+        return FitFailure.COMPLEXITY_EXCEEDED
+    return beta_fit, lambda_fit
+
+
+def _generates(fit: LfsrFit, packed: int, length: int) -> bool:
+    """Whether the fitted register outputs exactly the `length` bits in
+    `packed` (bit t = s_t).
+
+    Bit t of the XOR of packed >> i over the terms x^i of the connection
+    polynomial is s_{t+L} XOR the recurrence's prediction for it, so one
+    shift and XOR per term tests every bit past the head at once.
+    """
+    L = fit.linear_complexity
+    if (packed ^ fit.initial_state.mask) & ((1 << min(L, length)) - 1):
+        return False
+    if length <= L:
+        return True
+    residue = 0
+    f = fit.connection.mask
+    while f:
+        low = f & -f
+        residue ^= packed >> (low.bit_length() - 1)
+        f ^= low
+    return residue & ((1 << (length - L)) - 1) == 0
+
+
+def _guess_streams(config: AttackConfig, a_init: BitVector,
+                   beta0: int) -> tuple[list[int], list[int]]:
+    control = de_bruijn_sequence(
+        DeBruijnRegister(LfsrSpec(config.params.l, config.params.poly_a), a_init),
+        max(len(config.keystream) - 1, 0))
+    return reconstruct_streams(control, config.keystream, beta0)
 
 
 def fit_candidate(config: AttackConfig, a_init: BitVector, beta0: int,
@@ -169,46 +240,28 @@ def fit_candidate(config: AttackConfig, a_init: BitVector, beta0: int,
     anything above the length cap cannot be the real register and is
     rejected outright.
     """
-    params = config.params
-    m, n = params.m, params.n
-    z = config.keystream
-    a_seq = _control_bits(params, a_init.mask, max(len(z) - 1, 0))
-    beta, lam = reconstruct_streams(a_seq, z, beta0)
+    m, n = config.params.m, config.params.n
+    beta, lam = _guess_streams(config, a_init, beta0)
     if len(beta) < 2 * m or len(lam) < 2 * n:
         return FitFailure.INSUFFICIENT_BITS
-    beta_fit = berlekamp_massey(beta[:2 * m])
-    if counters:
-        counters.bm_runs += 1
-    if beta_fit.linear_complexity > m:
-        return FitFailure.COMPLEXITY_EXCEEDED
-    lambda_fit = berlekamp_massey(lam[:2 * n])
-    if counters:
-        counters.bm_runs += 1
-    if lambda_fit.linear_complexity > n:
-        return FitFailure.COMPLEXITY_EXCEEDED
-    return CandidateModel(a_init, beta0, beta_fit, lambda_fit)
+    fits = _fit_prefixes(config.params, beta, lam, counters)
+    if isinstance(fits, FitFailure):
+        return fits
+    return CandidateModel(a_init, beta0, *fits)
 
 
 def verify_candidate(config: AttackConfig, cand: CandidateModel) -> bool:
-    """Replay the fitted model and compare every supplied keystream bit."""
-    z = config.keystream
-    if not z:
-        return True
-    a_seq = _control_bits(config.params, cand.a_init.mask, len(z) - 1)
-    ones = sum(a_seq)
-    beta_hat = cand.beta_fit.extend(ones + 1)
-    lam_hat = cand.lambda_fit.extend(len(a_seq) - ones + 1)
-    p = q = 0
-    if (beta_hat[0] ^ lam_hat[0]) != z[0]:
-        return False
-    for t, a in enumerate(a_seq):
-        if a:
-            p += 1
-        else:
-            q += 1
-        if (beta_hat[p] ^ lam_hat[q]) != z[t + 1]:
-            return False
-    return True
+    """Whether replaying the fitted model reproduces every supplied
+    keystream bit.
+
+    Harvested bits satisfy beta_p ^ lambda_q = z_t, so the replay matches
+    z at every step exactly when both fitted registers generate the
+    streams harvested under the fit's own first B-bit; that is what is
+    tested, one linear-consistency check per register.
+    """
+    beta, lam = _guess_streams(config, cand.a_init, cand.beta_fit.extend(1)[0])
+    return (_generates(cand.beta_fit, _pack(beta), len(beta))
+            and _generates(cand.lambda_fit, _pack(lam), len(lam)))
 
 
 @dataclass(frozen=True)
@@ -329,24 +382,23 @@ def _bits_to_cells(bits: BitVector) -> BitVector:
     return BitVector(mask, m)
 
 
-def _recover_key(config: AttackConfig, cand: CandidateModel,
-                 counters: AttackCounters) -> AsgKey | None:
+def _recover_key(config: AttackConfig, cand: CandidateModel, beta_len: int,
+                 lam_len: int, counters: AttackCounters) -> AsgKey | None:
+    """Assemble the key of a verified candidate whose harvested streams
+    have beta_len and lam_len bits."""
     params = config.params
     z = config.keystream
-    a_seq = _control_bits(params, cand.a_init.mask, len(z) - 1)
-    beta, lam = reconstruct_streams(a_seq, z, cand.beta0)
 
-    def recover(poly, m, fit, harvested):
+    def recover(poly, m, fit, harvested_len):
         ctx = field_context(poly)
-        want = max(3 * m, len(harvested))
-        obs = fit.extend(want)
+        obs = fit.extend(max(3 * m, harvested_len))
         return recover_decimation(ctx, obs, verify_bits=len(obs) - m,
                                   counters=counters)
 
-    fit_b = recover(params.poly_b, params.m, cand.beta_fit, beta)
+    fit_b = recover(params.poly_b, params.m, cand.beta_fit, beta_len)
     if fit_b is None:
         return None
-    fit_c = recover(params.poly_c, params.n, cand.lambda_fit, lam)
+    fit_c = recover(params.poly_c, params.n, cand.lambda_fit, lam_len)
     if fit_c is None:
         return None
     key = AsgKey(
@@ -365,18 +417,37 @@ def _recover_key(config: AttackConfig, cand: CandidateModel,
 def _attack_chunk(config: AttackConfig, lo: int, hi: int) -> tuple[list[AsgKey], AttackCounters]:
     counters = AttackCounters()
     keys: list[AsgKey] = []
-    l = config.params.l
+    params = config.params
+    l, m, n = params.l, params.m, params.n
+    z = config.keystream
+    steps = len(z) - 1
+    diffs = list(map(xor, z, z[1:]))
+    control, start = _control_windows(LfsrSpec(l, params.poly_a), steps)
+    flipped = control.translate(_FLIP)
     for a_mask in range(lo, hi):
         counters.a_states_tried += 1
-        a_init = BitVector(a_mask, l)
+        i = start[a_mask]
+        beta, lam = _peel(diffs, control[i:i + steps], flipped[i:i + steps], 0, z[0])
+        nb, nl = len(beta), len(lam)
+        if nb < 2 * m or nl < 2 * n:
+            continue  # both guesses: the lengths do not depend on beta_0
+        packed_b, packed_l = _pack(beta), _pack(lam)
         for beta0 in (0, 1):
-            cand = fit_candidate(config, a_init, beta0, counters)
-            if isinstance(cand, FitFailure):
+            if beta0:
+                # the beta_0 = 1 streams are the complements; the fits
+                # read only the 2m / 2n prefixes
+                beta = [b ^ 1 for b in beta[:2 * m]]
+                lam = [b ^ 1 for b in lam[:2 * n]]
+                packed_b ^= (1 << nb) - 1
+                packed_l ^= (1 << nl) - 1
+            fits = _fit_prefixes(params, beta, lam, counters)
+            if isinstance(fits, FitFailure):
                 continue
-            if not verify_candidate(config, cand):
+            if not (_generates(fits[0], packed_b, nb) and _generates(fits[1], packed_l, nl)):
                 continue
             counters.verified_candidates += 1
-            key = _recover_key(config, cand, counters)
+            cand = CandidateModel(BitVector(a_mask, l), beta0, *fits)
+            key = _recover_key(config, cand, nb, nl, counters)
             if key is not None:
                 keys.append(key)
     return keys, counters
@@ -444,12 +515,7 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
     pm, pn = (1 << m) - 1, (1 << n) - 1
     b_states, b_cycle = _state_cycle(spec_b, pm)
     c_states, c_cycle = _state_cycle(spec_c, pn)
-    a_taps = LfsrSpec(l, params.poly_a).taps_mask
-    a_states = []
-    s = 0
-    for _ in range(1 << l):
-        a_states.append(s)
-        s = _de_bruijn_next(s, a_taps, l)
+    a_states = de_bruijn_cycle(LfsrSpec(l, params.poly_a))
     control = [st & 1 for st in a_states]
 
     z = list(target)

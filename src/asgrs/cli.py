@@ -59,6 +59,8 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_keystream(args) -> int:
+    if args.count < 0:
+        return _fail(f"--count must not be negative, got {args.count}")
     params = formats.read_params(args.params, strict=args.strict)
     key = formats.read_key(args.key, params)
     try:
@@ -147,6 +149,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.count < 1:
+        return _fail(f"--count must be at least 1, got {args.count}")
     params = formats.read_params(args.params, strict=args.strict)
     key = formats.read_key(args.key, params)
     try:
@@ -240,8 +244,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        return _fail(f"cannot open {e.filename}")
+    except OSError as e:
+        return _fail(f"cannot open {e.filename}: {e.strerror}")
     except (ValueError, KeyError) as e:
         return _fail(str(e))
 

@@ -27,10 +27,32 @@ def _hex(mask: int) -> str:
     return f"0x{mask:x}"
 
 
-def _mask(value) -> int:
-    if isinstance(value, int):
-        return value
-    return int(value, 16)
+def _object(doc, what: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} file must hold a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _number(doc: dict, name: str, base: int) -> int:
+    """A non-negative integer field: a JSON integer, or a string in `base`."""
+    if name not in doc:
+        raise ValueError(f"missing field {name!r}")
+    value = number = doc[name]
+    if isinstance(value, str):
+        try:
+            number = int(value, base)
+        except ValueError:
+            pass
+    if isinstance(number, bool) or not isinstance(number, int) or number < 0:
+        raise ValueError(f"field {name!r} must be a non-negative integer, not {value!r}")
+    return number
+
+
+def _state(doc: dict, name: str, length: int) -> BitVector:
+    mask = _number(doc, name, 16)
+    if mask >> length:
+        raise ValueError(f"field {name!r} = {doc[name]!r} does not fit {length} cells")
+    return BitVector(mask, length)
 
 
 def write_params(path: str | Path, params: AsgParams):
@@ -46,14 +68,14 @@ def write_params(path: str | Path, params: AsgParams):
 
 
 def read_params(path: str | Path, strict: bool = True) -> AsgParams:
-    doc = json.loads(Path(path).read_text())
+    doc = _object(json.loads(Path(path).read_text()), "params")
     return AsgParams(
-        l=int(doc["l"]),
-        m=int(doc["m"]),
-        n=int(doc["n"]),
-        poly_a=BinaryPolynomial(_mask(doc["poly_a"])),
-        poly_b=BinaryPolynomial(_mask(doc["poly_b"])),
-        poly_c=BinaryPolynomial(_mask(doc["poly_c"])),
+        l=_number(doc, "l", 10),
+        m=_number(doc, "m", 10),
+        n=_number(doc, "n", 10),
+        poly_a=BinaryPolynomial(_number(doc, "poly_a", 16)),
+        poly_b=BinaryPolynomial(_number(doc, "poly_b", 16)),
+        poly_c=BinaryPolynomial(_number(doc, "poly_c", 16)),
         strict=strict,
     )
 
@@ -69,12 +91,13 @@ def key_to_dict(key: AsgKey) -> dict:
 
 
 def key_from_dict(doc: dict, params: AsgParams) -> AsgKey:
+    doc = _object(doc, "key")
     return AsgKey(
-        state_a=BitVector(_mask(doc["state_a"]), params.l),
-        state_b=BitVector(_mask(doc["state_b"]), params.m),
-        state_c=BitVector(_mask(doc["state_c"]), params.n),
-        r=int(doc["r"]),
-        s=int(doc["s"]),
+        state_a=_state(doc, "state_a", params.l),
+        state_b=_state(doc, "state_b", params.m),
+        state_c=_state(doc, "state_c", params.n),
+        r=_number(doc, "r", 10),
+        s=_number(doc, "s", 10),
     )
 
 

@@ -18,6 +18,7 @@ characteristic polynomial of the output recurrence.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -194,6 +195,22 @@ def _de_bruijn_next(state: int, taps: int, span: int) -> int:
     if state & ((1 << (span - 1)) - 1) == 0:
         fb ^= 1
     return ((state << 1) & ((1 << span) - 1)) | fb
+
+
+def de_bruijn_cycle(base: LfsrSpec) -> array:
+    """The 2^span states of the de Bruijn register over `base`, in cycle
+    order from the all-zero state, as an array("I").
+
+    Every span-bit state lies on this one cycle, so the control bits from
+    any state are cell 0 of a window of it, wrapping at the end.
+    """
+    taps, span = base.taps_mask, base.length
+    states = array("I", [0]) * (1 << span)
+    s = 0
+    for i in range(1 << span):
+        states[i] = s
+        s = _de_bruijn_next(s, taps, span)
+    return states
 
 
 def de_bruijn_step(reg: DeBruijnRegister) -> tuple[int, DeBruijnRegister]:

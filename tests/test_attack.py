@@ -1,17 +1,21 @@
 import concurrent.futures
+import dataclasses
 import math
 import os
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from asgrs.analysis import LfsrFit
+from asgrs import attack
+from asgrs.analysis import LfsrFit, berlekamp_massey
 from asgrs.attack import (
     AttackConfig,
     AttackCounters,
     DecimationFit,
     FitFailure,
-    _control_bits,
+    _attack_chunk,
+    _control_windows,
     brute_force_oracle,
     fit_candidate,
     reconstruct_streams,
@@ -25,12 +29,21 @@ from asgrs.errors import UnsupportedParameterError
 from asgrs.field import field_context
 from asgrs.generator import keystream, keystream_trace
 from asgrs.gf2 import BinaryPolynomial, BitVector, invert, rank
-from asgrs.registers import primitive_polynomial
+from asgrs.registers import (
+    DeBruijnRegister,
+    LfsrSpec,
+    de_bruijn_sequence,
+    primitive_polynomial,
+)
 
-from conftest import make_params, random_valid_key
+from conftest import _ref_debruijn_step, make_params, random_valid_key
 
 P334 = make_params(3, 3, 4)
 P875 = make_params(8, 7, 5)
+
+
+def lmn_id(lmn):
+    return "-".join(map(str, lmn))
 
 
 def coset_leader(r, period, width):
@@ -53,6 +66,41 @@ def ascending_trace_search(ctx, systems, observed, verify_bits):
             head_bits = [(u * ctx.alpha ** t).trace() for t in range(m)]
             return DecimationFit(r, u, BitVector.from_bits(head_bits))
     return None
+
+
+def replay_reference(params, z, a_mask, beta0):
+    """Reference guess check: step the control register bit by bit, peel
+    the streams, fit on the 2m / 2n prefixes with the length caps, then
+    replay the fitted model through LfsrFit.extend against every
+    keystream bit.  Returns (outcome, fits, BM runs)."""
+    cells = list(BitVector(a_mask, params.l))
+    control = []
+    for _ in range(len(z) - 1):
+        control.append(cells[0])
+        cells = _ref_debruijn_step(cells, params.poly_a.mask)
+    beta, lam = [beta0], [z[0] ^ beta0]
+    for t, a in enumerate(control):
+        side = beta if a else lam
+        side.append(side[-1] ^ z[t] ^ z[t + 1])
+    if len(beta) < 2 * params.m or len(lam) < 2 * params.n:
+        return "insufficient", None, 0
+    fits = []
+    for bits, cap in ((beta[:2 * params.m], params.m), (lam[:2 * params.n], params.n)):
+        fits.append(berlekamp_massey(bits))
+        if fits[-1].linear_complexity > cap:
+            return "complexity", None, len(fits)
+    ones = sum(control)
+    beta_hat = fits[0].extend(ones + 1)
+    lam_hat = fits[1].extend(len(control) - ones + 1)
+    p = q = 0
+    ok = beta_hat[0] ^ lam_hat[0] == z[0]
+    for t, a in enumerate(control):
+        if a:
+            p += 1
+        else:
+            q += 1
+        ok = ok and beta_hat[p] ^ lam_hat[q] == z[t + 1]
+    return ("accepted" if ok else "rejected"), tuple(fits), 2
 
 
 class TestReconstructStreams:
@@ -358,8 +406,96 @@ class TestBruteForceOracle:
             assert keystream(P334, k, 22) == z
 
 
-class TestControlBits:
-    def test_matches_trace(self, rng):
-        key = random_valid_key(P334, rng)
-        tr = keystream_trace(P334, key, 50)
-        assert _control_bits(P334, key.state_a.mask, 49) == tr.control_bits
+class TestSweep:
+    @pytest.mark.parametrize("lmn", [(4, 3, 5), (5, 4, 3), (6, 5, 4)], ids=lmn_id)
+    def test_matches_replay_reference(self, lmn, rng, monkeypatch):
+        # every (state, beta_0) guess gets the same decision, fits and BM
+        # runs from the sweep, from fit_candidate + verify_candidate, and
+        # from the replay reference
+        params = make_params(*lmn)
+        l, floor = params.l, 3 * (params.m + params.n)
+        inputs = [keystream(params, random_valid_key(params, rng), nbits)
+                  for nbits in (floor, floor + 5, suggested_keystream_length(params))]
+        inputs += [[rng.randrange(2) for _ in range(floor + extra)] for extra in (0, 3, 9)]
+        seen = set()
+        for z in inputs:
+            config = AttackConfig(params, z)
+            swept = []
+            monkeypatch.setattr(
+                attack, "_recover_key",
+                lambda config, cand, nb, nl, counters: swept.append(cand))
+            _, counters = _attack_chunk(config, 0, 1 << l)
+            expected, bm_runs = [], 0
+            for a_mask in range(1 << l):
+                a_init = BitVector(a_mask, l)
+                for beta0 in (0, 1):
+                    outcome, fits, runs = replay_reference(params, z, a_mask, beta0)
+                    seen.add(outcome)
+                    bm_runs += runs
+                    cand = fit_candidate(config, a_init, beta0)
+                    if fits is None:
+                        assert isinstance(cand, FitFailure)
+                        continue
+                    assert (cand.beta_fit, cand.lambda_fit) == fits
+                    assert verify_candidate(config, cand) == (outcome == "accepted")
+                    # like the replay, verification ignores the beta_0 label
+                    relabelled = dataclasses.replace(cand, beta0=1 - beta0)
+                    assert verify_candidate(config, relabelled) == (outcome == "accepted")
+                    if outcome == "accepted":
+                        expected.append(cand)
+            assert swept == expected
+            assert counters.bm_runs == bm_runs
+            assert counters.verified_candidates == len(expected)
+        assert {"accepted", "rejected", "complexity"} <= seen
+
+
+class TestControlWindows:
+    def test_slices_match_de_bruijn_sequence(self):
+        for l in range(2, 9):
+            spec = LfsrSpec(l, primitive_polynomial(l))
+            period = 1 << l
+            for steps in (l, 2 * period + 3):
+                bits, start = _control_windows(spec, steps)
+                assert sorted(start) == list(range(period))
+                for s in range(period):
+                    reg = DeBruijnRegister(spec, BitVector(s, l))
+                    window = bits[start[s]:start[s] + steps]
+                    assert list(window) == de_bruijn_sequence(reg, steps)
+
+
+class TestSoundnessAndCompleteness:
+    """The attack's invariants on random inputs: every reported key
+    regenerates the input, and on ASG keystreams every reported key is
+    one the brute-force oracle finds too."""
+
+    @pytest.mark.parametrize("lmn, examples", [((3, 3, 4), 12), ((4, 3, 5), 3)],
+                             ids=["3-3-4", "4-3-5"])
+    def test_keys_regenerate_and_lie_in_oracle_set(self, lmn, examples):
+        params = make_params(*lmn)
+        floor = 3 * (params.m + params.n)
+
+        @settings(max_examples=examples, deadline=None)
+        @given(st.randoms(use_true_random=False), st.integers(0, 8))
+        def check(rand, extra):
+            key = random_valid_key(params, rand)
+            z = keystream(params, key, floor + extra)
+            found = run_attack(AttackConfig(params, z)).recovered_keys
+            assert all(keystream(params, k, len(z)) == z for k in found)
+            oracle = brute_force_oracle(params, z)
+            assert key in oracle
+            assert all(k in oracle for k in found)
+
+        check()
+
+    @pytest.mark.parametrize("lmn", [(3, 3, 4), (4, 3, 5)], ids=lmn_id)
+    def test_random_strings_yield_only_regenerating_keys(self, lmn):
+        params = make_params(*lmn)
+        floor = 3 * (params.m + params.n)
+
+        @settings(max_examples=25, deadline=None)
+        @given(st.lists(st.integers(0, 1), min_size=floor, max_size=floor + 8))
+        def check(z):
+            found = run_attack(AttackConfig(params, z)).recovered_keys
+            assert all(keystream(params, k, len(z)) == z for k in found)
+
+        check()

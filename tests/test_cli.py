@@ -66,6 +66,15 @@ class TestKeystream:
                    "--count", "1680", "--out", str(out)) == 0
         assert measure_period(formats.read_bits(out)) == 840
 
+    def test_negative_count_fails(self, tmp_path, params_file, capsys):
+        key = tmp_path / "key.json"
+        out = tmp_path / "z.txt"
+        run("keygen", "--params", params_file, "--out", str(key), "--seed", "3")
+        assert run("keystream", "--params", params_file, "--key", str(key),
+                   "--count", "-3", "--out", str(out)) == 1
+        assert "--count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_text_binary_agree(self, tmp_path, params_file):
         key = tmp_path / "key.json"
         run("keygen", "--params", params_file, "--out", str(key), "--seed", "5")
@@ -198,6 +207,14 @@ class TestReduce:
         assert doc["equivalent"] is True
         assert doc["equivalence_bits_checked"] == 1000
 
+    def test_zero_count_fails(self, tmp_path, params_file, capsys):
+        key = tmp_path / "key.json"
+        run("keygen", "--params", params_file, "--out", str(key), "--seed", "33")
+        assert run("reduce", "--params", params_file, "--key", str(key),
+                   "--count", "0") == 1
+        captured = capsys.readouterr()
+        assert "--count" in captured.err and captured.out == ""
+
     def test_collapsing_jump_is_domain_failure(self, tmp_path, capsys):
         # r = 5 at m = 4 shrinks the decimated stream below full length;
         # without the strict gcd checks the reduction has to refuse
@@ -224,3 +241,55 @@ class TestUsage:
 
     def test_missing_file_is_domain_error(self, tmp_path):
         assert run("analyze", "--in", str(tmp_path / "nope.txt")) == 1
+
+
+GOOD_KEY = {"state_a": "0x0", "state_b": "0x1", "state_c": "0x1", "r": 1, "s": 1}
+
+
+class TestMalformedInput:
+    """Malformed files end in exit 1 and an error line, never a traceback."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ([], "JSON object"),
+        ("8", "JSON object"),
+        ({"l": 3, "m": 3, "n": 4, "poly_a": "0xb", "poly_b": "0xb"}, "poly_c"),
+        ({"l": None, "m": 3, "n": 4, "poly_a": "0xb", "poly_b": "0xb", "poly_c": "0x13"},
+         "'l'"),
+        ({"l": 3.5, "m": 3, "n": 4, "poly_a": "0xb", "poly_b": "0xb", "poly_c": "0x13"},
+         "'l'"),
+        ({"l": 3, "m": 3, "n": 4, "poly_a": "0xzz", "poly_b": "0xb", "poly_c": "0x13"},
+         "'poly_a'"),
+    ])
+    def test_bad_params_file(self, tmp_path, capsys, doc, message):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(doc))
+        assert run("keygen", "--params", str(pfile), "--out", str(tmp_path / "k.json")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"r": None}, "'r'"),
+        ({"s": "x"}, "'s'"),
+        ({"state_b": 2.5}, "'state_b'"),
+        ({"state_c": [1]}, "'state_c'"),
+        ({"state_a": -1}, "'state_a'"),
+        ({"state_b": True}, "'state_b'"),
+        ({"state_b": "0xfff"}, "'state_b'"),
+        (None, "JSON object"),
+    ])
+    def test_bad_key_file(self, tmp_path, params_file, capsys, change, message):
+        kfile = tmp_path / "k.json"
+        kfile.write_text(json.dumps(None if change is None else {**GOOD_KEY, **change}))
+        assert run("reduce", "--params", params_file, "--key", str(kfile)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--in", "{dir}"),
+        ("keygen", "--params", "{dir}", "--out", "{dir}/k.json"),
+        ("keygen", "--params", "{params}", "--out", "{dir}"),
+    ])
+    def test_directory_path(self, tmp_path, params_file, capsys, argv):
+        argv = [a.format(dir=tmp_path, params=params_file) for a in argv]
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.startswith("error: cannot open ")
