@@ -3,72 +3,27 @@ secret jump sizes, ASG(r,s): keystream generation, reduction to the
 classical generator, algebraic key recovery, brute-force oracles and
 attack-cost estimation."""
 
-from .analysis import LfsrFit, berlekamp_massey, linear_complexity, measure_period
+from .analysis import berlekamp_massey
 from .attack import (
     AttackConfig,
     AttackCounters,
-    AttackReport,
     CandidateModel,
-    DecimationFit,
-    FitFailure,
     brute_force_oracle,
-    fit_candidate,
     reconstruct_streams,
     recover_decimation,
     run_attack,
     suggested_keystream_length,
     verify_candidate,
 )
-from .complexity import (
-    ComplexityInputs,
-    EstimateRow,
-    attack_complexity,
-    estimate_table1,
-    estimate_table2,
-    johansson_segment_probability,
-    johansson_segment_probability_exact,
-)
-from .errors import DegenerateStateError, KeyValidationError, UnsupportedParameterError
-from .field import FieldContext, FieldElement, field_context, is_irreducible, is_primitive
+from .field import field_context
 from .generator import (
     AsgKey,
     AsgParams,
-    KeystreamTrace,
-    ReducedModel,
     classical_asg_keystream,
     keystream,
-    keystream_trace,
     random_key,
     reduce_to_classical,
-    validate,
-    validate_params,
 )
-from .gf2 import (
-    BinaryPolynomial,
-    BitMatrix,
-    BitVector,
-    SolveOutcome,
-    invert,
-    mat_mul,
-    mat_pow,
-    mat_vec,
-    poly_gcd,
-    poly_pow_mod,
-    rank,
-    solve_linear_system,
-    vec_mat,
-)
-from .registers import (
-    DeBruijnRegister,
-    LfsrSpec,
-    PRIMITIVE_POLYNOMIALS,
-    de_bruijn_sequence,
-    de_bruijn_step,
-    decimate,
-    lfsr_step,
-    output_sequence,
-    primitive_polynomial,
-    transition_matrix,
-)
+from .gf2 import BitMatrix, BitVector, invert, rank
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2 import BinaryPolynomial, BitVector
-from .registers import BitSequence, LfsrSpec
+from .registers import BitSequence
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,8 @@ class LfsrFit:
 
     ``connection`` is the characteristic polynomial of the fitted
     recurrence, degree exactly L: with f = connection, the sequence
-    satisfies s_{t+L} = sum_{i<L} f_i s_{t+i}.  Together with
-    ``initial_state`` (the first L bits) this converts losslessly to a
-    register: LfsrSpec(L, connection) with cell i = bit L-1-i.
+    satisfies s_{t+L} = sum_{i<L} f_i s_{t+i}.  ``initial_state`` holds
+    the first L bits.
     """
 
     linear_complexity: int
@@ -43,16 +42,6 @@ class LfsrFit:
                 nxt ^= bits[t + i]
             bits.append(nxt)
         return bits
-
-    def to_register(self) -> tuple[LfsrSpec, BitVector]:
-        """Register form; undefined for the L = 0 fit."""
-        L = self.linear_complexity
-        if L == 0:
-            raise ValueError("the empty fit has no register form")
-        cells = 0
-        for i in range(L):
-            cells |= self.initial_state[L - 1 - i] << i
-        return LfsrSpec(L, self.connection), BitVector(cells, L)
 
 
 def berlekamp_massey(seq: BitSequence) -> LfsrFit:
@@ -82,10 +71,6 @@ def berlekamp_massey(seq: BitSequence) -> LfsrFit:
             f |= 1 << (L - i)
     head = BitVector.from_bits(list(seq[:L]))
     return LfsrFit(L, BinaryPolynomial(f), head)
-
-
-def linear_complexity(seq: BitSequence) -> int:
-    return berlekamp_massey(seq).linear_complexity
 
 
 def measure_period(seq: BitSequence) -> int | None:

@@ -56,9 +56,9 @@ from .registers import (
     BitSequence,
     DeBruijnRegister,
     LfsrSpec,
+    _step_mask,
     de_bruijn_cycle,
     de_bruijn_sequence,
-    output_sequence,
 )
 
 ORACLE_WORK_CAP = 1 << 26
@@ -106,7 +106,8 @@ class AttackConfig:
             raise ValueError(
                 f"keystream of {len(self.keystream)} bits is below the "
                 f"minimum requirement of 3(m+n) = {minimum}")
-        bad = next((t for t, b in enumerate(self.keystream) if b not in (0, 1)), None)
+        bad = next((t for t, b in enumerate(self.keystream)
+                    if not (isinstance(b, int) and b in (0, 1))), None)
         if bad is not None:
             raise ValueError(
                 f"keystream entry {bad} is {self.keystream[bad]!r}, not 0 or 1")
@@ -550,14 +551,12 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
 
 
 def _state_cycle(spec: LfsrSpec, period: int) -> tuple[list[int], list[int]]:
+    """The register's states from state 1 over one period, and the output
+    bit (the top cell) of each."""
     states = []
-    ref = BitVector(1, spec.length)
-    bits = output_sequence(spec, ref, period)
-    s = ref.mask
-    taps = spec.taps_mask
-    full = (1 << spec.length) - 1
+    s, taps, full = 1, spec.taps_mask, (1 << spec.length) - 1
     for _ in range(period):
         states.append(s)
-        fb = (s & taps).bit_count() & 1
-        s = ((s << 1) & full) | fb
-    return states, bits
+        s = _step_mask(s, taps, full)
+    top = spec.length - 1
+    return states, [st >> top for st in states]

@@ -109,8 +109,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_estimate(args) -> int:
     try:
-        inputs = ComplexityInputs(args.l, args.m, args.n,
-                                  exact_jumps=args.exact_jumps)
+        inputs = ComplexityInputs(args.l, args.m, args.n)
     except ValueError as e:
         return _fail(str(e))
 
@@ -218,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("l", type=int)
     p.add_argument("m", type=int)
     p.add_argument("n", type=int)
-    p.add_argument("--exact-jumps", action="store_true",
-                   help="count admissible jumps exactly instead of 2^(len-1)")
     p.add_argument("--out")
     p.set_defaults(func=cmd_estimate)
 

@@ -16,23 +16,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .field import MAX_DEGREE
-from .errors import UnsupportedParameterError
-
 
 @dataclass(frozen=True)
 class ComplexityInputs:
     """Register lengths plus the derived quantities the formulas use.
 
-    Derived values are properties so they can never go stale.  The jump
-    counts phi1/phi2 default to the standard 2^(m-1) / 2^(n-1)
-    estimates; exact_jumps switches them to true coprime counts.
+    Derived values are properties so they can never go stale.
     """
 
     l: int
     m: int
     n: int
-    exact_jumps: bool = False
 
     def __post_init__(self):
         if min(self.l, self.m, self.n) < 2:
@@ -51,27 +45,6 @@ class ComplexityInputs:
     @property
     def gamma(self) -> float:
         return 1.0 - 1.0 / (0.19 * self.m + 3.1)
-
-    @property
-    def phi1(self) -> int:
-        return exact_jump_count(self.m) if self.exact_jumps else 1 << (self.m - 1)
-
-    @property
-    def phi2(self) -> int:
-        return exact_jump_count(self.n) if self.exact_jumps else 1 << (self.n - 1)
-
-    @property
-    def phi(self) -> int:
-        return self.phi1 * self.phi2
-
-
-def exact_jump_count(length: int) -> int:
-    """Number of jump sizes in [1, 2^length - 2] coprime to 2^length - 1."""
-    if length > MAX_DEGREE:
-        raise UnsupportedParameterError(
-            f"exact jump counting limited to length {MAX_DEGREE}")
-    period = (1 << length) - 1
-    return sum(1 for r in range(1, period) if math.gcd(r, period) == 1)
 
 
 @dataclass(frozen=True)
@@ -223,8 +196,12 @@ def attack_complexity(inputs: ComplexityInputs) -> float:
 
     The first term is the control-state sweep with its two stream fits,
     the second and third are the trace-system solves over all admissible
-    jump sizes of each register.
+    jump sizes of each register.  The sum is taken in log space, so the
+    cost does not grow with the register lengths.
     """
     l, m, n = inputs.l, inputs.m, inputs.n
-    total = ((m * m + n * n) << (l + 1)) + (m ** 3 << (m - 1)) + (n ** 3 << (n - 1))
-    return math.log2(total)
+    terms = [math.log2(m * m + n * n) + l + 1,
+             math.log2(m ** 3) + m - 1,
+             math.log2(n ** 3) + n - 1]
+    top = max(terms)
+    return top + math.log2(sum(2.0 ** (t - top) for t in terms))

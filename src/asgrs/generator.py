@@ -27,12 +27,11 @@ from dataclasses import dataclass
 
 from .errors import DegenerateStateError, KeyValidationError
 from .field import field_context
-from .gf2 import BinaryPolynomial, BitVector
+from .gf2 import BinaryPolynomial, BitVector, xor_rows
 from .registers import (
     DeBruijnRegister,
     LfsrSpec,
     _de_bruijn_next,
-    _apply_rows,
     _safe_is_primitive,
     jump_rows,
     lfsr_step,
@@ -163,16 +162,13 @@ class _Engine:
     def output(self) -> int:
         return ((self.b >> self.b_top) & 1) ^ ((self.c >> self.c_top) & 1)
 
-    def control_bit(self) -> int:
-        return self.a & 1
-
     def step(self) -> int:
         """One clocking step; returns the control bit that drove it."""
         bit = self.a & 1
         if bit:
-            self.b = _apply_rows(self.b, self.b_rows)
+            self.b = xor_rows(self.b, self.b_rows)
         else:
-            self.c = _apply_rows(self.c, self.c_rows)
+            self.c = xor_rows(self.c, self.c_rows)
         self.a = _de_bruijn_next(self.a, self.a_taps, self.span)
         return bit
 

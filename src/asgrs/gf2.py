@@ -6,12 +6,13 @@ All semantics are defined by that indexed-bit model; the packing only buys
 speed in the exhaustive search loops elsewhere in the package.
 
 State vectors are row vectors and multiply transition matrices on the
-right (``vec_mat``), so repeated stepping composes as v * T^t.
+right: ``xor_rows(v, T.row_masks)`` is v * T, so repeated stepping
+composes as v * T^t.  The same row combination is the inner loop of
+``mat_mul``.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -59,12 +60,6 @@ class BitVector:
             raise ValueError("length mismatch")
         return BitVector(self.mask ^ other.mask, self.length)
 
-    def bits(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def weight(self) -> int:
-        return self.mask.bit_count()
-
     def __str__(self) -> str:
         return "".join(str(b) for b in self)
 
@@ -92,10 +87,6 @@ class BitMatrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
         vecs = [BitVector.from_bits(r) for r in rows]
         if not vecs:
@@ -105,49 +96,27 @@ class BitMatrix:
             raise ValueError("ragged rows")
         return cls(len(vecs), cols, tuple(v.mask for v in vecs))
 
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.row_masks[i], self.cols)
-
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("entry out of range")
-        return (self.row_masks[i] >> j) & 1
-
-    def column_mask(self, j: int) -> int:
-        m = 0
-        for i in range(self.rows):
-            m |= ((self.row_masks[i] >> j) & 1) << i
-        return m
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.cols, self.rows,
-                         tuple(self.column_mask(j) for j in range(self.cols)))
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
-        return mat_mul(self, other)
 
-    def __pow__(self, t: int) -> "BitMatrix":
-        return mat_pow(self, t)
+def xor_rows(mask: int, rows: tuple[int, ...]) -> int:
+    """XOR of rows[i] over the set bits i of mask: the row vector `mask`
+    times the matrix whose row masks are `rows`."""
+    acc = 0
+    while mask:
+        low = mask & -mask
+        acc ^= rows[low.bit_length() - 1]
+        mask ^= low
+    return acc
 
 
 def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
     """Exact GF(2) matrix product; requires a.cols == b.rows."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    out = []
     brows = b.row_masks
-    for ra in a.row_masks:
-        acc = 0
-        r = ra
-        while r:
-            low = r & -r
-            acc ^= brows[low.bit_length() - 1]
-            r ^= low
-        out.append(acc)
-    return BitMatrix(a.rows, b.cols, tuple(out))
+    return BitMatrix(a.rows, b.cols, tuple(xor_rows(ra, brows) for ra in a.row_masks))
 
 
 def mat_pow(m: BitMatrix, t: int) -> BitMatrix:
@@ -165,78 +134,6 @@ def mat_pow(m: BitMatrix, t: int) -> BitMatrix:
         if t:
             base = mat_mul(base, base)
     return result
-
-
-def vec_mat(v: BitVector, m: BitMatrix) -> BitVector:
-    """Row vector times matrix: (v * m)."""
-    if v.length != m.rows:
-        raise ValueError("dimension mismatch")
-    acc = 0
-    r = v.mask
-    rows = m.row_masks
-    while r:
-        low = r & -r
-        acc ^= rows[low.bit_length() - 1]
-        r ^= low
-    return BitVector(acc, m.cols)
-
-
-def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
-    """Matrix times column vector: (m * v)."""
-    if v.length != m.cols:
-        raise ValueError("dimension mismatch")
-    acc = 0
-    for i, row in enumerate(m.row_masks):
-        acc |= ((row & v.mask).bit_count() & 1) << i
-    return BitVector(acc, m.rows)
-
-
-class SolveOutcome(enum.Enum):
-    """Reportable non-unique outcomes of linear system solving."""
-
-    NO_SOLUTION = "no-solution"
-    UNDERDETERMINED = "underdetermined"
-
-
-def solve_linear_system(a: BitMatrix, rhs: BitVector) -> BitVector | SolveOutcome:
-    """Solve a*x = rhs over GF(2).
-
-    Returns the unique solution when there is one.  Rank deficiency is
-    data, not an error: an inconsistent system yields NO_SOLUTION, a
-    consistent one with free variables yields UNDERDETERMINED.
-    """
-    if a.rows != rhs.length:
-        raise ValueError("rhs length does not match row count")
-    # Gaussian elimination on [A | b] with b carried in a parallel mask.
-    rows = list(a.row_masks)
-    b = [(rhs.mask >> i) & 1 for i in range(a.rows)]
-    pivot_of_col: dict[int, int] = {}
-    r = 0
-    for c in range(a.cols):
-        sel = None
-        for i in range(r, a.rows):
-            if (rows[i] >> c) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        b[r], b[sel] = b[sel], b[r]
-        for i in range(a.rows):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= rows[r]
-                b[i] ^= b[r]
-        pivot_of_col[c] = r
-        r += 1
-    for i in range(r, a.rows):
-        if b[i]:
-            return SolveOutcome.NO_SOLUTION
-    if len(pivot_of_col) < a.cols:
-        return SolveOutcome.UNDERDETERMINED
-    x = 0
-    for c, i in pivot_of_col.items():
-        x |= b[i] << c
-    return BitVector(x, a.cols)
 
 
 def invert(m: BitMatrix) -> BitMatrix:
@@ -339,13 +236,6 @@ class BinaryPolynomial:
         if self.mask < 0:
             raise ValueError("negative coefficient mask")
 
-    @classmethod
-    def from_degrees(cls, degrees: Iterable[int]) -> "BinaryPolynomial":
-        mask = 0
-        for d in degrees:
-            mask ^= 1 << d
-        return cls(mask)
-
     @property
     def degree(self) -> int | None:
         return None if self.mask == 0 else _degree(self.mask)
@@ -369,23 +259,8 @@ class BinaryPolynomial:
         q, r = _poly_divmod(self.mask, other.mask)
         return BinaryPolynomial(q), BinaryPolynomial(r)
 
-    def __floordiv__(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
         return divmod(self, other)[1]
-
-    def reciprocal(self, width: int | None = None) -> "BinaryPolynomial":
-        """Coefficients reversed over ``width``+1 slots (default: degree+1)."""
-        if width is None:
-            if self.is_zero:
-                return self
-            width = _degree(self.mask)
-        out = 0
-        for i in range(width + 1):
-            if (self.mask >> i) & 1:
-                out |= 1 << (width - i)
-        return BinaryPolynomial(out)
 
     def __str__(self) -> str:
         if self.mask == 0:

@@ -25,12 +25,10 @@ from typing import Sequence
 
 from .errors import DegenerateStateError, UnsupportedParameterError
 from .field import MAX_DEGREE, is_primitive
-from .gf2 import BinaryPolynomial, BitMatrix, BitVector, mat_pow
+from .gf2 import BinaryPolynomial, BitMatrix, BitVector, mat_pow, xor_rows
 
 # Sequences of bits are plain lists/tuples of 0/1 ints throughout the package.
 BitSequence = Sequence[int]
-
-RegisterState = BitVector
 
 
 def _safe_is_primitive(p: BinaryPolynomial) -> bool:
@@ -84,6 +82,7 @@ def _step_mask(state: int, taps: int, full: int) -> int:
 
 @lru_cache(maxsize=None)
 def _transition_matrix(feedback_mask: int, length: int) -> BitMatrix:
+    # T with state(t) = state(t-1) * T, states as row vectors
     taps = _taps_mask(feedback_mask, length)
     full = (1 << length) - 1
     # row i = image of the basis state e_i under one clock
@@ -91,24 +90,10 @@ def _transition_matrix(feedback_mask: int, length: int) -> BitMatrix:
     return BitMatrix(length, length, rows)
 
 
-def transition_matrix(spec: LfsrSpec) -> BitMatrix:
-    """Matrix T with state(t) = state(t-1) * T (states as row vectors)."""
-    return _transition_matrix(spec.feedback.mask, spec.length)
-
-
 @lru_cache(maxsize=None)
 def jump_rows(feedback_mask: int, length: int, k: int) -> tuple[int, ...]:
     """Row masks of T^k, the k-clock jump applied as a row-vector product."""
     return mat_pow(_transition_matrix(feedback_mask, length), k).row_masks
-
-
-def _apply_rows(state: int, rows: tuple[int, ...]) -> int:
-    acc = 0
-    while state:
-        low = state & -state
-        acc ^= rows[low.bit_length() - 1]
-        state ^= low
-    return acc
 
 
 def lfsr_step(spec: LfsrSpec, state: BitVector, k: int = 1) -> BitVector:
@@ -130,7 +115,7 @@ def lfsr_step(spec: LfsrSpec, state: BitVector, k: int = 1) -> BitVector:
             s = _step_mask(s, taps, full)
         return BitVector(s, spec.length)
     rows = jump_rows(spec.feedback.mask, spec.length, k)
-    return BitVector(_apply_rows(state.mask, rows), spec.length)
+    return BitVector(xor_rows(state.mask, rows), spec.length)
 
 
 def output_sequence(spec: LfsrSpec, init: BitVector, count: int) -> list[int]:
@@ -181,12 +166,6 @@ class DeBruijnRegister:
     def span(self) -> int:
         return self.base.length
 
-    def step(self) -> tuple[int, "DeBruijnRegister"]:
-        """Emit the clock-control cell, then advance one clock."""
-        bit = self.state.mask & 1
-        nxt = _de_bruijn_next(self.state.mask, self.base.taps_mask, self.span)
-        return bit, DeBruijnRegister(self.base, BitVector(nxt, self.span))
-
 
 def _de_bruijn_next(state: int, taps: int, span: int) -> int:
     fb = (state & taps).bit_count() & 1
@@ -211,10 +190,6 @@ def de_bruijn_cycle(base: LfsrSpec) -> array:
         states[i] = s
         s = _de_bruijn_next(s, taps, span)
     return states
-
-
-def de_bruijn_step(reg: DeBruijnRegister) -> tuple[int, DeBruijnRegister]:
-    return reg.step()
 
 
 def de_bruijn_sequence(reg: DeBruijnRegister, count: int) -> list[int]:

@@ -2,9 +2,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from asgrs.analysis import berlekamp_massey, linear_complexity, measure_period
+from asgrs.analysis import berlekamp_massey, measure_period
 from asgrs.generator import keystream
-from asgrs.registers import output_sequence
 
 from conftest import make_params, random_valid_key
 
@@ -69,15 +68,9 @@ class TestBerlekampMassey:
     def test_monotone_in_prefix_length(self, seq):
         previous = 0
         for end in range(len(seq) + 1):
-            current = linear_complexity(seq[:end])
+            current = berlekamp_massey(seq[:end]).linear_complexity
             assert current >= previous
             previous = current
-
-    def test_register_form_round_trip(self):
-        seq = [1, 0, 0, 1, 0, 1, 1, 1, 0, 0]
-        fit = berlekamp_massey(seq)
-        spec, state = fit.to_register()
-        assert output_sequence(spec, state, len(seq)) == seq
 
 
 class TestMeasurePeriod:

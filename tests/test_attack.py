@@ -322,10 +322,12 @@ class TestRunAttack:
             AttackConfig(P875, [0] * (3 * 12 - 1))
 
     def test_non_binary_keystream_rejected(self):
-        z = [0, 1] * 15
-        z[7] = 2
-        with pytest.raises(ValueError, match="entry 7 is 2"):
-            AttackConfig(P334, z)
+        # 1.0 == 1 but is not an int; the sweep would fail on it with a TypeError
+        for entry in (2, 1.0):
+            z = [0, 1] * 15
+            z[7] = entry
+            with pytest.raises(ValueError, match=f"entry 7 is {entry!r}"):
+                AttackConfig(P334, z)
 
     def test_random_bits_yield_only_consistent_keys(self, rng):
         z = [rng.randrange(2) for _ in range(3 * 7)]

@@ -167,12 +167,6 @@ class TestEstimate:
     def test_bad_sizes_fail(self):
         assert run("estimate", "1", "64", "64") == 1
 
-    def test_exact_jump_counting(self, tmp_path):
-        out = tmp_path / "exact.json"
-        assert run("estimate", "3", "3", "4", "--exact-jumps",
-                   "--out", str(out)) == 0
-        assert json.loads(out.read_text())["l"] == 3
-
 
 class TestOracle:
     def test_contains_generated_key(self, tmp_path, params_file):

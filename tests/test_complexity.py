@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -7,7 +8,6 @@ from asgrs.complexity import (
     attack_complexity,
     estimate_table1,
     estimate_table2,
-    exact_jump_count,
     johansson_segment_probability,
     johansson_segment_probability_exact,
     reference_values_table1,
@@ -22,15 +22,7 @@ class TestInputs:
         c = ComplexityInputs(3, 3, 4)
         assert c.total_length == 10
         assert c.max_generator == 4
-        assert c.phi1 == 4 and c.phi2 == 8
         assert abs(c.gamma - (1 - 1 / (0.19 * 3 + 3.1))) < 1e-12
-
-    def test_exact_jump_counts(self):
-        c = ComplexityInputs(3, 3, 4, exact_jumps=True)
-        assert c.phi1 == 6  # 1..6 all coprime to 7
-        assert c.phi2 == 8  # phi(15)
-        assert c.phi == 48
-        assert exact_jump_count(5) == 30
 
     def test_minimum_sizes(self):
         with pytest.raises(ValueError):
@@ -124,6 +116,26 @@ class TestAttackComplexity:
     def test_first_term_dominates_for_tiny_generators(self):
         got = attack_complexity(ComplexityInputs(40, 2, 2))
         assert abs(got - (math.log2(8) + 40 + 1)) < 0.01
+
+    def test_log_space_matches_exact_integer_sum(self):
+        for l in range(2, 21):
+            for m in range(2, 21):
+                for n in range(2, 21):
+                    exact = (((m * m + n * n) << (l + 1)) + (m ** 3 << (m - 1))
+                             + (n ** 3 << (n - 1)))
+                    got = attack_complexity(ComplexityInputs(l, m, n))
+                    assert abs(got - math.log2(exact)) < 1e-9, (l, m, n)
+
+    def test_memory_does_not_grow_with_register_length(self):
+        # the exact integer sum at n = 10^8 would take about 12 MB
+        tracemalloc.start()
+        try:
+            got = attack_complexity(ComplexityInputs(64, 64, 10 ** 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert abs(got - (math.log2(10 ** 24) + 10 ** 8 - 1)) < 1e-6
 
     def test_matches_table2_row(self):
         row = [r for r in estimate_table2(C64)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,15 +5,12 @@ from asgrs.gf2 import (
     BinaryPolynomial,
     BitMatrix,
     BitVector,
-    SolveOutcome,
     invert,
     mat_mul,
     mat_pow,
-    mat_vec,
     poly_gcd,
     rank,
-    solve_linear_system,
-    vec_mat,
+    xor_rows,
 )
 
 COMPANION_X3 = BitMatrix.from_rows([[0, 1, 0], [1, 0, 1], [1, 0, 0]])
@@ -29,7 +24,7 @@ class TestBitVector:
     def test_round_trip(self):
         v = BitVector.from_bits([1, 0, 1, 1])
         assert v.mask == 0b1101 and len(v) == 4
-        assert v.bits() == (1, 0, 1, 1)
+        assert tuple(v) == (1, 0, 1, 1)
         assert v[0] == 1 and v[1] == 0
 
     def test_out_of_range_index(self):
@@ -55,12 +50,12 @@ class TestMatMul:
             mat_mul(BitMatrix.identity(3), BitMatrix.identity(4))
 
     def test_iterated_equals_power(self, rng):
-        v = BitVector(rng.randrange(1, 8), 3)
+        v = rng.randrange(1, 8)
         for t in range(65):
             iterated = v
             for _ in range(t):
-                iterated = vec_mat(iterated, COMPANION_X3)
-            assert iterated == vec_mat(v, mat_pow(COMPANION_X3, t))
+                iterated = xor_rows(iterated, COMPANION_X3.row_masks)
+            assert iterated == xor_rows(v, mat_pow(COMPANION_X3, t).row_masks)
 
 
 class TestMatPow:
@@ -87,64 +82,7 @@ class TestMatPow:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            mat_pow(BitMatrix.zeros(2, 3), 2)
-
-
-def exhaustive_solutions(a, rhs):
-    out = []
-    for x in range(1 << a.cols):
-        if all(((row & x).bit_count() & 1) == rhs[i]
-               for i, row in enumerate(a.row_masks)):
-            out.append(x)
-    return out
-
-
-class TestSolve:
-    def test_identity_system(self):
-        x = solve_linear_system(BitMatrix.identity(3), BitVector.from_bits([1, 0, 1]))
-        assert x == BitVector.from_bits([1, 0, 1])
-
-    def test_parity_obstruction(self):
-        a = BitMatrix.from_rows([[1, 1], [1, 1]])
-        assert solve_linear_system(a, BitVector.from_bits([1, 0])) is SolveOutcome.NO_SOLUTION
-
-    def test_underdetermined(self):
-        a = BitMatrix.from_rows([[1, 1], [1, 1]])
-        assert solve_linear_system(a, BitVector.from_bits([1, 1])) is SolveOutcome.UNDERDETERMINED
-
-    def test_random_full_rank_4x4(self, rng):
-        while True:
-            a = random_matrix(rng, 4, 4)
-            if rank(a) == 4:
-                break
-        rhs = BitVector(rng.randrange(0, 16), 4)
-        x = solve_linear_system(a, rhs)
-        assert isinstance(x, BitVector)
-        # brute force over all 16 candidate vectors
-        assert exhaustive_solutions(a, list(rhs)) == [x.mask]
-
-    def test_rhs_length_checked(self):
-        with pytest.raises(ValueError):
-            solve_linear_system(BitMatrix.identity(3), BitVector.zeros(2))
-
-    def test_thousand_random_systems(self):
-        rng = random.Random(1234)
-        for _ in range(1000):
-            rows = rng.randrange(1, 17)
-            cols = rng.randrange(1, 17)
-            a = random_matrix(rng, rows, cols)
-            rhs = BitVector(rng.randrange(0, 1 << rows), rows)
-            got = solve_linear_system(a, rhs)
-            if isinstance(got, BitVector):
-                assert mat_vec(a, got) == rhs
-            if cols <= 12:
-                sols = exhaustive_solutions(a, list(rhs))
-                if len(sols) == 0:
-                    assert got is SolveOutcome.NO_SOLUTION
-                elif len(sols) == 1:
-                    assert isinstance(got, BitVector) and got.mask == sols[0]
-                else:
-                    assert got is SolveOutcome.UNDERDETERMINED
+            mat_pow(BitMatrix(2, 3, (0, 0)), 2)
 
 
 class TestInvert:

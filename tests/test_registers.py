@@ -5,20 +5,34 @@ import pytest
 
 from asgrs.analysis import berlekamp_massey, measure_period
 from asgrs.errors import DegenerateStateError
-from asgrs.gf2 import BinaryPolynomial, BitMatrix, BitVector, mat_pow, vec_mat
+from asgrs.gf2 import BinaryPolynomial, BitMatrix, BitVector, mat_mul, mat_pow
 from asgrs.registers import (
     DeBruijnRegister,
     LfsrSpec,
+    de_bruijn_cycle,
     de_bruijn_sequence,
-    de_bruijn_step,
     decimate,
+    jump_rows,
     lfsr_step,
     output_sequence,
     primitive_polynomial,
-    transition_matrix,
 )
 
+from conftest import _ref_debruijn_step
+
 SPEC3 = LfsrSpec(3, BinaryPolynomial(0b1011))
+
+
+def one_clock_matrix(spec):
+    """The one-clock matrix T, as the package's cached jump of one clock."""
+    return BitMatrix(spec.length, spec.length,
+                     jump_rows(spec.feedback.mask, spec.length, 1))
+
+
+def times(state, matrix):
+    """Row vector `state` times `matrix`, through mat_mul."""
+    row = mat_mul(BitMatrix(1, state.length, (state.mask,)), matrix)
+    return BitVector(row.row_masks[0], matrix.cols)
 
 
 def hand_step(cells, poly_mask):
@@ -33,7 +47,7 @@ class TestLfsrStep:
     def test_zero_clocks_is_identity(self):
         state = BitVector.from_bits([1, 0, 1])
         assert lfsr_step(SPEC3, state, 0) == state
-        assert mat_pow(transition_matrix(SPEC3), 0) == BitMatrix.identity(3)
+        assert mat_pow(one_clock_matrix(SPEC3), 0) == BitMatrix.identity(3)
 
     def test_period_seven_by_hand(self):
         cells = [1, 0, 0]
@@ -63,24 +77,24 @@ class TestLfsrStep:
             iterated = state
             for _ in range(t):
                 iterated = lfsr_step(spec, iterated, 1)
-            assert iterated == vec_mat(state, mat_pow(transition_matrix(spec), t))
+            assert iterated == times(state, mat_pow(one_clock_matrix(spec), t))
             assert iterated == lfsr_step(spec, state, t)
 
 
 class TestTransitionMatrix:
     def test_degenerate_length_one(self):
-        t = transition_matrix(LfsrSpec(1, BinaryPolynomial(0b11)))
+        t = one_clock_matrix(LfsrSpec(1, BinaryPolynomial(0b11)))
         assert t == BitMatrix(1, 1, (1,))
 
     def test_reproduces_single_step_exhaustively(self):
-        t = transition_matrix(SPEC3)
+        t = one_clock_matrix(SPEC3)
         for mask in range(8):
             state = BitVector(mask, 3)
-            assert vec_mat(state, t) == lfsr_step(SPEC3, state, 1)
+            assert times(state, t) == lfsr_step(SPEC3, state, 1)
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_order_of_companion(self, m):
-        t = transition_matrix(LfsrSpec(m, primitive_polynomial(m)))
+        t = one_clock_matrix(LfsrSpec(m, primitive_polynomial(m)))
         assert mat_pow(t, (1 << m) - 1) == BitMatrix.identity(m)
 
 
@@ -158,13 +172,6 @@ class TestDeBruijn:
         reg = DeBruijnRegister(LfsrSpec(1, BinaryPolynomial(0b11)), BitVector(0, 1))
         assert de_bruijn_sequence(reg, 6) == [0, 1, 0, 1, 0, 1]
 
-    def test_step_returns_new_register(self):
-        reg = DeBruijnRegister(SPEC3, BitVector.zeros(3))
-        bit, nxt = de_bruijn_step(reg)
-        assert bit == 0
-        assert nxt.state != reg.state
-        assert reg.state == BitVector.zeros(3)  # original untouched
-
     def test_span3_every_window_once(self):
         reg = DeBruijnRegister(SPEC3, BitVector.zeros(3))
         seq = de_bruijn_sequence(reg, 8)
@@ -176,14 +183,14 @@ class TestDeBruijn:
     @pytest.mark.parametrize("span", range(1, 11))
     def test_single_cycle(self, span):
         base = LfsrSpec(span, primitive_polynomial(span))
-        reg = DeBruijnRegister(base, BitVector.zeros(span))
-        seen = set()
-        for _ in range(1 << span):
-            assert reg.state.mask not in seen
-            seen.add(reg.state.mask)
-            _, reg = reg.step()
-        assert reg.state.mask == 0  # back to the start
-        assert len(seen) == 1 << span
+        states = de_bruijn_cycle(base)
+        assert len(states) == 1 << span
+        assert sorted(states) == list(range(1 << span))  # every state once
+        assert states[0] == 0
+        for i, s in enumerate(states):
+            cells = _ref_debruijn_step(list(BitVector(s, span)), base.feedback.mask)
+            # the successor of the last state closes the cycle at state 0
+            assert BitVector.from_bits(cells).mask == states[(i + 1) % len(states)]
 
     @pytest.mark.parametrize("span", range(1, 13))
     def test_window_property(self, span):
