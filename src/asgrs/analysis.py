@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gf2 import BinaryPolynomial, BitVector
-from .registers import BitSequence
+from .registers import BitSequence, LfsrSpec, output_sequence, state_from_outputs
 
 
 @dataclass(frozen=True)
@@ -31,17 +31,10 @@ class LfsrFit:
     def extend(self, count: int) -> list[int]:
         """Regenerate the first `count` bits of the fitted sequence."""
         L = self.linear_complexity
-        bits = list(self.initial_state)[:count]
         if L == 0:
             return [0] * count
-        taps = [i for i in range(L) if self.connection.coefficient(i)]
-        while len(bits) < count:
-            t = len(bits) - L
-            nxt = 0
-            for i in taps:
-                nxt ^= bits[t + i]
-            bits.append(nxt)
-        return bits
+        return output_sequence(LfsrSpec(L, self.connection),
+                               state_from_outputs(self.initial_state), count)
 
 
 def berlekamp_massey(seq: BitSequence) -> LfsrFit:

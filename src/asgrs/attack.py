@@ -44,7 +44,7 @@ import time
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import not_, xor
 
 from .analysis import LfsrFit, berlekamp_massey
@@ -56,9 +56,11 @@ from .registers import (
     BitSequence,
     DeBruijnRegister,
     LfsrSpec,
-    _step_mask,
     de_bruijn_cycle,
     de_bruijn_sequence,
+    lfsr_states,
+    output_bits,
+    state_from_outputs,
 )
 
 ORACLE_WORK_CAP = 1 << 26
@@ -374,15 +376,6 @@ class AttackReport:
     wall_time_seconds: float
 
 
-def _bits_to_cells(bits: BitVector) -> BitVector:
-    # output bits b_0..b_{m-1}  ->  register cells (cell i = b_{m-1-i})
-    m = bits.length
-    mask = 0
-    for i in range(m):
-        mask |= bits[m - 1 - i] << i
-    return BitVector(mask, m)
-
-
 def _recover_key(config: AttackConfig, cand: CandidateModel, beta_len: int,
                  lam_len: int, counters: AttackCounters) -> AsgKey | None:
     """Assemble the key of a verified candidate whose harvested streams
@@ -404,8 +397,8 @@ def _recover_key(config: AttackConfig, cand: CandidateModel, beta_len: int,
         return None
     key = AsgKey(
         state_a=cand.a_init,
-        state_b=_bits_to_cells(fit_b.initial_bits),
-        state_c=_bits_to_cells(fit_c.initial_bits),
+        state_b=state_from_outputs(fit_b.initial_bits),
+        state_c=state_from_outputs(fit_c.initial_bits),
         r=fit_b.r,
         s=fit_c.r,
     )
@@ -494,7 +487,7 @@ def _coprime_jumps(length: int) -> list[int]:
 def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
     """All valid keys whose keystream matches `target`, by exhaustion.
 
-    Independent of the generator's stepping engine: every candidate
+    Independent of the generator's merge and jumps: every candidate
     keystream bit is read off precomputed output cycles as
     z_t = b[(p_t * r + off_b) mod 2^m-1] ^ c[(q_t * s + off_c) mod 2^n-1],
     where p_t/q_t count the control bits seen so far.
@@ -553,10 +546,5 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
 def _state_cycle(spec: LfsrSpec, period: int) -> tuple[list[int], list[int]]:
     """The register's states from state 1 over one period, and the output
     bit (the top cell) of each."""
-    states = []
-    s, taps, full = 1, spec.taps_mask, (1 << spec.length) - 1
-    for _ in range(period):
-        states.append(s)
-        s = _step_mask(s, taps, full)
-    top = spec.length - 1
-    return states, [st >> top for st in states]
+    states = list(islice(lfsr_states(spec, 1), period))
+    return states, list(output_bits(states, spec.length))

@@ -11,12 +11,23 @@ control bit, jumps exactly one generating register, advances the
 control register one clock, and emits the next XOR.  This is the unique
 ordering in which output bit t+1 depends on control bit t.
 
-Because B only ever moves in strides of r, the B-bits that reach the
-output are the r-fold decimation of B's regular output sequence (and
-likewise s for C).  Whenever gcd(r, 2^m - 1) = 1 that decimation is
-again a maximum-length sequence, so the whole generator collapses to a
-classical alternating step generator over two substitute LFSRs of the
-same lengths: the reduction computed by `reduce_to_classical`.
+So the keystream is a classical alternating step generator over two
+decimated streams: z_t = beta_p ^ lambda_q, where beta_p is B's output
+after p jumps, lambda_q is C's after q jumps, and p and q count the 1s
+and 0s among the control bits before step t.  Every entry point merges
+a control sequence and two such streams (`_merge`, the inverse of the
+attack's peeling): a control-1 step changes z by beta_p ^ beta_{p+1}, a
+control-0 step by lambda_q ^ lambda_{q+1}.  Each stream is stepped for
+one period at most and then repeated: 2^l steps for the control
+sequence, 2^m - 1 jumps for B (a nonzero state of a primitive register
+recurs after that many clocks) and 2^n - 1 for C.
+
+Because B only ever moves in strides of r, its stream is the r-fold
+decimation of B's regular output sequence (and likewise s for C).
+Whenever gcd(r, 2^m - 1) = 1 that decimation is again a maximum-length
+sequence, so the whole generator collapses to a classical alternating
+step generator over two substitute LFSRs of the same lengths: the
+reduction computed by `reduce_to_classical`.
 """
 
 from __future__ import annotations
@@ -24,17 +35,22 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import accumulate, chain, cycle, islice, pairwise, repeat, starmap
+from operator import xor
+from typing import Iterable, Iterator
 
+from .analysis import berlekamp_massey
 from .errors import DegenerateStateError, KeyValidationError
-from .field import field_context
 from .gf2 import BinaryPolynomial, BitVector, xor_rows
 from .registers import (
     DeBruijnRegister,
     LfsrSpec,
-    _de_bruijn_next,
     _safe_is_primitive,
+    de_bruijn_sequence,
     jump_rows,
-    lfsr_step,
+    lfsr_states,
+    output_bits,
+    state_from_outputs,
 )
 
 
@@ -140,50 +156,47 @@ def random_key(params: AsgParams, rng: random.Random) -> AsgKey:
     )
 
 
-class _Engine:
-    """Packed-integer stepping core shared by the generator entry points."""
+def _merge(control: Iterable[int], beta: Iterable[int], lam: Iterable[int],
+           count: int) -> list[int]:
+    """First `count` bits of z_t = beta_p ^ lambda_q: each control bit
+    pulls the next difference of the stream it moves, and z accumulates
+    those differences from z_0 by XOR."""
+    if count <= 0:
+        return []
+    beta, lam = iter(beta), iter(lam)
+    b0, l0 = next(beta), next(lam)
+    diffs = (starmap(xor, pairwise(chain((l0,), lam))),
+             starmap(xor, pairwise(chain((b0,), beta))))
+    moves = map(next, map(diffs.__getitem__, islice(control, count - 1)))
+    return list(accumulate(moves, xor, initial=b0 ^ l0))
 
-    __slots__ = ("a", "b", "c", "a_taps", "a_full", "b_rows", "c_rows",
-                 "b_top", "c_top", "span")
 
-    def __init__(self, params: AsgParams, key: AsgKey):
-        l, m, n = params.l, params.m, params.n
-        self.span = l
-        self.a = key.state_a.mask
-        self.b = key.state_b.mask
-        self.c = key.state_c.mask
-        self.a_taps = LfsrSpec(l, params.poly_a).taps_mask
-        self.a_full = (1 << l) - 1
-        self.b_rows = jump_rows(params.poly_b.mask, m, key.r % ((1 << m) - 1))
-        self.c_rows = jump_rows(params.poly_c.mask, n, key.s % ((1 << n) - 1))
-        self.b_top = m - 1
-        self.c_top = n - 1
+def _control(reg: DeBruijnRegister, count: int) -> Iterator[int]:
+    """The register's control bits, endless: at most one period, repeated."""
+    return cycle(de_bruijn_sequence(reg, min(count, 1 << reg.span)))
 
-    def output(self) -> int:
-        return ((self.b >> self.b_top) & 1) ^ ((self.c >> self.c_top) & 1)
 
-    def step(self) -> int:
-        """One clocking step; returns the control bit that drove it."""
-        bit = self.a & 1
-        if bit:
-            self.b = xor_rows(self.b, self.b_rows)
-        else:
-            self.c = xor_rows(self.c, self.c_rows)
-        self.a = _de_bruijn_next(self.a, self.a_taps, self.span)
-        return bit
+def _jumped(poly: BinaryPolynomial, length: int, state: BitVector,
+            jump: int) -> Iterator[int]:
+    """Outputs after 0, 1, 2, ... jumps of `jump` clocks, endless: the
+    register is stepped for one period at most, which then repeats."""
+    period = (1 << length) - 1
+    rows = jump_rows(poly.mask, length, jump % period)
+    states = accumulate(repeat(rows, period - 1), xor_rows, initial=state.mask)
+    return cycle(output_bits(states, length))
+
+
+def _streams(params: AsgParams, key: AsgKey, count: int) -> tuple[Iterator[int], ...]:
+    control = DeBruijnRegister(LfsrSpec(params.l, params.poly_a), key.state_a)
+    return (_control(control, count),
+            _jumped(params.poly_b, params.m, key.state_b, key.r),
+            _jumped(params.poly_c, params.n, key.state_c, key.s))
 
 
 def keystream(params: AsgParams, key: AsgKey, count: int) -> list[int]:
     """First `count` keystream bits; raises KeyValidationError on a bad key."""
     _require_valid(params, key)
-    if count <= 0:
-        return []
-    eng = _Engine(params, key)
-    out = [eng.output()]
-    for _ in range(count - 1):
-        eng.step()
-        out.append(eng.output())
-    return out
+    return _merge(*_streams(params, key, count), count)
 
 
 @dataclass(frozen=True)
@@ -200,20 +213,11 @@ def keystream_trace(params: AsgParams, key: AsgKey, count: int) -> KeystreamTrac
     _require_valid(params, key)
     if count <= 0:
         return KeystreamTrace([], [], [], [])
-    eng = _Engine(params, key)
-    b_out = (eng.b >> eng.b_top) & 1
-    c_out = (eng.c >> eng.c_top) & 1
-    z = [b_out ^ c_out]
-    control, beta, lam = [], [b_out], [c_out]
-    for _ in range(count - 1):
-        bit = eng.step()
-        control.append(bit)
-        if bit:
-            beta.append((eng.b >> eng.b_top) & 1)
-        else:
-            lam.append((eng.c >> eng.c_top) & 1)
-        z.append(eng.output())
-    return KeystreamTrace(z, control, beta, lam)
+    control, beta, lam = _streams(params, key, count)
+    control = list(islice(control, count - 1))
+    ones = sum(control)
+    beta, lam = list(islice(beta, ones + 1)), list(islice(lam, count - ones))
+    return KeystreamTrace(_merge(control, beta, lam, count), control, beta, lam)
 
 
 @dataclass(frozen=True)
@@ -235,11 +239,11 @@ class ReducedModel:
 def reduce_to_classical(params: AsgParams, key: AsgKey) -> ReducedModel:
     """Substitute registers for the decimated streams.
 
-    The feedback of the beta register is the minimal polynomial of
-    alpha^r, where alpha is a root of poly_b: the decimated sequence
-    b_{rt} = Tr(u (alpha^r)^t) obeys exactly that recurrence.  Its
-    initial state is the first m decimated output bits.  Likewise for
-    lambda with (poly_c, s).
+    The decimated sequence b_{rt} = Tr(u (alpha^r)^t) obeys the minimal
+    polynomial of alpha^r, alpha a root of poly_b.  When that has degree
+    m, Berlekamp-Massey returns it from the first 2m stream bits (2L bits
+    fix a register of length L), and the first m bits are the initial
+    state.  Likewise for lambda with (poly_c, s).
     """
     _require_valid(params, key)
     beta_spec, beta_state = _decimated_register(
@@ -252,50 +256,22 @@ def reduce_to_classical(params: AsgParams, key: AsgKey) -> ReducedModel:
 
 def _decimated_register(poly: BinaryPolynomial, m: int, state: BitVector,
                         jump: int) -> tuple[LfsrSpec, BitVector]:
-    ctx = field_context(poly)
-    period = (1 << m) - 1
-    gamma = ctx.alpha ** (jump % period)
-    feedback = gamma.minimal_polynomial()
-    if feedback.degree != m:
+    head = list(islice(_jumped(poly, m, state, jump), 2 * m))
+    fit = berlekamp_massey(head)
+    if fit.linear_complexity != m:
         # only possible when gcd(jump, period) > 1, i.e. non-strict keys
         raise DegenerateStateError(
-            f"decimation by {jump} collapses the register: minimal polynomial "
-            f"degree {feedback.degree} < {m}")
-    spec = LfsrSpec(m, poly)
-    head = []
-    s = state
-    for _ in range(m):
-        head.append(spec.output_cell(s))
-        s = lfsr_step(spec, s, jump % period)
-    cells = 0
-    for i in range(m):
-        cells |= head[m - 1 - i] << i
-    return LfsrSpec(m, feedback), BitVector(cells, m)
+            f"decimation by {jump} collapses the register: linear complexity "
+            f"{fit.linear_complexity} < {m}")
+    return LfsrSpec(m, fit.connection), state_from_outputs(head[:m])
 
 
 def classical_asg_keystream(model: ReducedModel, count: int) -> list[int]:
     """Run the reduced model with unit jumps on both generating registers."""
     if model.beta_state.mask == 0 or model.lambda_state.mask == 0:
         raise DegenerateStateError("all-zero generating register in reduced model")
-    if count <= 0:
-        return []
-    b_spec, c_spec = model.beta_spec, model.lambda_spec
-    b_taps, c_taps = b_spec.taps_mask, c_spec.taps_mask
-    b_full, c_full = (1 << b_spec.length) - 1, (1 << c_spec.length) - 1
-    b_top, c_top = b_spec.length - 1, c_spec.length - 1
-    a_taps = model.control.base.taps_mask
-    span = model.control.span
-    a = model.control.state.mask
-    b = model.beta_state.mask
-    c = model.lambda_state.mask
-    out = [((b >> b_top) & 1) ^ ((c >> c_top) & 1)]
-    for _ in range(count - 1):
-        if a & 1:
-            fb = (b & b_taps).bit_count() & 1
-            b = ((b << 1) & b_full) | fb
-        else:
-            fb = (c & c_taps).bit_count() & 1
-            c = ((c << 1) & c_full) | fb
-        a = _de_bruijn_next(a, a_taps, span)
-        out.append(((b >> b_top) & 1) ^ ((c >> c_top) & 1))
-    return out
+    # any feedback may reach here, so the streams assume no period
+    b, c = model.beta_spec, model.lambda_spec
+    return _merge(_control(model.control, count),
+                  output_bits(lfsr_states(b, model.beta_state.mask), b.length),
+                  output_bits(lfsr_states(c, model.lambda_state.mask), c.length), count)

@@ -14,6 +14,13 @@ With feedback polynomial f(x) = x^L + f_{L-1} x^{L-1} + ... + f_0, the
 new cell 0 is sum_i f_i * cell[L-1-i], which makes the output sequence
 satisfy s_{t+L} = sum_i f_i s_{t+i}: the feedback polynomial is the
 characteristic polynomial of the output recurrence.
+
+Each register kind has one stepping core, an endless generator of packed
+states (`lfsr_states` clocks a generating register, `de_bruijn_states`
+steps the control register); every other stepping function reads them.
+A nonzero state of a primitive register of length m recurs after
+2^m - 1 clocks, and every span-l state of the de Bruijn register after
+2^l steps.
 """
 
 from __future__ import annotations
@@ -21,7 +28,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from itertools import islice, repeat
+from operator import rshift
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateStateError, UnsupportedParameterError
 from .field import MAX_DEGREE, is_primitive
@@ -60,13 +69,11 @@ class LfsrSpec:
     def taps_mask(self) -> int:
         return _taps_mask(self.feedback.mask, self.length)
 
-    def output_cell(self, state: BitVector) -> int:
-        return (state.mask >> (self.length - 1)) & 1
 
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _taps_mask(feedback_mask: int, length: int) -> int:
-    # taps bit k = f_{length-1-k}: new cell 0 = parity(state & taps)
+    # taps bit k = f_{length-1-k}: new cell 0 = parity(state & taps); the
+    # cache is bounded because fitted registers bring their own feedback
     low = feedback_mask ^ (1 << length)
     out = 0
     for i in range(length):
@@ -75,24 +82,29 @@ def _taps_mask(feedback_mask: int, length: int) -> int:
     return out
 
 
-def _step_mask(state: int, taps: int, full: int) -> int:
-    fb = (state & taps).bit_count() & 1
-    return ((state << 1) & full) | fb
+def lfsr_states(spec: LfsrSpec, state: int) -> Iterator[int]:
+    """The packed states from `state` on, one clock apart, without end."""
+    taps, full = spec.taps_mask, (1 << spec.length) - 1
+    while True:
+        yield state
+        state = ((state << 1) & full) | ((state & taps).bit_count() & 1)
 
 
 @lru_cache(maxsize=None)
 def _transition_matrix(feedback_mask: int, length: int) -> BitMatrix:
     # T with state(t) = state(t-1) * T, states as row vectors
-    taps = _taps_mask(feedback_mask, length)
-    full = (1 << length) - 1
+    spec = LfsrSpec(length, BinaryPolynomial(feedback_mask))
     # row i = image of the basis state e_i under one clock
-    rows = tuple(_step_mask(1 << i, taps, full) for i in range(length))
+    rows = tuple(next(islice(lfsr_states(spec, 1 << i), 1, None)) for i in range(length))
     return BitMatrix(length, length, rows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def jump_rows(feedback_mask: int, length: int, k: int) -> tuple[int, ...]:
-    """Row masks of T^k, the k-clock jump applied as a row-vector product."""
+    """Row masks of T^k, the k-clock jump applied as a row-vector product.
+
+    The cache is bounded: every distinct key brings its own jump sizes.
+    """
     return mat_pow(_transition_matrix(feedback_mask, length), k).row_masks
 
 
@@ -108,12 +120,7 @@ def lfsr_step(spec: LfsrSpec, state: BitVector, k: int = 1) -> BitVector:
     if k < 0:
         raise ValueError("cannot clock a register backwards")
     if k < spec.length * spec.length:
-        s = state.mask
-        taps = spec.taps_mask
-        full = (1 << spec.length) - 1
-        for _ in range(k):
-            s = _step_mask(s, taps, full)
-        return BitVector(s, spec.length)
+        return BitVector(next(islice(lfsr_states(spec, state.mask), k, None)), spec.length)
     rows = jump_rows(spec.feedback.mask, spec.length, k)
     return BitVector(xor_rows(state.mask, rows), spec.length)
 
@@ -124,15 +131,18 @@ def output_sequence(spec: LfsrSpec, init: BitVector, count: int) -> list[int]:
         raise ValueError("state length does not match register length")
     if init.mask == 0 and _safe_is_primitive(spec.feedback):
         raise DegenerateStateError("all-zero state on a maximum-length register")
-    out = []
-    s = init.mask
-    taps = spec.taps_mask
-    full = (1 << spec.length) - 1
-    top = spec.length - 1
-    for _ in range(count):
-        out.append((s >> top) & 1)
-        s = _step_mask(s, taps, full)
-    return out
+    return list(output_bits(islice(lfsr_states(spec, init.mask), max(count, 0)), spec.length))
+
+
+def output_bits(states: Iterable[int], length: int) -> Iterator[int]:
+    """The output bits (cell length-1) of packed generating-register states."""
+    return map(rshift, states, repeat(length - 1))
+
+
+def state_from_outputs(bits: BitSequence) -> BitVector:
+    """The state whose first len(bits) outputs are `bits`: cell i holds
+    output bit len-1-i."""
+    return BitVector.from_bits(list(bits)[::-1])
 
 
 def decimate(seq: BitSequence, r: int) -> list[int]:
@@ -167,13 +177,18 @@ class DeBruijnRegister:
         return self.base.length
 
 
-def _de_bruijn_next(state: int, taps: int, span: int) -> int:
-    fb = (state & taps).bit_count() & 1
-    # cells 0..span-2 survive the shift into 1..span-1; when they are all
-    # zero the complemented feedback inserts the extra zero of the cycle
-    if state & ((1 << (span - 1)) - 1) == 0:
-        fb ^= 1
-    return ((state << 1) & ((1 << span) - 1)) | fb
+def de_bruijn_states(base: LfsrSpec, state: int) -> Iterator[int]:
+    """The packed states of the de Bruijn register over `base` from
+    `state` on, one step apart, without end."""
+    taps, span = base.taps_mask, base.length
+    full, low = (1 << span) - 1, (1 << (span - 1)) - 1
+    while True:
+        yield state
+        # cells 0..span-2 survive the shift into 1..span-1; when they are
+        # all zero the complemented feedback inserts the extra zero of the
+        # cycle
+        fb = ((state & taps).bit_count() & 1) ^ (state & low == 0)
+        state = ((state << 1) & full) | fb
 
 
 def de_bruijn_cycle(base: LfsrSpec) -> array:
@@ -183,25 +198,12 @@ def de_bruijn_cycle(base: LfsrSpec) -> array:
     Every span-bit state lies on this one cycle, so the control bits from
     any state are cell 0 of a window of it, wrapping at the end.
     """
-    taps, span = base.taps_mask, base.length
-    states = array("I", [0]) * (1 << span)
-    s = 0
-    for i in range(1 << span):
-        states[i] = s
-        s = _de_bruijn_next(s, taps, span)
-    return states
+    return array("I", islice(de_bruijn_states(base, 0), 1 << base.length))
 
 
 def de_bruijn_sequence(reg: DeBruijnRegister, count: int) -> list[int]:
     """First `count` control bits from the register's current state."""
-    out = []
-    s = reg.state.mask
-    taps = reg.base.taps_mask
-    span = reg.span
-    for _ in range(count):
-        out.append(s & 1)
-        s = _de_bruijn_next(s, taps, span)
-    return out
+    return [s & 1 for s in islice(de_bruijn_states(reg.base, reg.state.mask), max(count, 0))]
 
 
 # Primitive polynomials, one per degree, used for defaults and tests.

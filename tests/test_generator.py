@@ -2,8 +2,10 @@ import pytest
 
 from asgrs.analysis import measure_period
 from asgrs.errors import DegenerateStateError, KeyValidationError
+from asgrs.field import field_context
 from asgrs.generator import (
     AsgKey,
+    KeystreamTrace,
     classical_asg_keystream,
     keystream,
     keystream_trace,
@@ -13,7 +15,13 @@ from asgrs.generator import (
     validate_params,
 )
 from asgrs.gf2 import BinaryPolynomial, BitVector
-from asgrs.registers import LfsrSpec, decimate, output_sequence, primitive_polynomial
+from asgrs.registers import (
+    LfsrSpec,
+    decimate,
+    jump_rows,
+    output_sequence,
+    primitive_polynomial,
+)
 
 from conftest import make_params, random_valid_key, reference_keystream
 
@@ -93,7 +101,11 @@ class TestRandomKey:
 
 class TestKeystream:
     def test_empty(self):
-        assert keystream(P334, fixed_key(), 0) == []
+        model = reduce_to_classical(P334, fixed_key())
+        for count in (-1, 0):
+            assert keystream(P334, fixed_key(), count) == []
+            assert classical_asg_keystream(model, count) == []
+            assert keystream_trace(P334, fixed_key(), count) == KeystreamTrace([], [], [], [])
 
     def test_first_bit_ignores_control(self, rng):
         key = fixed_key()
@@ -111,6 +123,35 @@ class TestKeystream:
             params = make_params(*rng.choice([(3, 3, 4), (4, 3, 5), (5, 4, 7)]))
             key = random_valid_key(params, rng)
             assert keystream(params, key, 120) == reference_keystream(params, key, 120)
+        # non-strict keys: jumps sharing a factor with the period shorten the
+        # jumped streams (r = 3, 5 at m = 4 give periods 5, 3), and jumps of
+        # at least a period wrap; counts straddle one control period
+        for l, m, n, jumps_r, jumps_s in ((2, 4, 3, (3, 5, 16, 20), (1, 8, 9)),
+                                          (3, 4, 6, (5, 6, 17), (3, 7, 9, 21, 64)),
+                                          (4, 3, 5, (2, 7 + 3, 7 + 7 + 1), (32, 33))):
+            params = make_params(l, m, n, strict=False)
+            for r in jumps_r:
+                for s in jumps_s:
+                    key = AsgKey(BitVector(rng.randrange(1 << l), l),
+                                 BitVector(rng.randrange(1, 1 << m), m),
+                                 BitVector(rng.randrange(1, 1 << n), n), r, s)
+                    assert validate(params, key) == []
+                    for count in (0, 1, 2, 1 << l, (1 << l) + 1, 100):
+                        expected = reference_keystream(params, key, count)
+                        assert keystream(params, key, count) == expected
+                        assert keystream_trace(params, key, count).keystream == expected
+
+    def test_jump_cache_is_bounded(self, rng):
+        bound = jump_rows.cache_info().maxsize
+        assert bound is not None
+        params = make_params(3, 7, 8)
+        jumps = set()
+        for _ in range(bound):
+            key = random_valid_key(params, rng)
+            jumps.update({(7, key.r), (8, key.s)})
+            keystream(params, key, 10)
+        assert len(jumps) > bound
+        assert jump_rows.cache_info().currsize <= bound
 
     def test_invalid_key_raises(self):
         bad = AsgKey(BitVector.zeros(3), BitVector.zeros(3), BitVector(1, 4), 1, 1)
@@ -204,6 +245,24 @@ class TestReduction:
         assert len(keystream(params, key, 16)) == 16
         with pytest.raises(DegenerateStateError):
             reduce_to_classical(params, key)
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_matches_field_minimal_polynomial(self, m, rng):
+        # the substitute feedback is the minimal polynomial of alpha^r;
+        # below degree m the reduction must refuse
+        params = make_params(3, m, 3, strict=False)
+        ctx = field_context(params.poly_b)
+        for r in range(1, (1 << m) - 1):
+            key = AsgKey(BitVector(rng.randrange(8), 3), BitVector(rng.randrange(1, 1 << m), m),
+                         BitVector(rng.randrange(1, 8), 3), r, 1)
+            minimal = (ctx.alpha ** r).minimal_polynomial()
+            if minimal.degree == m:
+                model = reduce_to_classical(params, key)
+                assert model.beta_spec.feedback == minimal
+                assert classical_asg_keystream(model, 64) == keystream(params, key, 64)
+            else:
+                with pytest.raises(DegenerateStateError):
+                    reduce_to_classical(params, key)
 
     def test_full_degree_non_coprime_jump_still_reduces(self):
         # r = 3 at m = 4 hits the degree-4 cyclotomic polynomial: not an

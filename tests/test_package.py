@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -21,3 +22,10 @@ def test_package_imports_only_the_standard_library():
             outside.update((path.name, name) for name in names
                            if name.split(".")[0] not in sys.stdlib_module_names)
     assert not outside
+
+
+def test_readme_quick_start_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -16,6 +16,7 @@ from asgrs.registers import (
     lfsr_step,
     output_sequence,
     primitive_polynomial,
+    state_from_outputs,
 )
 
 from conftest import _ref_debruijn_step
@@ -106,7 +107,15 @@ class TestOutputSequence:
         assert sum(seq) == 4 and len(seq) == 7
 
     def test_empty(self):
-        assert output_sequence(SPEC3, BitVector.from_bits([1, 0, 0]), 0) == []
+        for count in (-1, 0):
+            assert output_sequence(SPEC3, BitVector.from_bits([1, 0, 0]), count) == []
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_state_from_outputs_round_trip(self, m):
+        spec = LfsrSpec(m, primitive_polynomial(m))
+        for mask in range(1, 1 << m):
+            bits = output_sequence(spec, BitVector(mask, m), m)
+            assert state_from_outputs(bits) == BitVector(mask, m)
 
     @pytest.mark.parametrize("m", range(2, 11))
     def test_period_detection(self, m):
@@ -168,6 +177,11 @@ class TestDecimate:
 
 
 class TestDeBruijn:
+    def test_empty(self):
+        reg = DeBruijnRegister(SPEC3, BitVector.from_bits([1, 0, 0]))
+        for count in (-1, 0):
+            assert de_bruijn_sequence(reg, count) == []
+
     def test_smallest_span(self):
         reg = DeBruijnRegister(LfsrSpec(1, BinaryPolynomial(0b11)), BitVector(0, 1))
         assert de_bruijn_sequence(reg, 6) == [0, 1, 0, 1, 0, 1]
