@@ -376,23 +376,23 @@ class AttackReport:
     wall_time_seconds: float
 
 
-def _recover_key(config: AttackConfig, cand: CandidateModel, beta_len: int,
-                 lam_len: int, counters: AttackCounters) -> AsgKey | None:
-    """Assemble the key of a verified candidate whose harvested streams
-    have beta_len and lam_len bits."""
+def _recover_key(config: AttackConfig, cand: CandidateModel,
+                 counters: AttackCounters) -> AsgKey | None:
+    """Assemble the key of a verified candidate.
+
+    Each fit already generates its whole harvested stream, so the
+    decimation is recovered from 3m bits of the fit itself.
+    """
     params = config.params
     z = config.keystream
 
-    def recover(poly, m, fit, harvested_len):
-        ctx = field_context(poly)
-        obs = fit.extend(max(3 * m, harvested_len))
-        return recover_decimation(ctx, obs, verify_bits=len(obs) - m,
-                                  counters=counters)
+    def recover(poly, m, fit):
+        return recover_decimation(field_context(poly), fit.extend(3 * m), counters=counters)
 
-    fit_b = recover(params.poly_b, params.m, cand.beta_fit, beta_len)
+    fit_b = recover(params.poly_b, params.m, cand.beta_fit)
     if fit_b is None:
         return None
-    fit_c = recover(params.poly_c, params.n, cand.lambda_fit, lam_len)
+    fit_c = recover(params.poly_c, params.n, cand.lambda_fit)
     if fit_c is None:
         return None
     key = AsgKey(
@@ -441,7 +441,7 @@ def _attack_chunk(config: AttackConfig, lo: int, hi: int) -> tuple[list[AsgKey],
                 continue
             counters.verified_candidates += 1
             cand = CandidateModel(BitVector(a_mask, l), beta0, *fits)
-            key = _recover_key(config, cand, nb, nl, counters)
+            key = _recover_key(config, cand, counters)
             if key is not None:
                 keys.append(key)
     return keys, counters

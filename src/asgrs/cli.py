@@ -179,12 +179,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, params=True, strict=True):
-        if params:
-            p.add_argument("--params", required=True, help="params JSON file")
-        if strict:
-            p.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                           default=True, help="enforce the gcd constraints")
+    def add_common(p):
+        p.add_argument("--params", required=True, help="params JSON file")
+        p.add_argument("--strict", action=argparse.BooleanOptionalAction,
+                       default=True, help="enforce the gcd constraints")
 
     p = sub.add_parser("keygen", help="sample a uniformly random valid key")
     add_common(p)

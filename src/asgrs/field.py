@@ -56,7 +56,8 @@ def is_irreducible(p: BinaryPolynomial) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+# a run meets only the public polynomials and a few fitted ones
+@lru_cache(maxsize=64)
 def is_primitive(p: BinaryPolynomial) -> bool:
     """True iff p is irreducible and its root has order 2^deg - 1.
 
@@ -119,16 +120,7 @@ class FieldContext:
         return _poly_mulmod(a, b, self.modulus.mask)
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            raise ValueError("negative exponent")
-        r = 1
-        while e:
-            if e & 1:
-                r = _poly_mulmod(r, a, self.modulus.mask)
-            e >>= 1
-            if e:
-                a = _poly_mulmod(a, a, self.modulus.mask)
-        return r
+        return poly_pow_mod(BinaryPolynomial(a), e, self.modulus).mask
 
     @cached_property
     def _trace_mask(self) -> int:
@@ -215,7 +207,7 @@ class FieldElement:
         return f"FieldElement(GF(2^{self.ctx.m}), 0x{self.mask:x})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def field_context(modulus: BinaryPolynomial) -> FieldContext:
     """Shared context per modulus; FieldContext is immutable so reuse is safe."""
     d = modulus.degree

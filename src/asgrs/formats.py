@@ -14,6 +14,7 @@ two interchangeable forms:
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .attack import AttackCounters, AttackReport
@@ -29,15 +30,19 @@ def _hex(mask: int) -> str:
 
 def _object(doc, what: str) -> dict:
     if not isinstance(doc, dict):
-        raise ValueError(f"{what} file must hold a JSON object, not {type(doc).__name__}")
+        raise ValueError(f"{what} must hold a JSON object, not {type(doc).__name__}")
     return doc
+
+
+def _field(doc: dict, name: str):
+    if name not in doc:
+        raise ValueError(f"missing field {name!r}")
+    return doc[name]
 
 
 def _number(doc: dict, name: str, base: int) -> int:
     """A non-negative integer field: a JSON integer, or a string in `base`."""
-    if name not in doc:
-        raise ValueError(f"missing field {name!r}")
-    value = number = doc[name]
+    value = number = _field(doc, name)
     if isinstance(value, str):
         try:
             number = int(value, base)
@@ -68,7 +73,7 @@ def write_params(path: str | Path, params: AsgParams):
 
 
 def read_params(path: str | Path, strict: bool = True) -> AsgParams:
-    doc = _object(json.loads(Path(path).read_text()), "params")
+    doc = _object(json.loads(Path(path).read_text()), "params file")
     return AsgParams(
         l=_number(doc, "l", 10),
         m=_number(doc, "m", 10),
@@ -91,7 +96,7 @@ def key_to_dict(key: AsgKey) -> dict:
 
 
 def key_from_dict(doc: dict, params: AsgParams) -> AsgKey:
-    doc = _object(doc, "key")
+    doc = _object(doc, "key file")
     return AsgKey(
         state_a=_state(doc, "state_a", params.l),
         state_b=_state(doc, "state_b", params.m),
@@ -147,12 +152,7 @@ def read_bits(path: str | Path) -> list[int]:
 def report_to_dict(report: AttackReport) -> dict:
     return {
         "recovered_keys": [key_to_dict(k) for k in report.recovered_keys],
-        "counters": {
-            "a_states_tried": report.counters.a_states_tried,
-            "bm_runs": report.counters.bm_runs,
-            "trace_solves": report.counters.trace_solves,
-            "verified_candidates": report.counters.verified_candidates,
-        },
+        "counters": asdict(report.counters),
         "wall_time_seconds": report.wall_time_seconds,
     }
 
@@ -162,16 +162,16 @@ def write_report(path: str | Path, report: AttackReport):
 
 
 def read_report(path: str | Path, params: AsgParams) -> AttackReport:
-    doc = json.loads(Path(path).read_text())
-    keys = [key_from_dict(d, params) for d in doc["recovered_keys"]]
-    c = doc["counters"]
-    counters = AttackCounters(
-        a_states_tried=c["a_states_tried"],
-        bm_runs=c["bm_runs"],
-        trace_solves=c["trace_solves"],
-        verified_candidates=c["verified_candidates"],
-    )
-    return AttackReport(keys, counters, doc["wall_time_seconds"])
+    doc = _object(json.loads(Path(path).read_text()), "report file")
+    keys = _field(doc, "recovered_keys")
+    if not isinstance(keys, list):
+        raise ValueError(f"field 'recovered_keys' must hold a JSON list, not {type(keys).__name__}")
+    c = _object(_field(doc, "counters"), "field 'counters'")
+    counters = AttackCounters(**{f.name: _number(c, f.name, 10) for f in fields(AttackCounters)})
+    wall = _field(doc, "wall_time_seconds")
+    if isinstance(wall, bool) or not isinstance(wall, (int, float)) or wall < 0:
+        raise ValueError(f"field 'wall_time_seconds' must be a non-negative number, not {wall!r}")
+    return AttackReport([key_from_dict(d, params) for d in keys], counters, wall)
 
 
 def _write_json(path: str | Path, doc: dict):

@@ -5,10 +5,11 @@ Python integers: bit i of the mask is entry i (or the coefficient of x^i).
 All semantics are defined by that indexed-bit model; the packing only buys
 speed in the exhaustive search loops elsewhere in the package.
 
-State vectors are row vectors and multiply transition matrices on the
-right: ``xor_rows(v, T.row_masks)`` is v * T, so repeated stepping
-composes as v * T^t.  The same row combination is the inner loop of
-``mat_mul``.
+State vectors are row vectors and multiply matrices on the right:
+``xor_rows(v, rows)`` is v times the matrix with row masks ``rows``.  A
+register's k-clock jump is such a matrix, built from x^k mod f (see
+``registers.jump_rows``); ``poly_pow_mod`` holds the package's one
+square-and-multiply loop.
 """
 
 from __future__ import annotations
@@ -83,10 +84,6 @@ class BitMatrix:
             raise ValueError("row mask has bits beyond cols")
 
     @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, tuple(1 << i for i in range(n)))
-
-    @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
         vecs = [BitVector.from_bits(r) for r in rows]
         if not vecs:
@@ -109,31 +106,6 @@ def xor_rows(mask: int, rows: tuple[int, ...]) -> int:
         acc ^= rows[low.bit_length() - 1]
         mask ^= low
     return acc
-
-
-def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    """Exact GF(2) matrix product; requires a.cols == b.rows."""
-    if a.cols != b.rows:
-        raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    brows = b.row_masks
-    return BitMatrix(a.rows, b.cols, tuple(xor_rows(ra, brows) for ra in a.row_masks))
-
-
-def mat_pow(m: BitMatrix, t: int) -> BitMatrix:
-    """m^t by repeated squaring; m^0 is the identity."""
-    if not m.is_square():
-        raise ValueError("power of a non-square matrix")
-    if t < 0:
-        raise ValueError("negative exponent")
-    result = BitMatrix.identity(m.rows)
-    base = m
-    while t:
-        if t & 1:
-            result = mat_mul(result, base)
-        t >>= 1
-        if t:
-            base = mat_mul(base, base)
-    return result
 
 
 def invert(m: BitMatrix) -> BitMatrix:

@@ -21,20 +21,26 @@ steps the control register); every other stepping function reads them.
 A nonzero state of a primitive register of length m recurs after
 2^m - 1 clocks, and every span-l state of the de Bruijn register after
 2^l steps.
+
+A jump of k clocks is the polynomial c = x^k mod f: since f(T) = 0 for
+the one-clock map T, the state after k clocks is the XOR of the states
+after i clocks over the terms x^i of c, i < L.  So any jump costs
+O(log k) products modulo f plus L clocks per basis state, however large
+k is.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import islice, repeat
 from operator import rshift
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateStateError, UnsupportedParameterError
-from .field import MAX_DEGREE, is_primitive
-from .gf2 import BinaryPolynomial, BitMatrix, BitVector, mat_pow, xor_rows
+from .field import MAX_DEGREE, X, is_primitive
+from .gf2 import BinaryPolynomial, BitVector, poly_pow_mod, xor_rows
 
 # Sequences of bits are plain lists/tuples of 0/1 ints throughout the package.
 BitSequence = Sequence[int]
@@ -65,21 +71,15 @@ class LfsrSpec:
         if self.feedback.degree != self.length:
             raise ValueError("feedback degree must equal register length")
 
-    @property
+    @cached_property
     def taps_mask(self) -> int:
-        return _taps_mask(self.feedback.mask, self.length)
-
-
-@lru_cache(maxsize=64)
-def _taps_mask(feedback_mask: int, length: int) -> int:
-    # taps bit k = f_{length-1-k}: new cell 0 = parity(state & taps); the
-    # cache is bounded because fitted registers bring their own feedback
-    low = feedback_mask ^ (1 << length)
-    out = 0
-    for i in range(length):
-        if (low >> i) & 1:
-            out |= 1 << (length - 1 - i)
-    return out
+        # taps bit k = f_{length-1-k}: new cell 0 = parity(state & taps)
+        low = self.feedback.mask ^ (1 << self.length)
+        out = 0
+        for i in range(self.length):
+            if (low >> i) & 1:
+                out |= 1 << (self.length - 1 - i)
+        return out
 
 
 def lfsr_states(spec: LfsrSpec, state: int) -> Iterator[int]:
@@ -90,37 +90,26 @@ def lfsr_states(spec: LfsrSpec, state: int) -> Iterator[int]:
         state = ((state << 1) & full) | ((state & taps).bit_count() & 1)
 
 
-@lru_cache(maxsize=None)
-def _transition_matrix(feedback_mask: int, length: int) -> BitMatrix:
-    # T with state(t) = state(t-1) * T, states as row vectors
-    spec = LfsrSpec(length, BinaryPolynomial(feedback_mask))
-    # row i = image of the basis state e_i under one clock
-    rows = tuple(next(islice(lfsr_states(spec, 1 << i), 1, None)) for i in range(length))
-    return BitMatrix(length, length, rows)
-
-
 @lru_cache(maxsize=64)
 def jump_rows(feedback_mask: int, length: int, k: int) -> tuple[int, ...]:
     """Row masks of T^k, the k-clock jump applied as a row-vector product.
 
-    The cache is bounded: every distinct key brings its own jump sizes.
+    Row j is basis state e_j after k clocks: the XOR of its first
+    `length` successors picked by the terms of x^k mod f.  The cache is
+    bounded: every distinct key brings its own jump sizes.
     """
-    return mat_pow(_transition_matrix(feedback_mask, length), k).row_masks
+    spec = LfsrSpec(length, BinaryPolynomial(feedback_mask))
+    c = poly_pow_mod(X, k, spec.feedback).mask
+    return tuple(xor_rows(c, tuple(islice(lfsr_states(spec, 1 << j), length)))
+                 for j in range(length))
 
 
 def lfsr_step(spec: LfsrSpec, state: BitVector, k: int = 1) -> BitVector:
-    """Advance the register k clocks; equals state * T^k.
-
-    Small jumps run as iterated single clocks; larger ones go through the
-    precomputed matrix power, since jump sizes can approach the sequence
-    period.
-    """
+    """Advance the register k clocks; equals state * T^k."""
     if state.length != spec.length:
         raise ValueError("state length does not match register length")
     if k < 0:
         raise ValueError("cannot clock a register backwards")
-    if k < spec.length * spec.length:
-        return BitVector(next(islice(lfsr_states(spec, state.mask), k, None)), spec.length)
     rows = jump_rows(spec.feedback.mask, spec.length, k)
     return BitVector(xor_rows(state.mask, rows), spec.length)
 

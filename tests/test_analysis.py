@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from asgrs.analysis import berlekamp_massey, measure_period
 from asgrs.generator import keystream
-from asgrs.registers import _taps_mask
 
 from conftest import make_params, random_valid_key
 
@@ -63,15 +62,6 @@ class TestBerlekampMassey:
         fit = berlekamp_massey(seq)
         assert fit.extend(len(seq)) == seq
         assert len(fit.initial_state) == fit.linear_complexity
-
-    def test_extending_many_fits_keeps_the_taps_cache_bounded(self):
-        # each fit brings its own feedback polynomial into the stepping core
-        bound = _taps_mask.cache_info().maxsize
-        assert bound is not None
-        rng = random.Random(3)
-        for _ in range(4 * bound):
-            berlekamp_massey([rng.randrange(2) for _ in range(24)]).extend(30)
-        assert _taps_mask.cache_info().currsize <= bound
 
     @settings(max_examples=100)
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=60))

@@ -425,7 +425,7 @@ class TestSweep:
             swept = []
             monkeypatch.setattr(
                 attack, "_recover_key",
-                lambda config, cand, nb, nl, counters: swept.append(cand))
+                lambda config, cand, counters: swept.append(cand))
             _, counters = _attack_chunk(config, 0, 1 << l)
             expected, bm_runs = [], 0
             for a_mask in range(1 << l):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from asgrs import formats
@@ -89,3 +91,18 @@ class TestJsonFiles:
         assert loaded.recovered_keys == report.recovered_keys
         assert loaded.counters == report.counters
         assert loaded.wall_time_seconds == report.wall_time_seconds
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [doc], "report file"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "counters"}, "'counters'"),
+        (lambda doc: {**doc, "counters": [1, 2]}, "'counters'"),
+        (lambda doc: {**doc, "counters": {**doc["counters"], "bm_runs": "lots"}}, "'bm_runs'"),
+        (lambda doc: {**doc, "recovered_keys": {}}, "'recovered_keys'"),
+        (lambda doc: {**doc, "wall_time_seconds": "soon"}, "'wall_time_seconds'"),
+    ], ids=["list", "no-counters", "counters-list", "string-counter", "keys-object",
+            "string-wall-time"])
+    def test_malformed_report_names_the_field(self, tmp_path, edit, message):
+        report = AttackReport([], AttackCounters(8, 20, 5, 2), 0.25)
+        (tmp_path / "r.json").write_text(json.dumps(edit(formats.report_to_dict(report))))
+        with pytest.raises(ValueError, match=message):
+            formats.read_report(tmp_path / "r.json", make_params(3, 3, 4))

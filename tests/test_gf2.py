@@ -6,8 +6,6 @@ from asgrs.gf2 import (
     BitMatrix,
     BitVector,
     invert,
-    mat_mul,
-    mat_pow,
     poly_gcd,
     rank,
     xor_rows,
@@ -18,6 +16,15 @@ COMPANION_X3 = BitMatrix.from_rows([[0, 1, 0], [1, 0, 1], [1, 0, 0]])
 
 def random_matrix(rng, rows, cols):
     return BitMatrix(rows, cols, tuple(rng.randrange(0, 1 << cols) for _ in range(rows)))
+
+
+def product(a, b):
+    """a times b, row by row."""
+    return BitMatrix(a.rows, b.cols, tuple(xor_rows(row, b.row_masks) for row in a.row_masks))
+
+
+def identity(n):
+    return BitMatrix(n, n, tuple(1 << i for i in range(n)))
 
 
 class TestBitVector:
@@ -37,52 +44,10 @@ class TestBitVector:
 
 
 class TestMatMul:
-    def test_identity(self):
-        assert mat_mul(BitMatrix.identity(3), COMPANION_X3) == COMPANION_X3
-
     def test_inverse_product(self):
         inv = invert(COMPANION_X3)
-        assert mat_mul(COMPANION_X3, inv) == BitMatrix.identity(3)
-        assert mat_mul(inv, COMPANION_X3) == BitMatrix.identity(3)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            mat_mul(BitMatrix.identity(3), BitMatrix.identity(4))
-
-    def test_iterated_equals_power(self, rng):
-        v = rng.randrange(1, 8)
-        for t in range(65):
-            iterated = v
-            for _ in range(t):
-                iterated = xor_rows(iterated, COMPANION_X3.row_masks)
-            assert iterated == xor_rows(v, mat_pow(COMPANION_X3, t).row_masks)
-
-
-class TestMatPow:
-    def test_zeroth_power(self):
-        assert mat_pow(COMPANION_X3, 0) == BitMatrix.identity(3)
-
-    def test_order_seven(self):
-        # direct multiplication as the oracle, no repeated squaring
-        acc = BitMatrix.identity(3)
-        for _ in range(7):
-            acc = mat_mul(acc, COMPANION_X3)
-        assert acc == BitMatrix.identity(3)
-        assert mat_pow(COMPANION_X3, 7) == BitMatrix.identity(3)
-
-    def test_exponent_additivity_small(self):
-        assert mat_pow(COMPANION_X3, 5) == mat_mul(mat_pow(COMPANION_X3, 2),
-                                                   mat_pow(COMPANION_X3, 3))
-
-    def test_exponent_additivity_random(self, rng):
-        for _ in range(50):
-            t_mat = random_matrix(rng, 8, 8)
-            t, u = rng.randrange(0, 1 << 16), rng.randrange(0, 1 << 16)
-            assert mat_pow(t_mat, t + u) == mat_mul(mat_pow(t_mat, t), mat_pow(t_mat, u))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            mat_pow(BitMatrix(2, 3, (0, 0)), 2)
+        assert product(COMPANION_X3, inv) == identity(3)
+        assert product(inv, COMPANION_X3) == identity(3)
 
 
 class TestInvert:
@@ -95,7 +60,7 @@ class TestInvert:
             a = random_matrix(rng, 6, 6)
             if rank(a) < 6:
                 continue
-            assert mat_mul(a, invert(a)) == BitMatrix.identity(6)
+            assert product(a, invert(a)) == identity(6)
 
 
 class TestPolynomials:

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -29,3 +31,35 @@ def test_readme_quick_start_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_every_package_cache_is_bounded():
+    caches = {}
+    for info in pkgutil.iter_modules(asgrs.__path__):
+        module = importlib.import_module(f"asgrs.{info.name}")
+        scopes = [vars(module)] + [vars(v) for v in vars(module).values() if isinstance(v, type)]
+        caches.update({f"{obj.__module__}.{obj.__qualname__}": obj.cache_info().maxsize
+                       for scope in scopes for obj in scope.values()
+                       if hasattr(obj, "cache_info")})
+    assert caches
+    assert not [name for name, maxsize in caches.items() if maxsize is None]
+
+
+def test_every_asgrs_name_the_benchmark_uses_resolves():
+    # the benchmark reaches the package as `asgrs.<name>` on the imported
+    # module and through `from asgrs.<module> import <name>`
+    checked, missing = 0, []
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "asgrs"):
+                found = [(asgrs, node.attr)]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "asgrs":
+                module = importlib.import_module(node.module)
+                found = [(module, alias.name) for alias in node.names]
+            else:
+                continue
+            checked += len(found)
+            missing += [(path.name, node.lineno, name) for module, name in found
+                        if not hasattr(module, name)]
+    assert checked and not missing

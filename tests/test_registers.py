@@ -5,7 +5,7 @@ import pytest
 
 from asgrs.analysis import berlekamp_massey, measure_period
 from asgrs.errors import DegenerateStateError
-from asgrs.gf2 import BinaryPolynomial, BitMatrix, BitVector, mat_mul, mat_pow
+from asgrs.gf2 import BinaryPolynomial, BitMatrix, BitVector, xor_rows
 from asgrs.registers import (
     DeBruijnRegister,
     LfsrSpec,
@@ -31,9 +31,12 @@ def one_clock_matrix(spec):
 
 
 def times(state, matrix):
-    """Row vector `state` times `matrix`, through mat_mul."""
-    row = mat_mul(BitMatrix(1, state.length, (state.mask,)), matrix)
-    return BitVector(row.row_masks[0], matrix.cols)
+    """Row vector `state` times `matrix`."""
+    return BitVector(xor_rows(state.mask, matrix.row_masks), matrix.cols)
+
+
+def identity_rows(n):
+    return tuple(1 << i for i in range(n))
 
 
 def hand_step(cells, poly_mask):
@@ -48,7 +51,7 @@ class TestLfsrStep:
     def test_zero_clocks_is_identity(self):
         state = BitVector.from_bits([1, 0, 1])
         assert lfsr_step(SPEC3, state, 0) == state
-        assert mat_pow(one_clock_matrix(SPEC3), 0) == BitMatrix.identity(3)
+        assert jump_rows(SPEC3.feedback.mask, 3, 0) == identity_rows(3)
 
     def test_period_seven_by_hand(self):
         cells = [1, 0, 0]
@@ -75,11 +78,44 @@ class TestLfsrStep:
             spec = LfsrSpec(degree, primitive_polynomial(degree))
             state = BitVector(rng.randrange(0, 1 << degree), degree)
             t = rng.randrange(0, 1001)
-            iterated = state
+            # t products with the one-clock matrix, no jump polynomial
+            clock, iterated = one_clock_matrix(spec), state
             for _ in range(t):
-                iterated = lfsr_step(spec, iterated, 1)
-            assert iterated == times(state, mat_pow(one_clock_matrix(spec), t))
+                iterated = times(iterated, clock)
             assert iterated == lfsr_step(spec, state, t)
+
+    @pytest.mark.parametrize("length", range(1, 13))
+    def test_jumps_match_reference_clocks(self, length):
+        rng = random.Random(length)
+        jumps = {0, 1, length - 1, length, length * length - 1, length * length,
+                 (1 << length) - 2, (1 << length) - 1, 1 << length,
+                 rng.randrange(1 << 40, 1 << 48)}
+        for poly_mask in (primitive_polynomial(length).mask,
+                          (1 << length) | rng.randrange(1 << length)):
+            spec = LfsrSpec(length, BinaryPolynomial(poly_mask))
+            state = rng.randrange(1 << length)
+            starts = [1 << j for j in range(length)] + [state]
+            walks = [reference_walk(BitVector(s, length), poly_mask) for s in starts]
+            for k in jumps:
+                after = [walk(k) for walk in walks]
+                assert jump_rows(poly_mask, length, k) == tuple(after[:length])
+                assert lfsr_step(spec, BitVector(state, length), k).mask == after[-1]
+
+
+def reference_walk(start, poly_mask):
+    """k -> the packed state `start` reaches after k reference clocks.
+
+    Clocks by hand until a state repeats; every later state lies on the
+    cycle so found, which answers jumps far beyond 2^length.
+    """
+    cells, path, seen = list(start), [], {}
+    while (mask := BitVector.from_bits(cells).mask) not in seen:
+        seen[mask] = len(path)
+        path.append(mask)
+        cells = hand_step(cells, poly_mask)
+    tail = seen[mask]
+    period = len(path) - tail
+    return lambda k: path[k] if k < tail else path[tail + (k - tail) % period]
 
 
 class TestTransitionMatrix:
@@ -95,8 +131,7 @@ class TestTransitionMatrix:
 
     @pytest.mark.parametrize("m", range(1, 9))
     def test_order_of_companion(self, m):
-        t = one_clock_matrix(LfsrSpec(m, primitive_polynomial(m)))
-        assert mat_pow(t, (1 << m) - 1) == BitMatrix.identity(m)
+        assert jump_rows(primitive_polynomial(m).mask, m, (1 << m) - 1) == identity_rows(m)
 
 
 class TestOutputSequence:
