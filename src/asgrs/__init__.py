@@ -8,7 +8,6 @@ from .attack import (
     AttackConfig,
     AttackCounters,
     CandidateModel,
-    brute_force_oracle,
     reconstruct_streams,
     recover_decimation,
     run_attack,
@@ -25,5 +24,6 @@ from .generator import (
     reduce_to_classical,
 )
 from .gf2 import BitMatrix, BitVector, invert, rank
+from .oracle import brute_force_oracle
 
 __version__ = "0.1.0"

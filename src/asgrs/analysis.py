@@ -3,12 +3,16 @@
 The Berlekamp-Massey implementation keeps the working polynomials and
 the reversed input window as integer masks, so each discrepancy is one
 AND plus a popcount instead of an inner loop.  That keeps synthesis of
-multi-thousand-bit sequences comfortably fast in pure Python.
+multi-thousand-bit sequences comfortably fast in pure Python.  Its
+bit-sliced form fits many short sequences at once, one per bit of an
+integer, as the attack's sweep does with every control guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, xor
 
 from .gf2 import BinaryPolynomial, BitVector
 from .registers import BitSequence, LfsrSpec, output_sequence, state_from_outputs
@@ -64,6 +68,37 @@ def berlekamp_massey(seq: BitSequence) -> LfsrFit:
             f |= 1 << (L - i)
     head = BitVector.from_bits(list(seq[:L]))
     return LfsrFit(L, BinaryPolynomial(f), head)
+
+
+def berlekamp_massey_lanes(seq: list[int], length: int,
+                           lanes: int) -> tuple[list[int], list[int]]:
+    """Berlekamp-Massey on the first `length` bits of every lane at once.
+
+    seq[k] holds bit k of every lane, and `lanes` is the mask of all
+    lanes.  Returns Massey's connection polynomial c as slices (c[i]: the
+    lanes whose coefficient of x^i is 1) and the linear complexity L as a
+    thermometer code (T[k]: the lanes with L >= k).  Each branch of
+    `berlekamp_massey` becomes a masked update: where the discrepancy is
+    1, c ^= D for D = b x^x, and where also 2L <= n, L becomes n + 1 - L
+    (T'_k = not T_{n+2-k}) and D the old c times x; elsewhere D = D x.
+    """
+    c = [lanes] + [0] * length
+    shifted = [0, lanes] + [0] * (length - 1)  # D, degree <= n + 1 at step n
+    T = [lanes] + [0] * (length + 1)
+    for n in range(length):
+        # deg c <= L <= n, so the discrepancy reads c_0 .. c_n
+        d = reduce(xor, map(and_, c[:n + 1], seq[n::-1]))
+        top = min(n + 2, length + 1)
+        if d:
+            grow = d & ~T[n // 2 + 1]
+            old = c[:top]
+            c[:top] = [ci ^ (di & d) for ci, di in zip(old, shifted)]
+            if grow:
+                T[1:n + 2] = [tk ^ ((tk ^ ~T[n + 2 - k]) & grow)
+                              for k, tk in enumerate(T[1:n + 2], 1)]
+                shifted[:top] = [di ^ ((ci ^ di) & grow) for ci, di in zip(old, shifted)]
+        shifted = [0] + shifted[:length]
+    return c, T
 
 
 def measure_period(seq: BitSequence) -> int | None:

@@ -1,20 +1,30 @@
 """Algebraic key recovery for the ASG(r,s) from a short keystream.
 
 The search runs over all 2^l control states and both guesses for the
-first decimated B-bit.  Every span-l state lies on one de Bruijn cycle,
-so each worker steps the control register through one period and reads
-each state's control sequence off it as a window.  Per state the two
-decimated streams are peeled out of consecutive keystream differences
-once (a step with control bit 1 changes only the B-side stream, a step
-with 0 only the C-side), for beta_0 = 0; the streams for beta_0 = 1 are
-their bitwise complements.  Per guess Berlekamp-Massey fits short LFSRs
-to the first 2m and 2n harvested bits, and the guess is kept only if
-each fitted connection polynomial generates every harvested bit of its
-stream.  This linear-consistency test accepts exactly the guesses whose
-fitted model, replayed under the guessed control sequence, reproduces
-every supplied keystream bit: harvested bits satisfy beta_p ^ lambda_q
-= z_t by construction, so the replay matches z at every step if and
-only if the fitted streams equal the harvested ones.
+first decimated B-bit, bit-sliced: each guess is one lane, and bit j of
+a Python int holds lane j's value, so every operation below acts on up
+to CHUNK_LANES guesses at once.  Lanes are numbered by position on the
+one de Bruijn cycle that holds every span-l state, so the control bits
+of all lanes at step t are the cycle's control-bit word rotated by
+t mod 2^l.  The two decimated streams are peeled out of consecutive
+keystream differences (a step with control bit 1 changes only the
+B-side stream, a step with 0 only the C-side): the difference is the
+same for every lane, and a one-hot count of each lane's control-1 steps
+routes it into bit slice k of its stream.  The beta_0 = 1 lanes sit
+above the beta_0 = 0 lanes and hold the complemented slices.
+Berlekamp-Massey then runs on the first 2m and 2n harvested bits of all
+lanes at once, with the connection polynomial held coefficient by
+coefficient as slices and the linear complexity as a thermometer code
+(T_k = the lanes with L >= k), so that each branch of the algorithm is
+a masked update.  A guess is kept only if both fits stay within the
+register lengths and each fitted connection polynomial generates every
+harvested bit of its stream.  This linear-consistency test accepts
+exactly the guesses whose fitted model, replayed under the guessed
+control sequence, reproduces every supplied keystream bit: harvested
+bits satisfy beta_p ^ lambda_q = z_t by construction, so the replay
+matches z at every step if and only if the fitted streams equal the
+harvested ones.  The few surviving lanes are decoded in ascending
+(control state, beta_0) order and fitted again one by one.
 
 Surviving candidates then have their jump sizes recovered: writing the
 undecimated register output as b_t = Tr(u a^t) for a root a of the
@@ -43,12 +53,12 @@ import os
 import time
 from array import array
 from dataclasses import dataclass
-from enum import Enum
-from itertools import accumulate, compress, islice
-from operator import not_, xor
+from functools import reduce
+from itertools import accumulate, compress
+from operator import and_, itemgetter, not_, xor
+from typing import Iterator
 
-from .analysis import LfsrFit, berlekamp_massey
-from .errors import UnsupportedParameterError
+from .analysis import LfsrFit, berlekamp_massey, berlekamp_massey_lanes
 from .field import FieldContext, FieldElement, field_context
 from .gf2 import BitMatrix, BitVector, invert
 from .generator import AsgKey, AsgParams, keystream, validate_params
@@ -58,13 +68,8 @@ from .registers import (
     LfsrSpec,
     de_bruijn_cycle,
     de_bruijn_sequence,
-    lfsr_states,
-    output_bits,
     state_from_outputs,
 )
-
-ORACLE_WORK_CAP = 1 << 26
-
 
 @dataclass
 class AttackCounters:
@@ -126,11 +131,6 @@ def suggested_keystream_length(params: AsgParams) -> int:
     return 4 * (params.m + params.n) + params.l + 20
 
 
-class FitFailure(Enum):
-    INSUFFICIENT_BITS = "insufficient-bits"
-    COMPLEXITY_EXCEEDED = "complexity-exceeded"
-
-
 @dataclass(frozen=True)
 class CandidateModel:
     """A surviving (control state, beta_0) guess with its fitted registers."""
@@ -139,18 +139,6 @@ class CandidateModel:
     beta0: int
     beta_fit: LfsrFit
     lambda_fit: LfsrFit
-
-
-def _control_windows(base: LfsrSpec, steps: int) -> tuple[bytes, array]:
-    """Control bits along one de Bruijn period, repeated to cover `steps`
-    more, and each state's position on the cycle: the first `steps`
-    control bits from state s are bits[start[s]:start[s] + steps]."""
-    states = de_bruijn_cycle(base)
-    period = len(states)
-    start = array("I", [0]) * period
-    for i, s in enumerate(states):
-        start[s] = i
-    return bytes(s & 1 for s in states) * (steps // period + 2), start
 
 
 def reconstruct_streams(a_seq: BitSequence, keystream: BitSequence,
@@ -178,30 +166,11 @@ def _peel(diffs: list[int], ones: BitSequence, zeros: BitSequence, beta0: int,
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_FLIP = bytes.maketrans(b"\x00\x01", b"\x01\x00")
 
 
 def _pack(bits: list[int]) -> int:
     """The bits as one integer, bit t = bits[t]."""
     return int(bytes(bits[::-1]).translate(_BIT_DIGITS), 2)
-
-
-def _fit_prefixes(params: AsgParams, beta: list[int], lam: list[int],
-                  counters: AttackCounters | None) -> tuple[LfsrFit, LfsrFit] | FitFailure:
-    """Fit both registers on the first 2m (resp. 2n) harvested bits,
-    rejecting any fit above the public register length."""
-    m, n = params.m, params.n
-    beta_fit = berlekamp_massey(beta[:2 * m])
-    if counters:
-        counters.bm_runs += 1
-    if beta_fit.linear_complexity > m:
-        return FitFailure.COMPLEXITY_EXCEEDED
-    lambda_fit = berlekamp_massey(lam[:2 * n])
-    if counters:
-        counters.bm_runs += 1
-    if lambda_fit.linear_complexity > n:
-        return FitFailure.COMPLEXITY_EXCEEDED
-    return beta_fit, lambda_fit
 
 
 def _generates(fit: LfsrFit, packed: int, length: int) -> bool:
@@ -232,25 +201,6 @@ def _guess_streams(config: AttackConfig, a_init: BitVector,
         DeBruijnRegister(LfsrSpec(config.params.l, config.params.poly_a), a_init),
         max(len(config.keystream) - 1, 0))
     return reconstruct_streams(control, config.keystream, beta0)
-
-
-def fit_candidate(config: AttackConfig, a_init: BitVector, beta0: int,
-                  counters: AttackCounters | None = None) -> CandidateModel | FitFailure:
-    """Reconstruct, harvest quotas of 2m/2n bits, and fit both registers.
-
-    The fits run on exactly the first 2m (resp. 2n) harvested bits, the
-    budget that suffices to pin down a register of the public length;
-    anything above the length cap cannot be the real register and is
-    rejected outright.
-    """
-    m, n = config.params.m, config.params.n
-    beta, lam = _guess_streams(config, a_init, beta0)
-    if len(beta) < 2 * m or len(lam) < 2 * n:
-        return FitFailure.INSUFFICIENT_BITS
-    fits = _fit_prefixes(config.params, beta, lam, counters)
-    if isinstance(fits, FitFailure):
-        return fits
-    return CandidateModel(a_init, beta0, *fits)
 
 
 def verify_candidate(config: AttackConfig, cand: CandidateModel) -> bool:
@@ -408,43 +358,148 @@ def _recover_key(config: AttackConfig, cand: CandidateModel,
     return key
 
 
-def _attack_chunk(config: AttackConfig, lo: int, hi: int) -> tuple[list[AsgKey], AttackCounters]:
-    counters = AttackCounters()
-    keys: list[AsgKey] = []
+# Guesses swept at once; bounds each worker's lane slices at l = 16.
+CHUNK_LANES = 1 << 14
+
+
+def _cycle_control(base: LfsrSpec) -> tuple[array, int]:
+    """The de Bruijn cycle's states, and its control bits as one word
+    over two periods: bit i is cell 0 of state i mod 2^l."""
+    states = de_bruijn_cycle(base)
+    word = _pack(bytes(s & 1 for s in states))
+    return states, word | (word << len(states))
+
+
+def _control_words(word: int, period: int, lo: int, width: int,
+                   steps: int) -> Iterator[int]:
+    """The control bits of cycle positions lo .. lo + width - 1 at each
+    step: bit j of word t is the control bit t steps after position
+    lo + j.  That is the cycle's word rotated by t mod 2^l, read off the
+    doubled word of `_cycle_control`, so no lane wraps however many steps
+    run (lo + width <= 2^l)."""
+    mask = (1 << width) - 1
+    for t in range(steps):
+        yield (word >> ((lo + t) % period)) & mask
+
+
+def _peel_lanes(z: list[int], words: Iterator[int],
+                width: int) -> tuple[list[int], list[int], list[int]]:
+    """`_peel` on 2 * width lanes at once: the control words drive lanes
+    0 .. width - 1 with beta_0 = 0, and lanes width + j hold the
+    complemented streams of lane j, which are those for beta_0 = 1.
+
+    Returns both streams as bit slices (bit j of beta[k]: bit k of lane
+    j's beta stream, for k below its length; likewise lambda), and each
+    lane's count p of control-1 steps as a thermometer code over the
+    first width lanes (bit j of at_least[k]: lane j has p >= k), so that
+    a lane's streams hold p + 1 and steps - p + 1 bits.  The keystream
+    difference is the same for every lane, so the peel records where
+    each stream toggles: at a step where z changes, a one-hot count
+    routes the lanes with p = k and control bit 1 to toggle the B-side
+    stream past index k, and the others with p = k the C-side one past
+    index t - k.
+    """
+    steps = len(z) - 1
+    half = (1 << width) - 1
+    beta_toggle, lam_toggle = [0] * steps, [0] * steps
+    low, count = 0, [half]  # count[k - low]: the lanes with p = k
+    for t, a in enumerate(words):
+        moved = [c & a for c in count]
+        if z[t] != z[t + 1]:
+            for k, (c, mv) in enumerate(zip(count, moved), low):
+                beta_toggle[k] |= mv
+                lam_toggle[t - k] |= c ^ mv
+        count = [c ^ mv | up for c, mv, up in zip(count, moved, [0] + moved)]
+        if moved[-1]:
+            count.append(moved[-1])
+        if not count[0]:
+            del count[0]
+            low += 1
+    high = low + len(count) - 1
+    at_least = [half] * (low + 1) + [0] * (steps + 1 - low)
+    for k in range(high, low, -1):
+        at_least[k] = at_least[k + 1] | count[k - low]
+    beta = [s | ((s ^ half) << width)
+            for s in accumulate(beta_toggle[:high], xor, initial=0)]
+    lam = [s | ((s ^ half) << width)
+           for s in accumulate(lam_toggle[:steps - low], xor, initial=half if z[0] else 0)]
+    return beta, lam, at_least
+
+
+def _sweep_lanes(config: AttackConfig, states: array, word: int, lo: int, width: int,
+                 counters: AttackCounters) -> list[CandidateModel]:
+    """Filter the guesses of cycle positions lo .. lo + width - 1 as
+    2 * width lanes: lane j is position lo + j with beta_0 = 0, lane
+    width + j the same position with beta_0 = 1.
+
+    Returns the guesses that have enough bits on both streams, fit within
+    both length caps and pass the linear-consistency test, in ascending
+    (control state, beta_0) order, each fitted by `berlekamp_massey` on
+    its 2m / 2n prefix.
+    """
     params = config.params
-    l, m, n = params.l, params.m, params.n
+    m, n = params.m, params.n
     z = config.keystream
     steps = len(z) - 1
-    diffs = list(map(xor, z, z[1:]))
-    control, start = _control_windows(LfsrSpec(l, params.poly_a), steps)
-    flipped = control.translate(_FLIP)
-    for a_mask in range(lo, hi):
-        counters.a_states_tried += 1
-        i = start[a_mask]
-        beta, lam = _peel(diffs, control[i:i + steps], flipped[i:i + steps], 0, z[0])
-        nb, nl = len(beta), len(lam)
-        if nb < 2 * m or nl < 2 * n:
-            continue  # both guesses: the lengths do not depend on beta_0
-        packed_b, packed_l = _pack(beta), _pack(lam)
-        for beta0 in (0, 1):
-            if beta0:
-                # the beta_0 = 1 streams are the complements; the fits
-                # read only the 2m / 2n prefixes
-                beta = [b ^ 1 for b in beta[:2 * m]]
-                lam = [b ^ 1 for b in lam[:2 * n]]
-                packed_b ^= (1 << nb) - 1
-                packed_l ^= (1 << nl) - 1
-            fits = _fit_prefixes(params, beta, lam, counters)
-            if isinstance(fits, FitFailure):
-                continue
-            if not (_generates(fits[0], packed_b, nb) and _generates(fits[1], packed_l, nl)):
-                continue
-            counters.verified_candidates += 1
-            cand = CandidateModel(BitVector(a_mask, l), beta0, *fits)
+    half, lanes = (1 << width) - 1, (1 << 2 * width) - 1
+    counters.a_states_tried += width
+    beta, lam, at_least = _peel_lanes(
+        z, _control_words(word, len(states), lo, width, steps), width)
+    # p + 1 >= 2m beta bits and steps - p + 1 >= 2n lambda bits
+    enough = at_least[2 * m - 1] & ~at_least[steps + 2 - 2 * n]
+    if not enough:
+        return []
+    enough |= enough << width
+    c_beta, t_beta = berlekamp_massey_lanes(beta, 2 * m, lanes)
+    c_lam, t_lam = berlekamp_massey_lanes(lam, 2 * n, lanes)
+    # the lambda fit runs only where the beta fit is within its cap
+    ok = enough & ~t_beta[m + 1]
+    counters.bm_runs += enough.bit_count() + ok.bit_count()
+    ok &= ~t_lam[n + 1]
+    # linear consistency: where L <= m, c has no term above x^m and must
+    # annihilate every window of each lane's whole stream; the fit
+    # already covers the windows inside the 2m-bit prefix
+    for j in range(2 * m, len(beta)):
+        alive = at_least[j]
+        ok &= ~((alive | (alive << width))
+                & reduce(xor, map(and_, c_beta[:m + 1], beta[j - m:j + 1][::-1])))
+    for j in range(2 * n, len(lam)):
+        alive = half & ~at_least[steps + 1 - j]
+        ok &= ~((alive | (alive << width))
+                & reduce(xor, map(and_, c_lam[:n + 1], lam[j - n:j + 1][::-1])))
+    counters.verified_candidates += ok.bit_count()
+    survivors = []
+    while ok:
+        j = (ok & -ok).bit_length() - 1
+        ok &= ok - 1
+        survivors.append((states[lo + j % width], j // width, j))
+    return [CandidateModel(BitVector(state, params.l), beta0,
+                           berlekamp_massey([(s >> j) & 1 for s in beta[:2 * m]]),
+                           berlekamp_massey([(s >> j) & 1 for s in lam[:2 * n]]))
+            for state, beta0, j in sorted(survivors)]
+
+
+def _attack_chunk(config: AttackConfig, lo: int,
+                  hi: int) -> tuple[list[tuple[int, int, AsgKey]], AttackCounters]:
+    """Sweep cycle positions lo .. hi - 1, at most CHUNK_LANES guesses at
+    a time; each recovered key comes with its (control state, beta_0)."""
+    counters = AttackCounters()
+    found = []
+    states, word = _cycle_control(LfsrSpec(config.params.l, config.params.poly_a))
+    width = CHUNK_LANES // 2
+    for start in range(lo, hi, width):
+        for cand in _sweep_lanes(config, states, word, start, min(width, hi - start), counters):
             key = _recover_key(config, cand, counters)
             if key is not None:
-                keys.append(key)
-    return keys, counters
+                found.append((cand.a_init.mask, cand.beta0, key))
+    return found, counters
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform says."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def run_attack(config: AttackConfig) -> AttackReport:
@@ -452,14 +507,15 @@ def run_attack(config: AttackConfig) -> AttackReport:
 
     Every reported key regenerates the entire input keystream; reports
     are deterministic for a given config regardless of worker_count
-    (wall time aside).  At most min(worker_count, 2^l, CPU count)
-    processes run the sweep.  The candidate list is truncated to
-    max_candidates after the full sweep, so counters always reflect the
-    complete search.
+    (wall time aside): keys come in ascending (control state, beta_0)
+    order.  At most min(worker_count, 2^l, usable CPUs) processes run
+    the sweep, each over a contiguous range of de Bruijn cycle
+    positions.  The candidate list is truncated to max_candidates after
+    the full sweep, so counters always reflect the complete search.
     """
     start = time.perf_counter()
     total = 1 << config.params.l
-    workers = min(config.worker_count, total, os.cpu_count() or 1)
+    workers = min(config.worker_count, total, _usable_cpus())
     bounds = [(total * i // workers, total * (i + 1) // workers)
               for i in range(workers)]
     if workers == 1:
@@ -470,81 +526,11 @@ def run_attack(config: AttackConfig) -> AttackReport:
             futures = [pool.submit(_attack_chunk, config, lo, hi)
                        for lo, hi in bounds]
             parts = [f.result() for f in futures]
-    keys: list[AsgKey] = []
+    found = []
     counters = AttackCounters()
-    for part_keys, part_counters in parts:
-        keys.extend(part_keys)
+    for part_found, part_counters in parts:
+        found.extend(part_found)
         counters.merge(part_counters)
-    keys = keys[:config.max_candidates]
+    found.sort(key=itemgetter(0, 1))
+    keys = [key for _, _, key in found[:config.max_candidates]]
     return AttackReport(keys, counters, time.perf_counter() - start)
-
-
-def _coprime_jumps(length: int) -> list[int]:
-    period = (1 << length) - 1
-    return [r for r in range(1, period) if math.gcd(r, period) == 1]
-
-
-def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
-    """All valid keys whose keystream matches `target`, by exhaustion.
-
-    Independent of the generator's merge and jumps: every candidate
-    keystream bit is read off precomputed output cycles as
-    z_t = b[(p_t * r + off_b) mod 2^m-1] ^ c[(q_t * s + off_c) mod 2^n-1],
-    where p_t/q_t count the control bits seen so far.
-    """
-    violations = validate_params(params)
-    if violations:
-        raise ValueError("invalid params: " + "; ".join(violations))
-    l, m, n = params.l, params.m, params.n
-    jumps_r = _coprime_jumps(m)
-    jumps_s = _coprime_jumps(n)
-    work = (1 << (l + m + n)) * len(jumps_r) * len(jumps_s)
-    if work > ORACLE_WORK_CAP:
-        raise UnsupportedParameterError(
-            f"oracle work 2^{math.log2(work):.1f} exceeds the cap of "
-            f"2^{int(math.log2(ORACLE_WORK_CAP))}")
-
-    spec_b = LfsrSpec(m, params.poly_b)
-    spec_c = LfsrSpec(n, params.poly_c)
-    pm, pn = (1 << m) - 1, (1 << n) - 1
-    b_states, b_cycle = _state_cycle(spec_b, pm)
-    c_states, c_cycle = _state_cycle(spec_c, pn)
-    a_states = de_bruijn_cycle(LfsrSpec(l, params.poly_a))
-    control = [st & 1 for st in a_states]
-
-    z = list(target)
-    big = len(z)
-    out: list[AsgKey] = []
-    for phase in range(1 << l):
-        p_arr = [0] * big
-        q_arr = [0] * big
-        for t in range(big - 1):
-            if control[(phase + t) % (1 << l)]:
-                p_arr[t + 1] = p_arr[t] + 1
-                q_arr[t + 1] = q_arr[t]
-            else:
-                p_arr[t + 1] = p_arr[t]
-                q_arr[t + 1] = q_arr[t] + 1
-        qs_for_s = {s_: [(q_arr[t] * s_) % pn for t in range(big)] for s_ in jumps_s}
-        for r in jumps_r:
-            pr = [(p_arr[t] * r) % pm for t in range(big)]
-            for off_b in range(pm):
-                need = [z[t] ^ b_cycle[(pr[t] + off_b) % pm] for t in range(big)]
-                for s_ in jumps_s:
-                    qs = qs_for_s[s_]
-                    for off_c in range(pn):
-                        if all(c_cycle[(qs[t] + off_c) % pn] == need[t]
-                               for t in range(big)):
-                            out.append(AsgKey(
-                                BitVector(a_states[phase], l),
-                                BitVector(b_states[off_b], m),
-                                BitVector(c_states[off_c], n),
-                                r, s_))
-    return out
-
-
-def _state_cycle(spec: LfsrSpec, period: int) -> tuple[list[int], list[int]]:
-    """The register's states from state 1 over one period, and the output
-    bit (the top cell) of each."""
-    states = list(islice(lfsr_states(spec, 1), period))
-    return states, list(output_bits(states, spec.length))

@@ -14,7 +14,7 @@ import sys
 
 from . import formats
 from .analysis import berlekamp_massey, measure_period
-from .attack import AttackConfig, brute_force_oracle, run_attack
+from .attack import AttackConfig, run_attack
 from .complexity import (
     ComplexityInputs,
     attack_complexity,
@@ -29,6 +29,7 @@ from .generator import (
     reduce_to_classical,
     validate,
 )
+from .oracle import brute_force_oracle
 
 
 def _fail(msg: str) -> int:

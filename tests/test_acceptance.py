@@ -13,7 +13,6 @@ import pytest
 from asgrs.analysis import berlekamp_massey, measure_period
 from asgrs.attack import (
     AttackConfig,
-    brute_force_oracle,
     recover_decimation,
     run_attack,
     trace_system_matrix,
@@ -28,6 +27,7 @@ from asgrs.complexity import (
 from asgrs.field import field_context
 from asgrs.generator import classical_asg_keystream, keystream, reduce_to_classical
 from asgrs.gf2 import rank
+from asgrs.oracle import brute_force_oracle
 from asgrs.registers import BitVector, LfsrSpec, decimate, output_sequence, primitive_polynomial
 
 from conftest import make_params, random_valid_key

@@ -2,7 +2,7 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from asgrs.analysis import berlekamp_massey, measure_period
+from asgrs.analysis import berlekamp_massey, berlekamp_massey_lanes, measure_period
 from asgrs.generator import keystream
 
 from conftest import make_params, random_valid_key
@@ -71,6 +71,28 @@ class TestBerlekampMassey:
             current = berlekamp_massey(seq[:end]).linear_complexity
             assert current >= previous
             previous = current
+
+
+    def test_lanes_match_one_by_one(self):
+        # 200 lanes (more than a machine word): random bits, impulses and
+        # low-complexity streams, so L runs from 0 to the whole length
+        rng = random.Random(3)
+        for length in (1, 2, 7, 16, 33):
+            seqs = [[rng.randrange(2) for _ in range(length)] for _ in range(120)]
+            seqs += [[0] * k + [1] + [0] * (length - k - 1) for k in range(length)]
+            seqs += [berlekamp_massey([rng.randrange(2) for _ in range(2 * L)]).extend(length)
+                     for L in range(1, 6) for _ in range(8)]
+            seqs += [[0] * length] * (200 - len(seqs))
+            slices = [sum(s[k] << j for j, s in enumerate(seqs)) for k in range(length)]
+            c, T = berlekamp_massey_lanes(slices, length, (1 << len(seqs)) - 1)
+            for j, s in enumerate(seqs):
+                fit = berlekamp_massey(s)
+                L = sum((tk >> j) & 1 for tk in T[1:])
+                assert L == fit.linear_complexity
+                # Massey's c is the connection polynomial reversed over L + 1 slots
+                assert [(ci >> j) & 1 for ci in c] == (
+                    [fit.connection.coefficient(L - i) for i in range(L + 1)] + [0] * (length - L))
+                assert all((tk >> j) & 1 == (k <= L) for k, tk in enumerate(T))
 
 
 class TestMeasurePeriod:

@@ -12,12 +12,12 @@ from asgrs.analysis import LfsrFit, berlekamp_massey
 from asgrs.attack import (
     AttackConfig,
     AttackCounters,
+    CandidateModel,
     DecimationFit,
-    FitFailure,
     _attack_chunk,
-    _control_windows,
-    brute_force_oracle,
-    fit_candidate,
+    _control_words,
+    _cycle_control,
+    _sweep_lanes,
     reconstruct_streams,
     recover_decimation,
     run_attack,
@@ -29,6 +29,7 @@ from asgrs.errors import UnsupportedParameterError
 from asgrs.field import field_context
 from asgrs.generator import keystream, keystream_trace
 from asgrs.gf2 import BinaryPolynomial, BitVector, invert, rank
+from asgrs.oracle import brute_force_oracle
 from asgrs.registers import (
     DeBruijnRegister,
     LfsrSpec,
@@ -142,15 +143,34 @@ def true_candidate(params, key, nbits):
     return config, key.state_a, beta0
 
 
+def reference_candidate(config, a_init, beta0):
+    """The guess with the replay reference's fits, whatever its outcome."""
+    outcome, fits, _ = replay_reference(config.params, config.keystream, a_init.mask, beta0)
+    assert fits is not None, outcome
+    return CandidateModel(a_init, beta0, *fits)
+
+
+def sweep_candidates(config, lo=0, width=None):
+    """The sweep's survivors over cycle positions lo .. lo + width - 1
+    (default: the whole cycle as one chunk), with its counters."""
+    states, word = _cycle_control(LfsrSpec(config.params.l, config.params.poly_a))
+    counters = AttackCounters()
+    width = len(states) - lo if width is None else width
+    return _sweep_lanes(config, states, word, lo, width, counters), counters
+
+
 class TestFitCandidate:
+    """The sweep's length, complexity and consistency filters on single
+    guesses."""
+
     def test_true_guess_fits_within_caps(self, rng):
         config, a_init, beta0 = true_candidate(
             P875, random_valid_key(P875, rng), suggested_keystream_length(P875))
-        cand = fit_candidate(config, a_init, beta0)
-        assert not isinstance(cand, FitFailure)
+        cand = reference_candidate(config, a_init, beta0)
         assert cand.beta_fit.linear_complexity <= P875.m
         assert cand.lambda_fit.linear_complexity <= P875.n
         assert verify_candidate(config, cand)
+        assert cand in sweep_candidates(config)[0]
 
     def test_insufficient_bits_when_stream_starves_one_side(self, rng):
         # at (5, 2, 9) a 33-bit keystream spans one full control period:
@@ -160,13 +180,17 @@ class TestFitCandidate:
         z = keystream(params, key, 3 * (params.m + params.n))
         config = AttackConfig(params, z)
         for a_mask in range(1 << params.l):
-            outcome = fit_candidate(config, BitVector(a_mask, params.l), 0)
-            assert outcome is FitFailure.INSUFFICIENT_BITS
+            for beta0 in (0, 1):
+                assert replay_reference(params, z, a_mask, beta0)[0] == "insufficient"
+        survivors, counters = sweep_candidates(config)
+        assert survivors == []
+        assert counters == AttackCounters(a_states_tried=1 << params.l)
 
     def test_wrong_guesses_rejected(self, rng):
         key = random_valid_key(P875, rng)
         config, a_true, beta0_true = true_candidate(
             P875, key, suggested_keystream_length(P875))
+        survivors = {(c.a_init.mask, c.beta0) for c in sweep_candidates(config)[0]}
         rejected = 0
         total = 200
         done = 0
@@ -176,30 +200,49 @@ class TestFitCandidate:
             if a_mask == a_true.mask and beta0 == beta0_true:
                 continue
             done += 1
-            cand = fit_candidate(config, BitVector(a_mask, P875.l), beta0)
-            if isinstance(cand, FitFailure) or not verify_candidate(config, cand):
+            if (a_mask, beta0) not in survivors:
                 rejected += 1
         assert rejected >= math.ceil(0.99 * total)
 
     def test_bm_runs_counted(self, rng):
+        # one lane pair: the true state with both beta_0 guesses
         config, a_init, beta0 = true_candidate(
             P334, random_valid_key(P334, rng), 40)
-        counters = AttackCounters()
-        fit_candidate(config, a_init, beta0, counters)
-        assert counters.bm_runs == 2
+        states = _cycle_control(LfsrSpec(P334.l, P334.poly_a))[0]
+        survivors, counters = sweep_candidates(config, states.index(a_init.mask), 1)
+        runs = [replay_reference(P334, config.keystream, a_init.mask, b)[2] for b in (0, 1)]
+        assert runs[beta0] == 2
+        assert counters.bm_runs == sum(runs)
+        assert counters.a_states_tried == 1
+        assert reference_candidate(config, a_init, beta0) in survivors
+
+    def test_last_keystream_bit_is_checked(self, rng):
+        # a one-position chunk makes the true guess's streams the longest
+        # in the chunk; flipping z's last bit breaks only their last window
+        for _ in range(4):
+            key = random_valid_key(P875, rng)
+            config, a_init, beta0 = true_candidate(P875, key, suggested_keystream_length(P875))
+            states = _cycle_control(LfsrSpec(P875.l, P875.poly_a))[0]
+            position = states.index(a_init.mask)
+            true_cand = reference_candidate(config, a_init, beta0)
+            assert true_cand in sweep_candidates(config, position, 1)[0]
+            z = config.keystream[:-1] + [config.keystream[-1] ^ 1]
+            flipped = AttackConfig(P875, z)
+            assert replay_reference(P875, z, a_init.mask, beta0)[0] == "rejected"
+            assert sweep_candidates(flipped, position, 1)[0] == []
 
 
 class TestVerifyCandidate:
     def test_true_candidate_verifies(self, rng):
         config, a_init, beta0 = true_candidate(
             P334, random_valid_key(P334, rng), 60)
-        cand = fit_candidate(config, a_init, beta0)
+        cand = reference_candidate(config, a_init, beta0)
         assert verify_candidate(config, cand)
 
     def test_flipped_fit_bit_fails(self, rng):
         config, a_init, beta0 = true_candidate(
             P334, random_valid_key(P334, rng), 60)
-        cand = fit_candidate(config, a_init, beta0)
+        cand = reference_candidate(config, a_init, beta0)
         flipped = type(cand.beta_fit)(
             cand.beta_fit.linear_complexity,
             cand.beta_fit.connection,
@@ -346,16 +389,31 @@ class TestRunAttack:
             assert rep.counters == reports[0].counters
 
     def test_worker_count_clamped_to_cpus(self, rng, monkeypatch):
-        # a missing clamp reaches the pool stub and fails without starting
-        # any process
+        # without an affinity call the CPU count is the clamp; a missing
+        # clamp reaches the pool stub and fails without starting any process
         def no_pool(*args, **kwargs):
             raise AssertionError("run_attack asked for a process pool")
 
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         key = random_valid_key(P334, rng)
         z = keystream(P334, key, suggested_keystream_length(P334))
         report = run_attack(AttackConfig(P334, z, worker_count=100_000))
+        assert report.counters.a_states_tried == 1 << P334.l
+        assert report.recovered_keys == run_attack(AttackConfig(P334, z)).recovered_keys
+
+    def test_worker_count_clamped_to_cpu_affinity(self, rng, monkeypatch):
+        # the host's CPU count is not what the process may run on
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_attack asked for a process pool")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        key = random_valid_key(P334, rng)
+        z = keystream(P334, key, suggested_keystream_length(P334))
+        report = run_attack(AttackConfig(P334, z, worker_count=4))
         assert report.counters.a_states_tried == 1 << P334.l
         assert report.recovered_keys == run_attack(AttackConfig(P334, z)).recovered_keys
 
@@ -409,11 +467,15 @@ class TestBruteForceOracle:
 
 
 class TestSweep:
-    @pytest.mark.parametrize("lmn", [(4, 3, 5), (5, 4, 3), (6, 5, 4)], ids=lmn_id)
+    # l = 7 and 9 put more lanes in a chunk than a machine word holds;
+    # l = 2 and 3 run keystreams of 3(m+n) bits and more past one control
+    # period; (4, 3, 5) covers both sides of the 2^l = 3(m+n) - 8 mark
+    @pytest.mark.parametrize("lmn", [(4, 3, 5), (5, 4, 3), (6, 5, 4), (2, 3, 5), (3, 4, 3),
+                                     (7, 4, 5), (9, 5, 3)], ids=lmn_id)
     def test_matches_replay_reference(self, lmn, rng, monkeypatch):
         # every (state, beta_0) guess gets the same decision, fits and BM
-        # runs from the sweep, from fit_candidate + verify_candidate, and
-        # from the replay reference
+        # runs from the sweep and from the replay reference, and
+        # verify_candidate agrees with the reference on its fits
         params = make_params(*lmn)
         l, floor = params.l, 3 * (params.m + params.n)
         inputs = [keystream(params, random_valid_key(params, rng), nbits)
@@ -434,11 +496,9 @@ class TestSweep:
                     outcome, fits, runs = replay_reference(params, z, a_mask, beta0)
                     seen.add(outcome)
                     bm_runs += runs
-                    cand = fit_candidate(config, a_init, beta0)
                     if fits is None:
-                        assert isinstance(cand, FitFailure)
                         continue
-                    assert (cand.beta_fit, cand.lambda_fit) == fits
+                    cand = CandidateModel(a_init, beta0, *fits)
                     assert verify_candidate(config, cand) == (outcome == "accepted")
                     # like the replay, verification ignores the beta_0 label
                     relabelled = dataclasses.replace(cand, beta0=1 - beta0)
@@ -446,23 +506,51 @@ class TestSweep:
                     if outcome == "accepted":
                         expected.append(cand)
             assert swept == expected
-            assert counters.bm_runs == bm_runs
-            assert counters.verified_candidates == len(expected)
+            assert counters == AttackCounters(1 << l, bm_runs, 0, len(expected))
         assert {"accepted", "rejected", "complexity"} <= seen
 
+    @pytest.mark.parametrize("lmn, count", [((8, 7, 5), 4), ((3, 3, 4), 1)], ids=["8-7-5", "3-3-4"])
+    def test_chunking_and_workers_do_not_change_the_report(self, lmn, count, rng, monkeypatch):
+        # 3 workers split 2^l positions unevenly, and 8-lane chunks (4
+        # positions) put chunk edges inside every worker's range
+        params = make_params(*lmn)
+        floor = 3 * (params.m + params.n)
+        positions = {s: i for i, s in enumerate(
+            _cycle_control(LfsrSpec(params.l, params.poly_a))[0])}
+        inputs = [keystream(params, random_valid_key(params, rng), nbits)
+                  for nbits in (floor, suggested_keystream_length(params)) * count]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        default, reordered = attack.CHUNK_LANES, False
+        for z in inputs + [[rng.randrange(2) for _ in range(floor)]]:
+            reports = []
+            for chunk in (default, 8):
+                monkeypatch.setattr(attack, "CHUNK_LANES", chunk)
+                reports += [run_attack(AttackConfig(params, z, worker_count=w)) for w in (1, 2, 3)]
+            for rep in reports[1:]:
+                assert rep.recovered_keys == reports[0].recovered_keys
+                assert rep.counters == reports[0].counters
+            assert reports[0].counters.a_states_tried == 1 << params.l
+            assert reports[0].recovered_keys or z not in inputs
+            # keys come in control-state order, not cycle order
+            states = [k.state_a.mask for k in reports[0].recovered_keys]
+            assert states == sorted(states)
+            reordered |= sorted(states, key=positions.get) != states
+        assert reordered or lmn != (8, 7, 5)
 
-class TestControlWindows:
-    def test_slices_match_de_bruijn_sequence(self):
-        for l in range(2, 9):
+
+class TestControlWords:
+    def test_rotations_match_de_bruijn_sequence(self):
+        for l in range(2, 10):
             spec = LfsrSpec(l, primitive_polynomial(l))
             period = 1 << l
+            states, word = _cycle_control(spec)
+            assert sorted(states) == list(range(period))
             for steps in (l, 2 * period + 3):
-                bits, start = _control_windows(spec, steps)
-                assert sorted(start) == list(range(period))
-                for s in range(period):
-                    reg = DeBruijnRegister(spec, BitVector(s, l))
-                    window = bits[start[s]:start[s] + steps]
-                    assert list(window) == de_bruijn_sequence(reg, steps)
+                for lo, width in ((0, period), (period // 3, period - period // 3)):
+                    words = list(_control_words(word, period, lo, width, steps))
+                    for j in range(width):
+                        reg = DeBruijnRegister(spec, BitVector(states[lo + j], l))
+                        assert [(w >> j) & 1 for w in words] == de_bruijn_sequence(reg, steps)
 
 
 class TestSoundnessAndCompleteness:

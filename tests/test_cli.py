@@ -118,7 +118,7 @@ class TestAttackCommand:
 
     def test_no_key_found_exits_1(self, tmp_path, params_file):
         import random
-        from asgrs.attack import brute_force_oracle
+        from asgrs.oracle import brute_force_oracle
         params = formats.read_params(params_file)
         rng = random.Random(31337)
         while True:
