@@ -61,7 +61,7 @@ from typing import Iterator
 from .analysis import LfsrFit, berlekamp_massey, berlekamp_massey_lanes
 from .field import FieldContext, FieldElement, field_context
 from .gf2 import BitMatrix, BitVector, invert
-from .generator import AsgKey, AsgParams, keystream, validate_params
+from .generator import AsgKey, AsgParams, keystream, require_bits, validate_params
 from .registers import (
     BitSequence,
     DeBruijnRegister,
@@ -113,11 +113,7 @@ class AttackConfig:
             raise ValueError(
                 f"keystream of {len(self.keystream)} bits is below the "
                 f"minimum requirement of 3(m+n) = {minimum}")
-        bad = next((t for t, b in enumerate(self.keystream)
-                    if not (isinstance(b, int) and b in (0, 1))), None)
-        if bad is not None:
-            raise ValueError(
-                f"keystream entry {bad} is {self.keystream[bad]!r}, not 0 or 1")
+        require_bits(self.keystream)
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be positive")
         if self.worker_count < 1:

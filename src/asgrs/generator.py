@@ -129,6 +129,18 @@ def _require_valid(params: AsgParams, key: AsgKey):
         raise KeyValidationError(violations)
 
 
+def require_bits(bits: list) -> None:
+    """Raise ValueError naming the first entry that is not the int 0 or 1.
+
+    1.0 == 1 and True == 1, but only ints are bits here; a float entry
+    would break the integer arithmetic downstream.
+    """
+    bad = next((t for t, b in enumerate(bits)
+                if not (isinstance(b, int) and b in (0, 1))), None)
+    if bad is not None:
+        raise ValueError(f"keystream entry {bad} is {bits[bad]!r}, not 0 or 1")
+
+
 def random_key(params: AsgParams, rng: random.Random) -> AsgKey:
     """Uniformly random valid key, by rejection on the jump constraints.
 

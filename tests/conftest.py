@@ -1,10 +1,17 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 
 from asgrs import AsgKey, AsgParams, BitVector
-from asgrs.registers import primitive_polynomial
+from asgrs.registers import (
+    LfsrSpec,
+    de_bruijn_cycle,
+    lfsr_states,
+    output_bits,
+    primitive_polynomial,
+)
 
 
 def make_params(l, m, n, strict=True):
@@ -76,4 +83,59 @@ def reference_keystream(params, key, count):
             for _ in range(key.s):
                 c = _ref_lfsr_step(c, params.poly_c.mask)
         a = _ref_debruijn_step(a, params.poly_a.mask)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Per-candidate brute-force oracle: the reference the hash-join oracle is
+# checked against.  It tests every (phase, r, B state, s, C state) tuple
+# on its own, reading candidate bits off the registers' output cycles.
+
+
+def reference_oracle(params, target):
+    l, m, n = params.l, params.m, params.n
+    pm, pn = (1 << m) - 1, (1 << n) - 1
+
+    def jumps(period):
+        return [j for j in range(1, period)
+                if not params.strict or math.gcd(j, period) == 1]
+
+    def state_cycle(spec, period):
+        states = list(islice(lfsr_states(spec, 1), period))
+        return states, list(output_bits(states, spec.length))
+
+    jumps_r, jumps_s = jumps(pm), jumps(pn)
+    b_states, b_cycle = state_cycle(LfsrSpec(m, params.poly_b), pm)
+    c_states, c_cycle = state_cycle(LfsrSpec(n, params.poly_c), pn)
+    a_states = de_bruijn_cycle(LfsrSpec(l, params.poly_a))
+    control = [st & 1 for st in a_states]
+
+    z = list(target)
+    big = len(z)
+    out = []
+    for phase in range(1 << l):
+        p_arr = [0] * big
+        q_arr = [0] * big
+        for t in range(big - 1):
+            if control[(phase + t) % (1 << l)]:
+                p_arr[t + 1] = p_arr[t] + 1
+                q_arr[t + 1] = q_arr[t]
+            else:
+                p_arr[t + 1] = p_arr[t]
+                q_arr[t + 1] = q_arr[t] + 1
+        qs_for_s = {s_: [(q_arr[t] * s_) % pn for t in range(big)] for s_ in jumps_s}
+        for r in jumps_r:
+            pr = [(p_arr[t] * r) % pm for t in range(big)]
+            for off_b in range(pm):
+                need = [z[t] ^ b_cycle[(pr[t] + off_b) % pm] for t in range(big)]
+                for s_ in jumps_s:
+                    qs = qs_for_s[s_]
+                    for off_c in range(pn):
+                        if all(c_cycle[(qs[t] + off_c) % pn] == need[t]
+                               for t in range(big)):
+                            out.append(AsgKey(
+                                BitVector(a_states[phase], l),
+                                BitVector(b_states[off_b], m),
+                                BitVector(c_states[off_c], n),
+                                r, s_))
     return out

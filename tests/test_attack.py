@@ -27,7 +27,7 @@ from asgrs.attack import (
 )
 from asgrs.errors import UnsupportedParameterError
 from asgrs.field import field_context
-from asgrs.generator import keystream, keystream_trace
+from asgrs.generator import AsgKey, keystream, keystream_trace, validate
 from asgrs.gf2 import BinaryPolynomial, BitVector, invert, rank
 from asgrs.oracle import brute_force_oracle
 from asgrs.registers import (
@@ -37,10 +37,14 @@ from asgrs.registers import (
     primitive_polynomial,
 )
 
-from conftest import _ref_debruijn_step, make_params, random_valid_key
+from conftest import _ref_debruijn_step, make_params, random_valid_key, reference_oracle
 
 P334 = make_params(3, 3, 4)
 P875 = make_params(8, 7, 5)
+# without the gcd constraints: validate admits r = 3, which shares a
+# factor with B's period 15
+P343_LOOSE = make_params(3, 4, 3, strict=False)
+KEY_R3 = AsgKey(BitVector(5, 3), BitVector(9, 4), BitVector(3, 3), 3, 2)
 
 
 def lmn_id(lmn):
@@ -465,6 +469,44 @@ class TestBruteForceOracle:
         for k in brute_force_oracle(P334, z):
             assert keystream(P334, k, 22) == z
 
+    def test_non_coprime_jump_found_without_strict(self):
+        assert validate(P343_LOOSE, KEY_R3) == []
+        z = keystream(P343_LOOSE, KEY_R3, 30)
+        matching = brute_force_oracle(P343_LOOSE, z)
+        assert KEY_R3 in matching
+        assert all(keystream(P343_LOOSE, k, 30) == z for k in matching)
+
+    def test_work_cap_counts_non_coprime_jumps(self):
+        # strict (5,4,7) counts 8 jumps r and works 2^25.98; without the
+        # gcd constraints 14 jumps r take it past the cap of 2^26 (a 40-bit
+        # target keeps a missed cap from listing all 2^26.8 keys)
+        with pytest.raises(UnsupportedParameterError, match="2\\^26.8"):
+            brute_force_oracle(make_params(5, 4, 7, strict=False), [0] * 40)
+
+    def test_non_binary_target_rejected(self):
+        for entry in (2, 300, 1.0):
+            z = [0, 1] * 12
+            z[7] = entry
+            with pytest.raises(ValueError, match=f"entry 7 is {entry!r}, not 0 or 1"):
+                brute_force_oracle(P334, z)
+
+    @pytest.mark.parametrize("params", [make_params(2, 3, 5), P334, make_params(4, 3, 5),
+                                        P343_LOOSE], ids=["2-3-5", "3-3-4", "4-3-5", "3-4-3-loose"])
+    def test_matches_reference_oracle(self, params, rng):
+        # same keys in the same order as the per-candidate reference on a
+        # true keystream past one control period; below l = 4 (where the
+        # reference takes well under 1 s) also on one of 3(m+n) bits and a
+        # random string, and at (3, 3, 4) on the empty and 1-bit targets
+        floor = 3 * (params.m + params.n)
+        key = KEY_R3 if params is P343_LOOSE else random_valid_key(params, rng)
+        inputs = [keystream(params, key, (1 << params.l) + floor + 3)]
+        if params.l < 4:
+            inputs += [keystream(params, key, floor), [rng.randrange(2) for _ in range(floor)]]
+        if params is P334:
+            inputs += [[], [1]]
+        for z in inputs:
+            assert brute_force_oracle(params, z) == reference_oracle(params, z)
+
 
 class TestSweep:
     # l = 7 and 9 put more lanes in a chunk than a machine word holds;
@@ -558,7 +600,7 @@ class TestSoundnessAndCompleteness:
     regenerates the input, and on ASG keystreams every reported key is
     one the brute-force oracle finds too."""
 
-    @pytest.mark.parametrize("lmn, examples", [((3, 3, 4), 12), ((4, 3, 5), 3)],
+    @pytest.mark.parametrize("lmn, examples", [((3, 3, 4), 12), ((4, 3, 5), 12)],
                              ids=["3-3-4", "4-3-5"])
     def test_keys_regenerate_and_lie_in_oracle_set(self, lmn, examples):
         params = make_params(*lmn)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from asgrs import formats
+from asgrs import AsgKey, BitVector, formats
 from asgrs.analysis import measure_period
 from asgrs.cli import main
 from asgrs.generator import keystream, validate
@@ -181,6 +181,22 @@ class TestOracle:
         doc = json.loads(out.read_text())
         wanted = json.loads(key.read_text())
         assert wanted in doc["keys"]
+
+    def test_no_strict_admits_non_coprime_jump(self, tmp_path):
+        # r = 3 shares a factor with B's period 15: the key is valid, and
+        # in the oracle's keys, only without the gcd constraints
+        pfile, keyfile, z = tmp_path / "p.json", tmp_path / "key.json", tmp_path / "z.txt"
+        formats.write_params(pfile, make_params(3, 4, 3))
+        key = AsgKey(BitVector(5, 3), BitVector(9, 4), BitVector(3, 3), 3, 2)
+        formats.write_key(keyfile, key)
+        assert run("keystream", "--params", str(pfile), "--key", str(keyfile),
+                   "--count", "30", "--out", str(z), "--no-strict") == 0
+        for flag, found in (("--no-strict", True), ("--strict", False)):
+            out = tmp_path / f"keys{flag}.json"
+            assert run("oracle", "--params", str(pfile), "--in", str(z),
+                       "--out", str(out), flag) == 0
+            doc = json.loads(out.read_text())
+            assert (formats.key_to_dict(key) in doc["keys"]) == found
 
     def test_cap_refusal(self, tmp_path, capsys):
         pfile = tmp_path / "p.json"
