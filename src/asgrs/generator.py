@@ -14,13 +14,13 @@ ordering in which output bit t+1 depends on control bit t.
 So the keystream is a classical alternating step generator over two
 decimated streams: z_t = beta_p ^ lambda_q, where beta_p is B's output
 after p jumps, lambda_q is C's after q jumps, and p and q count the 1s
-and 0s among the control bits before step t.  Every entry point merges
-a control sequence and two such streams (`_merge`, the inverse of the
-attack's peeling): a control-1 step changes z by beta_p ^ beta_{p+1}, a
-control-0 step by lambda_q ^ lambda_{q+1}.  Each stream is stepped for
-one period at most and then repeated: 2^l steps for the control
-sequence, 2^m - 1 jumps for B (a nonzero state of a primitive register
-recurs after that many clocks) and 2^n - 1 for C.
+and 0s among the control bits before step t.  Both entry points share
+one merge (`_merge`, the inverse of the attack's peeling): a control-1
+step changes z by beta_p ^ beta_{p+1}, a control-0 step by
+lambda_q ^ lambda_{q+1}.  `keystream` builds each sequence once as
+`bytes`, one period at most: min(count - 1, 2^l) control bits, and
+min(need, 2^m - 1) B and min(need, 2^n - 1) C outputs, `need` counted
+from the control bits.  The reduced model's streams assume no period.
 
 Because B only ever moves in strides of r, its stream is the r-fold
 decimation of B's regular output sequence (and likewise s for C).
@@ -35,20 +35,19 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, chain, cycle, islice, pairwise, repeat, starmap
+from itertools import accumulate, chain, islice, pairwise, repeat, starmap
 from operator import xor
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .analysis import berlekamp_massey
 from .errors import DegenerateStateError, KeyValidationError
-from .gf2 import BinaryPolynomial, BitVector, xor_rows
+from .gf2 import BinaryPolynomial, BitVector
 from .registers import (
     DeBruijnRegister,
     LfsrSpec,
     _safe_is_primitive,
     de_bruijn_sequence,
-    jump_rows,
-    lfsr_states,
+    jumped_states,
     output_bits,
     state_from_outputs,
 )
@@ -168,68 +167,47 @@ def random_key(params: AsgParams, rng: random.Random) -> AsgKey:
     )
 
 
-def _merge(control: Iterable[int], beta: Iterable[int], lam: Iterable[int],
-           count: int) -> list[int]:
-    """First `count` bits of z_t = beta_p ^ lambda_q: each control bit
-    pulls the next difference of the stream it moves, and z accumulates
-    those differences from z_0 by XOR."""
-    if count <= 0:
-        return []
-    beta, lam = iter(beta), iter(lam)
-    b0, l0 = next(beta), next(lam)
-    diffs = (starmap(xor, pairwise(chain((l0,), lam))),
-             starmap(xor, pairwise(chain((b0,), beta))))
-    moves = map(next, map(diffs.__getitem__, islice(control, count - 1)))
-    return list(accumulate(moves, xor, initial=b0 ^ l0))
+def _merge(control: bytes, diffs_b: Iterator[int], diffs_c: Iterator[int],
+           z0: int, count: int) -> list[int]:
+    """First `count` >= 1 bits of z_t = beta_p ^ lambda_q from z_0.  Each
+    position of the control period picks, once, the differences of the
+    stream it moves; the picks repeat and z is the prefix XOR of them."""
+    picks = tuple(map([diffs_c, diffs_b].__getitem__, control))
+    moves = map(next, islice(chain.from_iterable(repeat(picks)), count - 1))
+    return list(accumulate(moves, xor, initial=z0))
 
 
-def _control(reg: DeBruijnRegister, count: int) -> Iterator[int]:
-    """The register's control bits, endless: at most one period, repeated."""
-    return cycle(de_bruijn_sequence(reg, min(count, 1 << reg.span)))
+def _control(reg: DeBruijnRegister, steps: int) -> bytes:
+    """The control bits of the first `steps` steps, one period at most."""
+    return bytes(de_bruijn_sequence(reg, min(steps, 1 << reg.span)))
 
 
-def _jumped(poly: BinaryPolynomial, length: int, state: BitVector,
-            jump: int) -> Iterator[int]:
-    """Outputs after 0, 1, 2, ... jumps of `jump` clocks, endless: the
-    register is stepped for one period at most, which then repeats."""
-    period = (1 << length) - 1
-    rows = jump_rows(poly.mask, length, jump % period)
-    states = accumulate(repeat(rows, period - 1), xor_rows, initial=state.mask)
-    return cycle(output_bits(states, length))
+def _jumped(poly: BinaryPolynomial, state: BitVector, jump: int, count: int) -> bytes:
+    """The register's outputs after 0, 1, ..., count - 1 jumps of `jump`."""
+    spec = LfsrSpec(state.length, poly)
+    return bytes(output_bits(islice(jumped_states(spec, state.mask, jump), count), spec.length))
 
 
-def _streams(params: AsgParams, key: AsgKey, count: int) -> tuple[Iterator[int], ...]:
-    control = DeBruijnRegister(LfsrSpec(params.l, params.poly_a), key.state_a)
-    return (_control(control, count),
-            _jumped(params.poly_b, params.m, key.state_b, key.r),
-            _jumped(params.poly_c, params.n, key.state_c, key.s))
+def _jumped_diffs(poly: BinaryPolynomial, state: BitVector, jump: int,
+                  need: int) -> tuple[int, Iterator[int]]:
+    """The first output and the endless differences of `need` outputs
+    after jumps: one period at most (T^(2^L - 1) = I), repeated."""
+    period = (1 << state.length) - 1
+    bits = _jumped(poly, state, jump % period, min(need, period))
+    return bits[0], chain.from_iterable(repeat(bytes(map(xor, bits, bits[1:] + bits[:1]))))
 
 
 def keystream(params: AsgParams, key: AsgKey, count: int) -> list[int]:
     """First `count` keystream bits; raises KeyValidationError on a bad key."""
     _require_valid(params, key)
-    return _merge(*_streams(params, key, count), count)
-
-
-@dataclass(frozen=True)
-class KeystreamTrace:
-    """Instrumented run: the keystream plus everything normally hidden."""
-
-    keystream: list[int]
-    control_bits: list[int]    # a_t for each step taken
-    beta_stream: list[int]     # B's output after 0, 1, 2, ... jumps
-    lambda_stream: list[int]   # C's output after 0, 1, 2, ... jumps
-
-
-def keystream_trace(params: AsgParams, key: AsgKey, count: int) -> KeystreamTrace:
-    _require_valid(params, key)
     if count <= 0:
-        return KeystreamTrace([], [], [], [])
-    control, beta, lam = _streams(params, key, count)
-    control = list(islice(control, count - 1))
-    ones = sum(control)
-    beta, lam = list(islice(beta, ones + 1)), list(islice(lam, count - ones))
-    return KeystreamTrace(_merge(control, beta, lam, count), control, beta, lam)
+        return []
+    control = _control(DeBruijnRegister(LfsrSpec(params.l, params.poly_a), key.state_a), count - 1)
+    laps, rest = divmod(count - 1, len(control) or 1)
+    ones = laps * control.count(1) + control.count(1, 0, rest)
+    b0, diffs_b = _jumped_diffs(params.poly_b, key.state_b, key.r, ones + 1)
+    c0, diffs_c = _jumped_diffs(params.poly_c, key.state_c, key.s, count - ones)
+    return _merge(control, diffs_b, diffs_c, b0 ^ c0, count)
 
 
 @dataclass(frozen=True)
@@ -268,7 +246,7 @@ def reduce_to_classical(params: AsgParams, key: AsgKey) -> ReducedModel:
 
 def _decimated_register(poly: BinaryPolynomial, m: int, state: BitVector,
                         jump: int) -> tuple[LfsrSpec, BitVector]:
-    head = list(islice(_jumped(poly, m, state, jump), 2 * m))
+    head = list(_jumped(poly, state, jump, 2 * m))
     fit = berlekamp_massey(head)
     if fit.linear_complexity != m:
         # only possible when gcd(jump, period) > 1, i.e. non-strict keys
@@ -282,8 +260,11 @@ def classical_asg_keystream(model: ReducedModel, count: int) -> list[int]:
     """Run the reduced model with unit jumps on both generating registers."""
     if model.beta_state.mask == 0 or model.lambda_state.mask == 0:
         raise DegenerateStateError("all-zero generating register in reduced model")
-    # any feedback may reach here, so the streams assume no period
+    if count <= 0:
+        return []
     b, c = model.beta_spec, model.lambda_spec
-    return _merge(_control(model.control, count),
-                  output_bits(lfsr_states(b, model.beta_state.mask), b.length),
-                  output_bits(lfsr_states(c, model.lambda_state.mask), c.length), count)
+    beta = output_bits(jumped_states(b, model.beta_state.mask, 1), b.length)
+    lam = output_bits(jumped_states(c, model.lambda_state.mask, 1), c.length)
+    z0 = model.beta_state[b.length - 1] ^ model.lambda_state[c.length - 1]
+    return _merge(_control(model.control, count - 1), starmap(xor, pairwise(beta)),
+                  starmap(xor, pairwise(lam)), z0, count)

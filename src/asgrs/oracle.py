@@ -30,6 +30,7 @@ from .gf2 import BitVector
 from .registers import BitSequence, LfsrSpec, de_bruijn_cycle, lfsr_states, output_bits
 
 ORACLE_WORK_CAP = 1 << 26
+ORACLE_KEY_CAP = 1 << 16  # a target this ambiguous pins no key, and lists cost memory
 
 
 def _jumps(length: int, strict: bool) -> list[int]:
@@ -47,7 +48,8 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
     and B and C halves are paired by a per-phase hash join (see the
     module docstring).  Keys come in the order (phase along the de
     Bruijn cycle, r, B state, s, C state), B and C states in cycle order
-    from state 1.  The work cap counts 2^(l+m+n) * |R| * |S| candidates.
+    from state 1.  The work cap counts 2^(l+m+n) * |R| * |S| candidates;
+    past ORACLE_KEY_CAP matching keys the search stops with an error.
     """
     violations = validate_params(params)
     if violations:
@@ -91,6 +93,9 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
                 need = bytes(map(xor, z, map(cycle.__getitem__, ps)))
                 for s, off_c in c_halves.get(need, ()):
                     out.append(AsgKey(state_a, b_vectors[off_b], c_vectors[off_c], r, s))
+                if len(out) > ORACLE_KEY_CAP:
+                    raise UnsupportedParameterError(
+                        f"more than {ORACLE_KEY_CAP} keys match the {len(z)}-bit target")
     return out
 
 

@@ -16,17 +16,18 @@ satisfy s_{t+L} = sum_i f_i s_{t+i}: the feedback polynomial is the
 characteristic polynomial of the output recurrence.
 
 Each register kind has one stepping core, an endless generator of packed
-states (`lfsr_states` clocks a generating register, `de_bruijn_states`
-steps the control register); every other stepping function reads them.
-A nonzero state of a primitive register of length m recurs after
-2^m - 1 clocks, and every span-l state of the de Bruijn register after
-2^l steps.
+states (`lfsr_states` clocks a generating register, `jumped_states`
+jumps it k clocks at a time, `de_bruijn_states` steps the control
+register); every other stepping function reads them.  A nonzero state of
+a primitive register of length m recurs after 2^m - 1 clocks, and every
+span-l state of the de Bruijn register after 2^l steps.
 
 A jump of k clocks is the polynomial c = x^k mod f: since f(T) = 0 for
 the one-clock map T, the state after k clocks is the XOR of the states
 after i clocks over the terms x^i of c, i < L.  So any jump costs
 O(log k) products modulo f plus L clocks per basis state, however large
-k is.
+k is.  `jumped_states` then takes one table entry per half of the state:
+two lookups per jump (tables of a byte at L = 16), not a loop over L rows.
 """
 
 from __future__ import annotations
@@ -104,14 +105,34 @@ def jump_rows(feedback_mask: int, length: int, k: int) -> tuple[int, ...]:
                  for j in range(length))
 
 
+@lru_cache(maxsize=16)
+def _half_tables(feedback_mask: int, length: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """T^k of every state of the low L//2 cells, and of the rest: the
+    entries with row j set are the earlier entries XOR row j of T^k."""
+    half = length // 2
+    low, high = [0], [0]
+    for j, row in enumerate(jump_rows(feedback_mask, length, k)):
+        table = low if j < half else high
+        table += [t ^ row for t in table]
+    return tuple(low), tuple(high)
+
+
+def jumped_states(spec: LfsrSpec, state: int, k: int) -> Iterator[int]:
+    """The packed states from `state` on, k clocks apart, without end."""
+    low, high = _half_tables(spec.feedback.mask, spec.length, k)
+    half, mask = spec.length // 2, len(low) - 1
+    while True:
+        yield state
+        state = low[state & mask] ^ high[state >> half]
+
+
 def lfsr_step(spec: LfsrSpec, state: BitVector, k: int = 1) -> BitVector:
     """Advance the register k clocks; equals state * T^k."""
     if state.length != spec.length:
         raise ValueError("state length does not match register length")
     if k < 0:
         raise ValueError("cannot clock a register backwards")
-    rows = jump_rows(spec.feedback.mask, spec.length, k)
-    return BitVector(xor_rows(state.mask, rows), spec.length)
+    return BitVector(next(islice(jumped_states(spec, state.mask, k), 1, None)), spec.length)
 
 
 def output_sequence(spec: LfsrSpec, init: BitVector, count: int) -> list[int]:
@@ -132,13 +153,6 @@ def state_from_outputs(bits: BitSequence) -> BitVector:
     """The state whose first len(bits) outputs are `bits`: cell i holds
     output bit len-1-i."""
     return BitVector.from_bits(list(bits)[::-1])
-
-
-def decimate(seq: BitSequence, r: int) -> list[int]:
-    """Every r-th bit, starting from bit 0."""
-    if r < 1:
-        raise ValueError("decimation step must be positive")
-    return list(seq[::r])
 
 
 @dataclass(frozen=True)

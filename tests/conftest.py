@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass
 from itertools import islice
 
 import pytest
@@ -67,23 +68,40 @@ def _ref_debruijn_step(cells, poly_mask):
     return nxt
 
 
-def reference_keystream(params, key, count):
+@dataclass(frozen=True)
+class ReferenceTrace:
+    """A reference run: the keystream plus everything normally hidden."""
+
+    keystream: list
+    control_bits: list    # a_t for each step taken
+    beta_stream: list     # B's output after 0, 1, 2, ... jumps
+    lambda_stream: list   # C's output after 0, 1, 2, ... jumps
+
+
+def reference_trace(params, key, count):
     a = list(key.state_a)
     b = list(key.state_b)
     c = list(key.state_c)
-    out = []
+    tr = ReferenceTrace([], [], [b[-1]], [c[-1]])
     for t in range(count):
-        out.append(b[-1] ^ c[-1])
+        tr.keystream.append(b[-1] ^ c[-1])
         if t == count - 1:
             break
+        tr.control_bits.append(a[0])
         if a[0]:
             for _ in range(key.r):
                 b = _ref_lfsr_step(b, params.poly_b.mask)
+            tr.beta_stream.append(b[-1])
         else:
             for _ in range(key.s):
                 c = _ref_lfsr_step(c, params.poly_c.mask)
+            tr.lambda_stream.append(c[-1])
         a = _ref_debruijn_step(a, params.poly_a.mask)
-    return out
+    return tr if count > 0 else ReferenceTrace([], [], [], [])
+
+
+def reference_keystream(params, key, count):
+    return reference_trace(params, key, count).keystream
 
 
 # ---------------------------------------------------------------------------

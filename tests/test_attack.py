@@ -27,9 +27,9 @@ from asgrs.attack import (
 )
 from asgrs.errors import UnsupportedParameterError
 from asgrs.field import field_context
-from asgrs.generator import AsgKey, keystream, keystream_trace, validate
+from asgrs.generator import AsgKey, keystream, validate
 from asgrs.gf2 import BinaryPolynomial, BitVector, invert, rank
-from asgrs.oracle import brute_force_oracle
+from asgrs.oracle import ORACLE_KEY_CAP, brute_force_oracle
 from asgrs.registers import (
     DeBruijnRegister,
     LfsrSpec,
@@ -37,7 +37,8 @@ from asgrs.registers import (
     primitive_polynomial,
 )
 
-from conftest import _ref_debruijn_step, make_params, random_valid_key, reference_oracle
+from conftest import (_ref_debruijn_step, make_params, random_valid_key, reference_oracle,
+                      reference_trace)
 
 P334 = make_params(3, 3, 4)
 P875 = make_params(8, 7, 5)
@@ -133,7 +134,7 @@ class TestReconstructStreams:
     def test_round_trip_with_true_control(self, rng):
         for _ in range(10):
             key = random_valid_key(P334, rng)
-            tr = keystream_trace(P334, key, 80)
+            tr = reference_trace(P334, key, 80)
             beta, lam = reconstruct_streams(tr.control_bits, tr.keystream,
                                             tr.beta_stream[0])
             assert beta == tr.beta_stream
@@ -143,7 +144,7 @@ class TestReconstructStreams:
 def true_candidate(params, key, nbits):
     z = keystream(params, key, nbits)
     config = AttackConfig(params, z)
-    beta0 = keystream_trace(params, key, 2).beta_stream[0]
+    beta0 = reference_trace(params, key, 2).beta_stream[0]
     return config, key.state_a, beta0
 
 
@@ -482,6 +483,15 @@ class TestBruteForceOracle:
         # target keeps a missed cap from listing all 2^26.8 keys)
         with pytest.raises(UnsupportedParameterError, match="2\\^26.8"):
             brute_force_oracle(make_params(5, 4, 7, strict=False), [0] * 40)
+
+    def test_key_cap(self):
+        # the empty target matches every key: 624,960 at (4,3,5) and about
+        # 2^26 at strict (5,4,7), which is under the work cap
+        for params in (make_params(4, 3, 5), make_params(5, 4, 7)):
+            with pytest.raises(UnsupportedParameterError, match="more than 65536 keys"):
+                brute_force_oracle(params, [])
+        # the cap is above the largest list a target can give at (3,3,4)
+        assert len(brute_force_oracle(P334, [])) == 40320 < ORACLE_KEY_CAP
 
     def test_non_binary_target_rejected(self):
         for entry in (2, 300, 1.0):

@@ -206,6 +206,14 @@ class TestOracle:
         assert run("oracle", "--params", str(pfile), "--in", str(z)) == 1
         assert "cap" in capsys.readouterr().err
 
+    def test_key_cap_refusal(self, tmp_path, capsys):
+        # an empty target at (4,3,5) matches all 624,960 keys
+        pfile, z = tmp_path / "p.json", tmp_path / "z.txt"
+        formats.write_params(pfile, make_params(4, 3, 5))
+        formats.write_bits(z, [])
+        assert run("oracle", "--params", str(pfile), "--in", str(z)) == 1
+        assert "more than 65536 keys match the 0-bit target" in capsys.readouterr().err
+
 
 class TestReduce:
     def test_equivalence_confirmed(self, tmp_path, params_file, capsys):

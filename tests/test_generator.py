@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import pytest
 
 from asgrs.analysis import measure_period
@@ -5,10 +8,10 @@ from asgrs.errors import DegenerateStateError, KeyValidationError
 from asgrs.field import field_context
 from asgrs.generator import (
     AsgKey,
-    KeystreamTrace,
+    AsgParams,
+    ReducedModel,
     classical_asg_keystream,
     keystream,
-    keystream_trace,
     random_key,
     reduce_to_classical,
     validate,
@@ -16,14 +19,14 @@ from asgrs.generator import (
 )
 from asgrs.gf2 import BinaryPolynomial, BitVector
 from asgrs.registers import (
+    DeBruijnRegister,
     LfsrSpec,
-    decimate,
     jump_rows,
     output_sequence,
     primitive_polynomial,
 )
 
-from conftest import make_params, random_valid_key, reference_keystream
+from conftest import make_params, random_valid_key, reference_keystream, reference_trace
 
 P334 = make_params(3, 3, 4)
 
@@ -100,12 +103,19 @@ class TestRandomKey:
 
 
 class TestKeystream:
+    @staticmethod
+    def edge_counts(l, moves):
+        """0, 1, 2, k * 2^l and k * 2^l +- 1, and a count long enough for
+        each generating register to move about `moves` times."""
+        period = 1 << l
+        laps = [k * period + d for k in range(1, 4) for d in (-1, 0, 1)]
+        return sorted({0, 1, 2, *laps, 2 * moves + 3})
+
     def test_empty(self):
         model = reduce_to_classical(P334, fixed_key())
         for count in (-1, 0):
             assert keystream(P334, fixed_key(), count) == []
             assert classical_asg_keystream(model, count) == []
-            assert keystream_trace(P334, fixed_key(), count) == KeystreamTrace([], [], [], [])
 
     def test_first_bit_ignores_control(self, rng):
         key = fixed_key()
@@ -124,8 +134,8 @@ class TestKeystream:
             key = random_valid_key(params, rng)
             assert keystream(params, key, 120) == reference_keystream(params, key, 120)
         # non-strict keys: jumps sharing a factor with the period shorten the
-        # jumped streams (r = 3, 5 at m = 4 give periods 5, 3), and jumps of
-        # at least a period wrap; counts straddle one control period
+        # jumped streams (r = 3, 5 at m = 4 give periods 5, 3, not 15), and
+        # jumps of at least a period wrap; counts straddle control periods
         for l, m, n, jumps_r, jumps_s in ((2, 4, 3, (3, 5, 16, 20), (1, 8, 9)),
                                           (3, 4, 6, (5, 6, 17), (3, 7, 9, 21, 64)),
                                           (4, 3, 5, (2, 7 + 3, 7 + 7 + 1), (32, 33))):
@@ -136,10 +146,9 @@ class TestKeystream:
                                  BitVector(rng.randrange(1, 1 << m), m),
                                  BitVector(rng.randrange(1, 1 << n), n), r, s)
                     assert validate(params, key) == []
-                    for count in (0, 1, 2, 1 << l, (1 << l) + 1, 100):
+                    for count in self.edge_counts(l, 64):
                         expected = reference_keystream(params, key, count)
                         assert keystream(params, key, count) == expected
-                        assert keystream_trace(params, key, count).keystream == expected
 
     def test_jump_cache_is_bounded(self, rng):
         bound = jump_rows.cache_info().maxsize
@@ -163,11 +172,43 @@ class TestKeystream:
             key = random_valid_key(P334, rng)
             assert measure_period(keystream(P334, key, 1680)) == 840
 
+    @pytest.mark.parametrize("dims", [(1, 2, 3), (2, 3, 2), (2, 5, 4), (3, 3, 5),
+                                      (4, 5, 3), (4, 2, 5)])
+    def test_edge_counts_match_reference(self, dims, rng):
+        # the jumped streams are built one period long and repeated, so
+        # counts at and around control laps, and streams several B and C
+        # periods long, are where an off-by-one would show
+        params = make_params(*dims)
+        l, m, n = dims
+        for _ in range(4):
+            key = random_valid_key(params, rng)
+            model = reduce_to_classical(params, key)
+            for count in self.edge_counts(l, 4 << max(m, n)):
+                expected = reference_keystream(params, key, count)
+                assert keystream(params, key, count) == expected, count
+                assert classical_asg_keystream(model, count) == expected, count
+
+    def test_peak_memory_is_the_output(self, rng):
+        # one period of each sequence is held, never a count-sized copy
+        params = make_params(16, 15, 16)
+        key = random_valid_key(params, rng)
+        model = reduce_to_classical(params, key)
+        for run in (lambda: keystream(params, key, 10 ** 6),
+                    lambda: classical_asg_keystream(model, 10 ** 6)):
+            tracemalloc.start()
+            try:
+                out = run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(out) == 10 ** 6
+            assert peak < sys.getsizeof(out) + (1 << 20)
+
 
 class TestTraceInstrumentation:
     def test_one_register_advances_per_step(self, rng):
         key = random_valid_key(P334, rng)
-        tr = keystream_trace(P334, key, 200)
+        tr = reference_trace(P334, key, 200)
         # after t steps the two streams together moved exactly t times
         assert (len(tr.beta_stream) - 1) + (len(tr.lambda_stream) - 1) == 199
         assert len(tr.control_bits) == 199
@@ -176,18 +217,18 @@ class TestTraceInstrumentation:
     def test_streams_are_decimations(self, rng):
         for _ in range(5):
             key = random_valid_key(P334, rng)
-            tr = keystream_trace(P334, key, 150)
+            tr = reference_trace(P334, key, 150)
             b = output_sequence(LfsrSpec(3, P334.poly_b), key.state_b,
                                 key.r * len(tr.beta_stream))
             c = output_sequence(LfsrSpec(4, P334.poly_c), key.state_c,
                                 key.s * len(tr.lambda_stream))
-            assert tr.beta_stream == decimate(b, key.r)[:len(tr.beta_stream)]
-            assert tr.lambda_stream == decimate(c, key.s)[:len(tr.lambda_stream)]
+            assert tr.beta_stream == b[::key.r][:len(tr.beta_stream)]
+            assert tr.lambda_stream == c[::key.s][:len(tr.lambda_stream)]
 
     def test_difference_identity_on_control_one_steps(self, rng):
         # z_t ^ z_{t+1} equals the B-side stream difference when a_t = 1
         key = random_valid_key(P334, rng)
-        tr = keystream_trace(P334, key, 300)
+        tr = reference_trace(P334, key, 300)
         p = q = 0
         for t, a in enumerate(tr.control_bits):
             diff = tr.keystream[t] ^ tr.keystream[t + 1]
@@ -272,3 +313,25 @@ class TestReduction:
         model = reduce_to_classical(params, key)
         assert model.beta_spec.feedback.mask == 0b11111
         assert classical_asg_keystream(model, 500) == keystream(params, key, 500)
+
+    @pytest.mark.parametrize("beta_feedback, lambda_feedback", [
+        (0b10001, 0b111),      # (x+1)^4: period 4, which does not divide 15
+        (0b11111, 0b1001),     # x^4+x^3+x^2+x+1 (period 5); x^3+1 = (x+1)(x^2+x+1)
+        (0b11000, 0b110),      # x^4+x^3 and x^2+x: singular, not periodic from the start
+    ])
+    def test_non_primitive_model_matches_reference(self, beta_feedback, lambda_feedback, rng):
+        # a hand-built model may carry any feedback, so the classical path
+        # must not assume the streams repeat after 2^L - 1 clocks
+        bpoly, cpoly = BinaryPolynomial(beta_feedback), BinaryPolynomial(lambda_feedback)
+        control = DeBruijnRegister(LfsrSpec(3, primitive_polynomial(3)), BitVector(5, 3))
+        # the reference runs the model as an ASG with unit jumps
+        params = AsgParams(3, bpoly.degree, cpoly.degree, control.base.feedback, bpoly, cpoly,
+                           strict=False)
+        for _ in range(4):
+            beta = BitVector(rng.randrange(1, 1 << bpoly.degree), bpoly.degree)
+            lam = BitVector(rng.randrange(1, 1 << cpoly.degree), cpoly.degree)
+            model = ReducedModel(LfsrSpec(bpoly.degree, bpoly), beta,
+                                 LfsrSpec(cpoly.degree, cpoly), lam, control)
+            key = AsgKey(control.state, beta, lam, 1, 1)
+            for count in (0, 1, 2, 7, 8, 9, 17, 100):
+                assert classical_asg_keystream(model, count) == reference_keystream(params, key, count)

@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import islice
 
 import pytest
 
@@ -11,8 +12,9 @@ from asgrs.registers import (
     LfsrSpec,
     de_bruijn_cycle,
     de_bruijn_sequence,
-    decimate,
     jump_rows,
+    jumped_states,
+    lfsr_states,
     lfsr_step,
     output_sequence,
     primitive_polynomial,
@@ -167,29 +169,53 @@ class TestOutputSequence:
         assert output_sequence(spec, BitVector.zeros(2), 3) == [0, 0, 0]
 
 
+class TestJumpedStates:
+    @pytest.mark.parametrize("length", range(1, 17))
+    def test_matches_iterated_row_products(self, length):
+        # the tables split the state at length // 2, so odd lengths and
+        # lengths that are not a multiple of 8 split unevenly; the
+        # reference is the row product state * T^k, one jump at a time
+        spec = LfsrSpec(length, primitive_polynomial(length))
+        period = (1 << length) - 1
+        rng = random.Random(length)
+        for k in (0, 1, 2, length, period, 3 * period, rng.randrange(1 << 20)):
+            rows = jump_rows(spec.feedback.mask, length, k)
+            state = rng.randrange(1, 1 << length)
+            expected = []
+            for _ in range(12):
+                expected.append(state)
+                state = xor_rows(state, rows)
+            assert list(islice(jumped_states(spec, expected[0], k), 12)) == expected
+            assert lfsr_step(spec, BitVector(expected[0], length), k).mask == expected[1]
+            if k % period == 0:
+                assert set(expected) == {expected[0]}
+
+    @pytest.mark.parametrize("length", range(1, 10))
+    def test_matches_unit_clocks_for_any_feedback(self, length):
+        # every k-th state of the unit-clocked register, whatever the
+        # feedback: reducible and singular polynomials included
+        rng = random.Random(length)
+        for _ in range(4):
+            spec = LfsrSpec(length, BinaryPolynomial((1 << length) | rng.randrange(1 << length)))
+            state = rng.randrange(1 << length)
+            clocks = list(islice(lfsr_states(spec, state), 40))
+            for k in (1, 2, 3, 5):
+                assert list(islice(jumped_states(spec, state, k), len(clocks[::k]))) == clocks[::k]
+
+
 MSEQ7 = output_sequence(SPEC3, BitVector.from_bits([0, 0, 1]), 7)
 
 
 class TestDecimate:
-    def test_identity(self):
-        assert decimate(MSEQ7, 1) == MSEQ7
-
-    def test_length_rule(self):
-        for n in range(0, 20):
-            for r in range(1, 6):
-                seq = list(range(n))
-                expected = 0 if n == 0 else (n - 1) // r + 1
-                assert len(decimate(seq, r)) == expected
-
     def test_conjugate_decimation_is_a_shift(self):
         stream = output_sequence(SPEC3, BitVector.from_bits([0, 0, 1]), 14)
-        dec = decimate(stream, 2)[:7]
+        dec = stream[::2][:7]
         shifts = [MSEQ7[k:] + MSEQ7[:k] for k in range(7)]
         assert dec in shifts
 
     def test_decimation_by_three_changes_polynomial(self):
         stream = output_sequence(SPEC3, BitVector.from_bits([0, 0, 1]), 21)
-        fit = berlekamp_massey(decimate(stream, 3))
+        fit = berlekamp_massey(stream[::3])
         assert fit.linear_complexity == 3
         assert fit.connection.mask == 0b1101  # x^3 + x^2 + 1
 
@@ -202,7 +228,7 @@ class TestDecimate:
             # enough source bits for two decimated periods
             need = r * (2 * period - 1) + 1
             stream = output_sequence(spec, BitVector(1, m), need)
-            dec = decimate(stream, r)[:2 * period]
+            dec = stream[::r][:2 * period]
             least = measure_period(dec)
             if least != period:
                 failing.append(r)
