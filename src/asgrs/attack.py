@@ -26,24 +26,26 @@ matches z at every step if and only if the fitted streams equal the
 harvested ones.  The few surviving lanes are decoded in ascending
 (control state, beta_0) order and fitted again one by one.
 
-Surviving candidates then have their jump sizes recovered: writing the
-undecimated register output as b_t = Tr(u a^t) for a root a of the
-public feedback polynomial, the decimated stream is Tr(u g^t) with
-g = a^r.  The connection polynomial f that Berlekamp-Massey fits to that
-stream is the minimal polynomial of g, so the admissible jumps are the r
-coprime to 2^m - 1 with f(a^r) = 0.  A table of a^k for 0 <= k < 2^m - 1,
-built once per call, makes each root test wt(f) lookups.  Only the first
-r that passes gets its m x m trace system solved for u, which is linear
-in the coordinates of u, and (r, u) yields the register's initial state
-via b_t = Tr(u a^t).  The search is still O(2^m) table lookups and uses
-4 * 2^m bytes per call (about 0.04 s and 256 KiB at m = 16).
+Surviving candidates then have their jump sizes recovered.  The
+undecimated register output b_t = Tr(u a^t), for a root a of the public
+feedback polynomial, has period 2^m - 1, and the decimated stream is
+d_t = b_(rt) = Tr(u g^t) with g = a^r.  The connection polynomial f that
+Berlekamp-Massey fits to d is the minimal polynomial of g, so the
+admissible jumps are the r coprime to 2^m - 1 with f(a^r) = 0.  A table
+of a^k for 0 <= k < 2^m - 1, built once per call, makes each root test
+wt(f) lookups.  Because r is coprime to the period, the decimation
+inverts: b_t = d_(t r') with r' = r^-1 mod 2^m - 1, so the register
+head is the first m outputs of the fitted register jumped r' clocks at
+a time, through the same stepping core as the generator.  The search is
+still O(2^m) table lookups and uses 4 * 2^m bytes per call.
 
-Note that (r, u) is only determined up to Frobenius conjugacy:
-Tr(u g^t) = Tr(u^2 (g^2)^t), so jumps r and 2r mod (2^m - 1) with
-matching u-powers generate identical streams.  The roots of f are
+The jump is only determined up to Frobenius conjugacy:
+Tr(u g^t) = Tr(u^2 (g^2)^t), so d is also the 2r-fold decimation (mod
+2^m - 1) of the register output Tr(u^2 a^t).  The roots of f are
 exactly the conjugates of g, so the ascending root search returns the
-smallest admissible r of the class, and the assembled key is
-keystream-equivalent to the one used for encryption.
+smallest admissible r of the class, the inverse decimation by that r
+gives the matching head, and the assembled key is keystream-equivalent
+to the one used for encryption.
 """
 
 from __future__ import annotations
@@ -54,13 +56,13 @@ import time
 from array import array
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, compress
+from itertools import accumulate, compress, islice
 from operator import and_, itemgetter, not_, xor
 from typing import Iterator
 
 from .analysis import LfsrFit, berlekamp_massey, berlekamp_massey_lanes
-from .field import FieldContext, FieldElement, field_context
-from .gf2 import BitMatrix, BitVector, invert
+from .field import FieldContext, field_context
+from .gf2 import BitVector
 from .generator import AsgKey, AsgParams, keystream, require_bits, validate_params
 from .registers import (
     BitSequence,
@@ -68,6 +70,8 @@ from .registers import (
     LfsrSpec,
     de_bruijn_cycle,
     de_bruijn_sequence,
+    jumped_states,
+    output_bits,
     state_from_outputs,
 )
 
@@ -75,8 +79,8 @@ from .registers import (
 class AttackCounters:
     """Work actually performed, for empirical complexity measurements.
 
-    ``trace_solves`` counts trace systems solved, at most one per
-    `recover_decimation` call.
+    ``trace_solves`` counts jump solves, one per jump found: at most one
+    per `recover_decimation` call.
     """
 
     a_states_tried: int = 0
@@ -215,48 +219,23 @@ def verify_candidate(config: AttackConfig, cand: CandidateModel) -> bool:
 
 @dataclass(frozen=True)
 class DecimationFit:
-    """Recovered decimation: jump r, trace coefficient u, and the first
-    m output bits of the undecimated register (b_t = Tr(u a^t))."""
+    """Recovered decimation: jump r and the first m output bits of the
+    undecimated register."""
 
     r: int
-    u: FieldElement
     initial_bits: BitVector
-
-
-def trace_system_matrix(ctx: FieldContext, r: int) -> BitMatrix:
-    """The m x m trace system for gamma = alpha^r, linear in the
-    coordinates of u: row t, column i holds Tr(x^i * gamma^t).
-
-    It is invertible whenever gamma has degree m, since 1, gamma, ...,
-    gamma^(m-1) is then a basis and the trace form is non-degenerate.
-    """
-    m = ctx.m
-    gamma = ctx.pow(ctx.alpha.mask, r)
-    rows = []
-    g = 1
-    for _ in range(m):
-        row = 0
-        for i in range(m):
-            if ctx.trace_of(ctx.mul(1 << i, g)):
-                row |= 1 << i
-        rows.append(row)
-        g = ctx.mul(g, gamma)
-    return BitMatrix(m, m, tuple(rows))
 
 
 def recover_decimation(ctx: FieldContext, observed: BitSequence,
                        verify_bits: int | None = None,
                        counters: AttackCounters | None = None) -> DecimationFit | None:
-    """Find (r, u) with observed_t = Tr(u (alpha^r)^t), plus the register head.
+    """Find the jump r and the register head that explain `observed`.
 
-    Returns the smallest r coprime to 2^m - 1 for which some u explains
-    the first m + verify_bits observed bits, or None.  The connection
-    polynomial f fitted to those bits must have degree m, and r is the
-    first coprime exponent with f(alpha^r) = 0; one trace system then
-    gives u, which must be nonzero (a zero register state is invalid) and
-    reproduce observed bits m .. m + verify_bits - 1.  verify_bits
-    defaults to 2m and must be at least m, because a connection
-    polynomial of degree m is unique only on 2m or more bits (Massey).
+    Returns the smallest r coprime to 2^m - 1 such that observed is the
+    r-fold decimation of an output sequence of the field's register, on
+    its first m + verify_bits bits, or None.  verify_bits defaults to 2m
+    and must be at least m, because a connection polynomial of degree m
+    is unique only on 2m or more bits (Massey).
     """
     m = ctx.m
     v = 2 * m if verify_bits is None else verify_bits
@@ -264,7 +243,19 @@ def recover_decimation(ctx: FieldContext, observed: BitSequence,
         raise ValueError(f"verify_bits must be at least m = {m}, got {v}")
     if len(observed) < m + v:
         raise ValueError(f"need at least m + {v} = {m + v} observed bits")
-    fit = berlekamp_massey(observed[:m + v])
+    return _recover_jump(ctx, berlekamp_massey(observed[:m + v]), counters)
+
+
+def _recover_jump(ctx: FieldContext, fit: LfsrFit,
+                  counters: AttackCounters | None) -> DecimationFit | None:
+    """The jump and register head behind a fitted decimated stream.
+
+    The fit must have linear complexity m, and r is the first coprime
+    exponent with f(alpha^r) = 0 for its connection polynomial f.  The
+    head is b_t = d_(t r^-1) for t < m: the fitted register jumped by
+    r^-1 mod 2^m - 1.
+    """
+    m = ctx.m
     if fit.linear_complexity != m:
         return None
     period = (1 << m) - 1
@@ -288,31 +279,11 @@ def recover_decimation(ctx: FieldContext, observed: BitSequence,
             break
     else:
         return None
-    inv = invert(trace_system_matrix(ctx, r))
     if counters:
         counters.trace_solves += 1
-    head_mask = 0
-    for t in range(m):
-        head_mask |= (observed[t] & 1) << t
-    u = 0
-    for j, row in enumerate(inv.row_masks):
-        u |= ((row & head_mask).bit_count() & 1) << j
-    if u == 0:
-        return None
-    # the solution matches observed[:m] by construction; check the rest
-    gamma = exp[r]
-    e = ctx.mul(u, exp[r * m % period])
-    for t in range(m, m + v):
-        if ctx.trace_of(e) != observed[t]:
-            return None
-        e = ctx.mul(e, gamma)
-    alpha = ctx.alpha.mask
-    bits = []
-    e = u
-    for _ in range(m):
-        bits.append(ctx.trace_of(e))
-        e = ctx.mul(e, alpha)
-    return DecimationFit(r, ctx.element(u), BitVector.from_bits(bits))
+    states = jumped_states(LfsrSpec(m, fit.connection),
+                           state_from_outputs(fit.initial_state).mask, pow(r, -1, period))
+    return DecimationFit(r, BitVector.from_bits(list(islice(output_bits(states, m), m))))
 
 
 @dataclass(frozen=True)
@@ -326,19 +297,16 @@ def _recover_key(config: AttackConfig, cand: CandidateModel,
                  counters: AttackCounters) -> AsgKey | None:
     """Assemble the key of a verified candidate.
 
-    Each fit already generates its whole harvested stream, so the
-    decimation is recovered from 3m bits of the fit itself.
+    Each fit already generates its whole harvested stream, and with
+    2L <= 2m it is the only register of its length that generates the
+    fitted prefix, so the decimation is recovered from the fit itself.
     """
     params = config.params
     z = config.keystream
-
-    def recover(poly, m, fit):
-        return recover_decimation(field_context(poly), fit.extend(3 * m), counters=counters)
-
-    fit_b = recover(params.poly_b, params.m, cand.beta_fit)
+    fit_b = _recover_jump(field_context(params.poly_b), cand.beta_fit, counters)
     if fit_b is None:
         return None
-    fit_c = recover(params.poly_c, params.n, cand.lambda_fit)
+    fit_c = _recover_jump(field_context(params.poly_c), cand.lambda_fit, counters)
     if fit_c is None:
         return None
     key = AsgKey(

@@ -135,10 +135,18 @@ def read_bits(path: str | Path) -> list[int]:
     """Reads either bitstream format, sniffing the binary magic."""
     raw = Path(path).read_bytes()
     if raw[:4] == BINARY_MAGIC:
+        if len(raw) < 12:
+            raise ValueError("binary bitstream header truncated")
         count = int.from_bytes(raw[4:12], "little")
         payload = raw[12:]
-        if len(payload) < (count + 7) // 8:
+        size = (count + 7) // 8
+        if len(payload) < size:
             raise ValueError("binary bitstream truncated")
+        if len(payload) > size:
+            raise ValueError(f"binary bitstream has {len(payload) - size} byte(s) "
+                             f"past its {count}-bit payload")
+        if count % 8 and payload[-1] >> (count % 8):
+            raise ValueError(f"binary bitstream sets padding bits past bit {count}")
         return [(payload[t >> 3] >> (t & 7)) & 1 for t in range(count)]
     bits = []
     for ch in raw.decode("ascii"):

@@ -89,6 +89,11 @@ def validate_params(params: AsgParams) -> list[str]:
             v.append(f"{name} degree {poly.degree} != {degree}")
         elif not _safe_is_primitive(poly):
             v.append(f"{name} ({poly}) is not primitive")
+    for name, length in (("B", params.m), ("C", params.n)):
+        # a jump is only judged modulo the period 2^length - 1, which is 1
+        # for a single cell, so no jump would be valid
+        if length < 2:
+            v.append(f"register {name} has length {length}; it needs at least 2 cells")
     if params.strict and math.gcd(params.m, params.n) != 1:
         v.append(f"gcd(m, n) = {math.gcd(params.m, params.n)} != 1")
     return v

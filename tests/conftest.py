@@ -5,7 +5,7 @@ from itertools import islice
 
 import pytest
 
-from asgrs import AsgKey, AsgParams, BitVector
+from asgrs import AsgKey, AsgParams, BitMatrix, BitVector
 from asgrs.registers import (
     LfsrSpec,
     de_bruijn_cycle,
@@ -157,3 +157,30 @@ def reference_oracle(params, target):
                                 BitVector(c_states[off_c], n),
                                 r, s_))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Trace system of the decimated register: solving d_t = Tr(u gamma^t)
+# for u is a second, linear way to the register head, and the
+# differential jump-recovery tests compare the package against it.
+
+
+def trace_system_matrix(ctx, r):
+    """The m x m trace system for gamma = alpha^r, linear in the
+    coordinates of u: row t, column i holds Tr(x^i * gamma^t).
+
+    It is invertible whenever gamma has degree m, since 1, gamma, ...,
+    gamma^(m-1) is then a basis and the trace form is non-degenerate.
+    """
+    m = ctx.m
+    gamma = ctx.pow(ctx.alpha.mask, r)
+    rows = []
+    g = 1
+    for _ in range(m):
+        row = 0
+        for i in range(m):
+            if ctx.trace_of(ctx.mul(1 << i, g)):
+                row |= 1 << i
+        rows.append(row)
+        g = ctx.mul(g, gamma)
+    return BitMatrix(m, m, tuple(rows))

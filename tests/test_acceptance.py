@@ -15,7 +15,6 @@ from asgrs.attack import (
     AttackConfig,
     recover_decimation,
     run_attack,
-    trace_system_matrix,
 )
 from asgrs.complexity import (
     ComplexityInputs,
@@ -30,7 +29,7 @@ from asgrs.gf2 import rank
 from asgrs.oracle import brute_force_oracle
 from asgrs.registers import BitVector, LfsrSpec, output_sequence, primitive_polynomial
 
-from conftest import make_params, random_valid_key
+from conftest import make_params, random_valid_key, trace_system_matrix
 
 
 def report(num, ok, detail, dt, budget):
@@ -170,7 +169,9 @@ def test_criterion_7_trace_recovery():
             # exponent of the class with the matching power of u
             leader = min((r << j) % period for j in range(7))
             j = next(j for j in range(7) if (r << j) % period == leader)
-            if fit.r == leader and fit.u == u ** (1 << j):
+            witness = u ** (1 << j)
+            head = [(witness * ctx.alpha ** t).trace() for t in range(7)]
+            if fit.r == leader and list(fit.initial_bits) == head:
                 exact += 1
     dt = time.perf_counter() - start
     report(7, full_rank == 126 and exact == cases == 126 * 20,

@@ -48,6 +48,15 @@ class TestKeygen:
         assert run("keygen", "--params", str(path), "--out", str(out)) == 1
         assert run("keygen", "--params", str(path), "--out", str(out), "--no-strict") == 0
 
+    def test_one_cell_register_fails(self, tmp_path, capsys):
+        path = tmp_path / "p312.json"
+        formats.write_params(path, make_params(3, 1, 2))
+        out = tmp_path / "key.json"
+        assert run("keygen", "--params", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid params") and "register B" in err
+        assert not out.exists()
+
 
 class TestKeystream:
     def test_empty_file_valid(self, tmp_path, params_file):
@@ -299,6 +308,17 @@ class TestMalformedInput:
         kfile = tmp_path / "k.json"
         kfile.write_text(json.dumps(None if change is None else {**GOOD_KEY, **change}))
         assert run("reduce", "--params", params_file, "--key", str(kfile)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("payload, message", [
+        (b"\xff" + bytes(7), "7 byte(s) past its 3-bit payload"),
+        (b"\x0d", "padding bits past bit 3"),
+    ], ids=["junk-bytes", "padding-bits"])
+    def test_bad_binary_bitstream(self, tmp_path, capsys, payload, message):
+        bfile = tmp_path / "z.bin"
+        bfile.write_bytes(b"ASGB" + (3).to_bytes(8, "little") + payload)
+        assert run("analyze", "--in", str(bfile)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -45,6 +46,32 @@ class TestBitstreams:
         (tmp_path / "b").write_bytes(raw[:-2])
         with pytest.raises(ValueError):
             formats.read_bits(tmp_path / "b")
+
+    @pytest.mark.parametrize("count, payload, message", [
+        (3, b"\x07" + bytes(7), "7 byte(s) past its 3-bit payload"),
+        (3, b"\xff" + bytes(7), "past its 3-bit payload"),
+        (16, b"\x01\x02\x00", "1 byte(s) past its 16-bit payload"),
+        (0, b"\x00", "past its 0-bit payload"),
+        (3, b"\x0f", "padding bits past bit 3"),
+        (9, b"\x01\x80", "padding bits past bit 9"),
+    ], ids=["junk-bytes", "junk-bytes-and-padding", "one-extra-byte", "empty-with-byte",
+            "padding-bit-3", "padding-bit-15"])
+    def test_binary_excess_rejected(self, tmp_path, count, payload, message):
+        path = tmp_path / "b"
+        path.write_bytes(b"ASGB" + count.to_bytes(8, "little") + payload)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            formats.read_bits(path)
+
+    def test_binary_short_header_rejected(self, tmp_path):
+        (tmp_path / "b").write_bytes(b"ASGB\x00\x00")
+        with pytest.raises(ValueError, match="header truncated"):
+            formats.read_bits(tmp_path / "b")
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 15, 16, 17])
+    def test_binary_edge_counts_round_trip(self, tmp_path, count):
+        bits = [1] * count
+        formats.write_bits(tmp_path / "b", bits, fmt="binary")
+        assert formats.read_bits(tmp_path / "b") == bits
 
     def test_binary_layout(self, tmp_path):
         formats.write_bits(tmp_path / "b", [1, 0, 0, 0, 0, 0, 0, 0, 1], fmt="binary")

@@ -83,6 +83,17 @@ class TestValidate:
                            BinaryPolynomial(0b1111), primitive_polynomial(4))
         assert any("not primitive" in v for v in validate_params(params))
 
+    @pytest.mark.parametrize("lmn, register", [((3, 1, 2), "B"), ((3, 2, 1), "C")],
+                             ids=["m1", "n1"])
+    def test_one_cell_register_rejected(self, lmn, register, rng):
+        # period 2^1 - 1 = 1: every jump is 0 modulo it
+        params = make_params(*lmn)
+        violations = validate_params(params)
+        assert any(f"register {register}" in v for v in violations)
+        with pytest.raises(KeyValidationError):
+            random_key(params, rng)
+        assert validate_params(make_params(1, 2, 3)) == []
+
 
 class TestRandomKey:
     def test_always_valid(self, rng):
