@@ -5,8 +5,14 @@ first decimated B-bit, bit-sliced: each guess is one lane, and bit j of
 a Python int holds lane j's value, so every operation below acts on up
 to CHUNK_LANES guesses at once.  Lanes are numbered by position on the
 one de Bruijn cycle that holds every span-l state, so the control bits
-of all lanes at step t are the cycle's control-bit word rotated by
-t mod 2^l.  The two decimated streams are peeled out of consecutive
+of all lanes at step t are one word of the cycle's control bits shifted
+by t.  A chunk of positions lo .. lo + w - 1 needs only the w + steps
+control bits from lo on, and l - 1 before it: the control register's
+base LFSR is jumped once to that spot and then stepped l clocks per
+table lookup (`registers.de_bruijn_bits`), with the cycle's extra zero
+spliced in, so no worker steps or stores the 2^l-state cycle.  Each
+survivor's control state is the l-bit window of control bits ending at
+its position.  The two decimated streams are peeled out of consecutive
 keystream differences (a step with control bit 1 changes only the
 B-side stream, a step with 0 only the C-side): the difference is the
 same for every lane, and a one-hot count of each lane's control-1 steps
@@ -68,7 +74,7 @@ from .registers import (
     BitSequence,
     DeBruijnRegister,
     LfsrSpec,
-    de_bruijn_cycle,
+    de_bruijn_bits,
     de_bruijn_sequence,
     jumped_states,
     output_bits,
@@ -322,28 +328,34 @@ def _recover_key(config: AttackConfig, cand: CandidateModel,
     return key
 
 
-# Guesses swept at once; bounds each worker's lane slices at l = 16.
-CHUNK_LANES = 1 << 14
+# Guesses swept at once.  Wider chunks spread each step's Python work over
+# more lanes: at (l, 7, 9), l = 16 .. 22, 2^16 lanes take about 0.65 of
+# the time per guess of 2^14, and 2^17 gains nothing steady.  Each
+# worker's lane slices stay near 2 MB whatever l is.
+CHUNK_LANES = 1 << 16
 
 
-def _cycle_control(base: LfsrSpec) -> tuple[array, int]:
-    """The de Bruijn cycle's states, and its control bits as one word
-    over two periods: bit i is cell 0 of state i mod 2^l."""
-    states = de_bruijn_cycle(base)
-    word = _pack(bytes(s & 1 for s in states))
-    return states, word | (word << len(states))
+def _chunk_control(base: LfsrSpec, lo: int, width: int, steps: int) -> int:
+    """The control bits a chunk of cycle positions lo .. lo + width - 1
+    reads over `steps` steps, after the l - 1 bits before lo: bit i is
+    the control bit of cycle position lo - l + 1 + i, wrapping at 2^l."""
+    l = base.length
+    return de_bruijn_bits(base, lo - l + 1, width + steps + l - 2)
 
 
-def _control_words(word: int, period: int, lo: int, width: int,
-                   steps: int) -> Iterator[int]:
-    """The control bits of cycle positions lo .. lo + width - 1 at each
-    step: bit j of word t is the control bit t steps after position
-    lo + j.  That is the cycle's word rotated by t mod 2^l, read off the
-    doubled word of `_cycle_control`, so no lane wraps however many steps
-    run (lo + width <= 2^l)."""
+def _control_words(bits: int, l: int, width: int, steps: int) -> Iterator[int]:
+    """The chunk's control bits at each step: bit j of word t is the
+    control bit t steps after position lo + j, read off `_chunk_control`
+    past its l - 1 bits of history."""
     mask = (1 << width) - 1
-    for t in range(steps):
-        yield (word >> ((lo + t) % period)) & mask
+    for t in range(l - 1, l - 1 + steps):
+        yield (bits >> t) & mask
+
+
+def _window_state(bits: int, l: int, j: int) -> int:
+    """The control state at position lo + j of a chunk: the l control
+    bits ending there, the newest in cell 0."""
+    return int(format((bits >> j) & ((1 << l) - 1), f"0{l}b")[::-1], 2)
 
 
 def _peel_lanes(z: list[int], words: Iterator[int],
@@ -390,7 +402,7 @@ def _peel_lanes(z: list[int], words: Iterator[int],
     return beta, lam, at_least
 
 
-def _sweep_lanes(config: AttackConfig, states: array, word: int, lo: int, width: int,
+def _sweep_lanes(config: AttackConfig, lo: int, width: int,
                  counters: AttackCounters) -> list[CandidateModel]:
     """Filter the guesses of cycle positions lo .. lo + width - 1 as
     2 * width lanes: lane j is position lo + j with beta_0 = 0, lane
@@ -402,13 +414,13 @@ def _sweep_lanes(config: AttackConfig, states: array, word: int, lo: int, width:
     its 2m / 2n prefix.
     """
     params = config.params
-    m, n = params.m, params.n
+    l, m, n = params.l, params.m, params.n
     z = config.keystream
     steps = len(z) - 1
     half, lanes = (1 << width) - 1, (1 << 2 * width) - 1
     counters.a_states_tried += width
-    beta, lam, at_least = _peel_lanes(
-        z, _control_words(word, len(states), lo, width, steps), width)
+    bits = _chunk_control(LfsrSpec(l, params.poly_a), lo, width, steps)
+    beta, lam, at_least = _peel_lanes(z, _control_words(bits, l, width, steps), width)
     # p + 1 >= 2m beta bits and steps - p + 1 >= 2n lambda bits
     enough = at_least[2 * m - 1] & ~at_least[steps + 2 - 2 * n]
     if not enough:
@@ -436,7 +448,7 @@ def _sweep_lanes(config: AttackConfig, states: array, word: int, lo: int, width:
     while ok:
         j = (ok & -ok).bit_length() - 1
         ok &= ok - 1
-        survivors.append((states[lo + j % width], j // width, j))
+        survivors.append((_window_state(bits, l, j % width), j // width, j))
     return [CandidateModel(BitVector(state, params.l), beta0,
                            berlekamp_massey([(s >> j) & 1 for s in beta[:2 * m]]),
                            berlekamp_massey([(s >> j) & 1 for s in lam[:2 * n]]))
@@ -449,10 +461,9 @@ def _attack_chunk(config: AttackConfig, lo: int,
     a time; each recovered key comes with its (control state, beta_0)."""
     counters = AttackCounters()
     found = []
-    states, word = _cycle_control(LfsrSpec(config.params.l, config.params.poly_a))
     width = CHUNK_LANES // 2
     for start in range(lo, hi, width):
-        for cand in _sweep_lanes(config, states, word, start, min(width, hi - start), counters):
+        for cand in _sweep_lanes(config, start, min(width, hi - start), counters):
             key = _recover_key(config, cand, counters)
             if key is not None:
                 found.append((cand.a_init.mask, cand.beta0, key))

@@ -33,6 +33,9 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+# the generator asks once per register and call, for public and fitted
+# feedback alike
+@lru_cache(maxsize=64)
 def is_irreducible(p: BinaryPolynomial) -> bool:
     """Rabin's test: x^(2^d) = x mod p and gcd(x^(2^(d/q)) - x, p) = 1."""
     d = p.degree

@@ -17,10 +17,12 @@ after p jumps, lambda_q is C's after q jumps, and p and q count the 1s
 and 0s among the control bits before step t.  Both entry points share
 one merge (`_merge`, the inverse of the attack's peeling): a control-1
 step changes z by beta_p ^ beta_{p+1}, a control-0 step by
-lambda_q ^ lambda_{q+1}.  `keystream` builds each sequence once as
-`bytes`, one period at most: min(count - 1, 2^l) control bits, and
+lambda_q ^ lambda_{q+1}.  Both build each sequence once as `bytes`,
+one period at most: min(count - 1, 2^l) control bits, and
 min(need, 2^m - 1) B and min(need, 2^n - 1) C outputs, `need` counted
-from the control bits.  The reduced model's streams assume no period.
+from the control bits.  That period holds for irreducible feedback,
+which every generator and every model `reduce_to_classical` builds has;
+a hand-built model with other feedback gets all `need` outputs.
 
 Because B only ever moves in strides of r, its stream is the r-fold
 decimation of B's regular output sequence (and likewise s for C).
@@ -35,12 +37,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, pairwise, repeat, starmap
+from itertools import accumulate, chain, islice, repeat
 from operator import xor
 from typing import Iterator
 
 from .analysis import berlekamp_massey
 from .errors import DegenerateStateError, KeyValidationError
+from .field import is_irreducible
 from .gf2 import BinaryPolynomial, BitVector
 from .registers import (
     DeBruijnRegister,
@@ -196,10 +199,24 @@ def _jumped(poly: BinaryPolynomial, state: BitVector, jump: int, count: int) -> 
 def _jumped_diffs(poly: BinaryPolynomial, state: BitVector, jump: int,
                   need: int) -> tuple[int, Iterator[int]]:
     """The first output and the endless differences of `need` outputs
-    after jumps: one period at most (T^(2^L - 1) = I), repeated."""
-    period = (1 << state.length) - 1
-    bits = _jumped(poly, state, jump % period, min(need, period))
+    after jumps.  Irreducible feedback has T^(2^L - 1) = I, so one period
+    at most is built and repeated; other feedback is assumed to repeat
+    nowhere, and all `need` outputs are built."""
+    period = (1 << state.length) - 1 if is_irreducible(poly) else need
+    bits = _jumped(poly, state, jump, min(need, period))
     return bits[0], chain.from_iterable(repeat(bytes(map(xor, bits, bits[1:] + bits[:1]))))
+
+
+def _alternate(control_reg: DeBruijnRegister, b: tuple[BinaryPolynomial, BitVector, int],
+               c: tuple[BinaryPolynomial, BitVector, int], count: int) -> list[int]:
+    """First `count` >= 1 bits of the generator whose control register
+    jumps register b (feedback, state, jump) on a 1 and c on a 0."""
+    control = _control(control_reg, count - 1)
+    laps, rest = divmod(count - 1, len(control) or 1)
+    ones = laps * control.count(1) + control.count(1, 0, rest)
+    b0, diffs_b = _jumped_diffs(*b, ones + 1)
+    c0, diffs_c = _jumped_diffs(*c, count - ones)
+    return _merge(control, diffs_b, diffs_c, b0 ^ c0, count)
 
 
 def keystream(params: AsgParams, key: AsgKey, count: int) -> list[int]:
@@ -207,12 +224,9 @@ def keystream(params: AsgParams, key: AsgKey, count: int) -> list[int]:
     _require_valid(params, key)
     if count <= 0:
         return []
-    control = _control(DeBruijnRegister(LfsrSpec(params.l, params.poly_a), key.state_a), count - 1)
-    laps, rest = divmod(count - 1, len(control) or 1)
-    ones = laps * control.count(1) + control.count(1, 0, rest)
-    b0, diffs_b = _jumped_diffs(params.poly_b, key.state_b, key.r, ones + 1)
-    c0, diffs_c = _jumped_diffs(params.poly_c, key.state_c, key.s, count - ones)
-    return _merge(control, diffs_b, diffs_c, b0 ^ c0, count)
+    return _alternate(DeBruijnRegister(LfsrSpec(params.l, params.poly_a), key.state_a),
+                      (params.poly_b, key.state_b, key.r),
+                      (params.poly_c, key.state_c, key.s), count)
 
 
 @dataclass(frozen=True)
@@ -267,9 +281,5 @@ def classical_asg_keystream(model: ReducedModel, count: int) -> list[int]:
         raise DegenerateStateError("all-zero generating register in reduced model")
     if count <= 0:
         return []
-    b, c = model.beta_spec, model.lambda_spec
-    beta = output_bits(jumped_states(b, model.beta_state.mask, 1), b.length)
-    lam = output_bits(jumped_states(c, model.lambda_state.mask, 1), c.length)
-    z0 = model.beta_state[b.length - 1] ^ model.lambda_state[c.length - 1]
-    return _merge(_control(model.control, count - 1), starmap(xor, pairwise(beta)),
-                  starmap(xor, pairwise(lam)), z0, count)
+    return _alternate(model.control, (model.beta_spec.feedback, model.beta_state, 1),
+                      (model.lambda_spec.feedback, model.lambda_state, 1), count)

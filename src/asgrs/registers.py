@@ -18,7 +18,9 @@ characteristic polynomial of the output recurrence.
 Each register kind has one stepping core, an endless generator of packed
 states (`lfsr_states` clocks a generating register, `jumped_states`
 jumps it k clocks at a time, `de_bruijn_states` steps the control
-register); every other stepping function reads them.  A nonzero state of
+register); every other stepping function reads them.  `de_bruijn_bits`
+reads the control register's bits off its base register's jumped states,
+splicing in the one extra zero of the de Bruijn cycle.  A nonzero state of
 a primitive register of length m recurs after 2^m - 1 clocks, and every
 span-l state of the de Bruijn register after 2^l steps.
 
@@ -202,6 +204,29 @@ def de_bruijn_cycle(base: LfsrSpec) -> array:
     any state are cell 0 of a window of it, wrapping at the end.
     """
     return array("I", islice(de_bruijn_states(base, 0), 1 << base.length))
+
+
+def de_bruijn_bits(base: LfsrSpec, start: int, count: int) -> int:
+    """Control bits start .. start + count - 1 of the de Bruijn cycle over
+    `base` as one int: bit i is cell 0 of cycle state (start + i) mod 2^span.
+
+    Cycle state 0 is the all-zero state, and states 1 .. 2^span - 1 are
+    the base register's states from state 1 on, so the bits are the base
+    register's cell-0 sequence v with a 0 spliced in at every multiple of
+    2^span.  The state after k clocks holds v_(k-span+1) .. v_k, oldest in
+    cell span-1, so v comes span bits per `jumped_states` lookup, from a
+    first state reached by one jump of x^k mod f.  Nothing of size
+    2^span is built.
+    """
+    span, period = base.length, 1 << base.length
+    start %= period
+    jump = poly_pow_mod(X, max(start - 1, 0) + span - 1, base.feedback).mask
+    state = xor_rows(jump, tuple(islice(lfsr_states(base, 1), span)))
+    windows = islice(jumped_states(base, state, span), -(-count // span))
+    v = "".join(map(format, windows, repeat(f"0{span}b")))
+    head = -start % period  # the v bits before the first spliced 0
+    bits = "0".join([v[:head]] + [v[k:k + period - 1] for k in range(head, count, period - 1)])
+    return int(bits[:count][::-1] or "0", 2)
 
 
 def de_bruijn_sequence(reg: DeBruijnRegister, count: int) -> list[int]:

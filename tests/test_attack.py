@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asgrs import attack
+from asgrs import attack, registers
 from asgrs.analysis import LfsrFit, berlekamp_massey
 from asgrs.attack import (
     AttackConfig,
@@ -15,9 +15,10 @@ from asgrs.attack import (
     CandidateModel,
     DecimationFit,
     _attack_chunk,
+    _chunk_control,
     _control_words,
-    _cycle_control,
     _sweep_lanes,
+    _window_state,
     reconstruct_streams,
     recover_decimation,
     run_attack,
@@ -32,6 +33,7 @@ from asgrs.oracle import ORACLE_KEY_CAP, brute_force_oracle
 from asgrs.registers import (
     DeBruijnRegister,
     LfsrSpec,
+    de_bruijn_cycle,
     de_bruijn_sequence,
     output_sequence,
     primitive_polynomial,
@@ -165,10 +167,9 @@ def reference_candidate(config, a_init, beta0):
 def sweep_candidates(config, lo=0, width=None):
     """The sweep's survivors over cycle positions lo .. lo + width - 1
     (default: the whole cycle as one chunk), with its counters."""
-    states, word = _cycle_control(LfsrSpec(config.params.l, config.params.poly_a))
     counters = AttackCounters()
-    width = len(states) - lo if width is None else width
-    return _sweep_lanes(config, states, word, lo, width, counters), counters
+    width = (1 << config.params.l) - lo if width is None else width
+    return _sweep_lanes(config, lo, width, counters), counters
 
 
 class TestFitCandidate:
@@ -220,7 +221,7 @@ class TestFitCandidate:
         # one lane pair: the true state with both beta_0 guesses
         config, a_init, beta0 = true_candidate(
             P334, random_valid_key(P334, rng), 40)
-        states = _cycle_control(LfsrSpec(P334.l, P334.poly_a))[0]
+        states = de_bruijn_cycle(LfsrSpec(P334.l, P334.poly_a))
         survivors, counters = sweep_candidates(config, states.index(a_init.mask), 1)
         runs = [replay_reference(P334, config.keystream, a_init.mask, b)[2] for b in (0, 1)]
         assert runs[beta0] == 2
@@ -234,7 +235,7 @@ class TestFitCandidate:
         for _ in range(4):
             key = random_valid_key(P875, rng)
             config, a_init, beta0 = true_candidate(P875, key, suggested_keystream_length(P875))
-            states = _cycle_control(LfsrSpec(P875.l, P875.poly_a))[0]
+            states = de_bruijn_cycle(LfsrSpec(P875.l, P875.poly_a))
             position = states.index(a_init.mask)
             true_cand = reference_candidate(config, a_init, beta0)
             assert true_cand in sweep_candidates(config, position, 1)[0]
@@ -579,7 +580,7 @@ class TestSweep:
         params = make_params(*lmn)
         floor = 3 * (params.m + params.n)
         positions = {s: i for i, s in enumerate(
-            _cycle_control(LfsrSpec(params.l, params.poly_a))[0])}
+            de_bruijn_cycle(LfsrSpec(params.l, params.poly_a)))}
         inputs = [keystream(params, random_valid_key(params, rng), nbits)
                   for nbits in (floor, suggested_keystream_length(params)) * count]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
@@ -601,19 +602,48 @@ class TestSweep:
         assert reordered or lmn != (8, 7, 5)
 
 
-class TestControlWords:
-    def test_rotations_match_de_bruijn_sequence(self):
-        for l in range(2, 10):
+class TestChunkControl:
+    def test_words_and_windows_match_de_bruijn_cycle(self):
+        # chunks that start at position 0, end at position 2^l - 1, sit
+        # inside the cycle, or take the whole of it, with steps that run
+        # past the cycle's end, some of them several times round
+        for l in range(2, 11):
             spec = LfsrSpec(l, primitive_polynomial(l))
             period = 1 << l
-            states, word = _cycle_control(spec)
-            assert sorted(states) == list(range(period))
-            for steps in (l, 2 * period + 3):
-                for lo, width in ((0, period), (period // 3, period - period // 3)):
-                    words = list(_control_words(word, period, lo, width, steps))
+            cycle = de_bruijn_cycle(spec)
+            chunks = [(0, period), (0, 3), (period - 3, 3), (period - 1, 1),
+                      (period // 3, period - period // 3), (1, period // 2)]
+            for steps in (1, l, period - 1, 2 * period + 3):
+                for lo, width in chunks:
+                    bits = _chunk_control(spec, lo, width, steps)
+                    words = list(_control_words(bits, l, width, steps))
+                    assert len(words) == steps
+                    # every lane's window, but the long runs only on a
+                    # sample of lanes, each crossing the spliced zero at a
+                    # different step
+                    lanes = range(width) if steps <= l else {*range(0, width, 37), width - 1}
                     for j in range(width):
-                        reg = DeBruijnRegister(spec, BitVector(states[lo + j], l))
+                        assert _window_state(bits, l, j) == cycle[lo + j]
+                    for j in lanes:
+                        reg = DeBruijnRegister(spec, BitVector(cycle[lo + j], l))
                         assert [(w >> j) & 1 for w in words] == de_bruijn_sequence(reg, steps)
+
+    def test_chunk_starts_leave_the_jump_caches_alone(self, rng, monkeypatch):
+        # each chunk jumps to its start without a cached table per start,
+        # so 128 chunks add no more table entries than one does
+        params = make_params(12, 5, 6)
+        z = keystream(params, random_valid_key(params, rng), suggested_keystream_length(params))
+        misses = []
+        for chunk in (1 << 14, 64):
+            monkeypatch.setattr(attack, "CHUNK_LANES", chunk)
+            registers._half_tables.cache_clear()
+            registers.jump_rows.cache_clear()
+            report = run_attack(AttackConfig(params, z))
+            assert report.recovered_keys
+            misses.append((registers._half_tables.cache_info().misses,
+                           registers.jump_rows.cache_info().misses))
+        assert misses[1] == misses[0]
+        assert misses[0][0] <= 6
 
 
 class TestSoundnessAndCompleteness:
