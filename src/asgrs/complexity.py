@@ -192,12 +192,17 @@ def johansson_segment_probability(segment: int) -> float:
 
 
 def attack_complexity(inputs: ComplexityInputs) -> float:
-    """log2 of (m^2 + n^2) 2^(l+1) + m^3 2^(m-1) + n^3 2^(n-1).
+    """log2 of (m^2 + n^2) 2^(l+1) + m^3 2^(m-1) + n^3 2^(n-1), the
+    paper's cost of its attack.
 
-    The first term is the control-state sweep with its two stream fits,
-    the second and third are the trace-system solves over all admissible
-    jump sizes of each register.  The sum is taken in log space, so the
-    cost does not grow with the register lengths.
+    The first term is the control-state sweep with its two stream fits.
+    The second and third are the paper's jump recovery, which tries the
+    admissible jump sizes of each register one at a time with an m x m
+    (or n x n) trace-system solve each.  `run_attack` recovers each jump
+    in time polynomial in m instead, by a root and a discrete log, so
+    only its sweep is exponential; this estimate keeps the paper's
+    formula.  The sum is taken in log space, so the cost does not grow
+    with the register lengths.
     """
     l, m, n = inputs.l, inputs.m, inputs.n
     terms = [math.log2(m * m + n * n) + l + 1,

@@ -17,12 +17,13 @@ after p jumps, lambda_q is C's after q jumps, and p and q count the 1s
 and 0s among the control bits before step t.  Both entry points share
 one merge (`_merge`, the inverse of the attack's peeling): a control-1
 step changes z by beta_p ^ beta_{p+1}, a control-0 step by
-lambda_q ^ lambda_{q+1}.  Both build each sequence once as `bytes`,
-one period at most: min(count - 1, 2^l) control bits, and
-min(need, 2^m - 1) B and min(need, 2^n - 1) C outputs, `need` counted
-from the control bits.  That period holds for irreducible feedback,
-which every generator and every model `reduce_to_classical` builds has;
-a hand-built model with other feedback gets all `need` outputs.
+lambda_q ^ lambda_{q+1}.  Both build each sequence once, one period
+at most: min(count - 1, 2^l) control bits as a string of digits, and
+min(need, 2^m - 1) B and min(need, 2^n - 1) C outputs as `bytes`,
+`need` counted from the control bits.  That period holds for
+irreducible feedback, which every generator and every model
+`reduce_to_classical` builds has; a hand-built model with other
+feedback gets all `need` outputs.
 
 Because B only ever moves in strides of r, its stream is the r-fold
 decimation of B's regular output sequence (and likewise s for C).
@@ -49,7 +50,7 @@ from .registers import (
     DeBruijnRegister,
     LfsrSpec,
     _safe_is_primitive,
-    de_bruijn_sequence,
+    de_bruijn_digits,
     jumped_states,
     output_bits,
     state_from_outputs,
@@ -175,19 +176,21 @@ def random_key(params: AsgParams, rng: random.Random) -> AsgKey:
     )
 
 
-def _merge(control: bytes, diffs_b: Iterator[int], diffs_c: Iterator[int],
+def _merge(control: str, diffs_b: Iterator[int], diffs_c: Iterator[int],
            z0: int, count: int) -> list[int]:
     """First `count` >= 1 bits of z_t = beta_p ^ lambda_q from z_0.  Each
-    position of the control period picks, once, the differences of the
-    stream it moves; the picks repeat and z is the prefix XOR of them."""
-    picks = tuple(map([diffs_c, diffs_b].__getitem__, control))
+    position of the control period (digits "0" and "1") picks, once, the
+    differences of the stream it moves; the picks repeat and z is the
+    prefix XOR of them."""
+    picks = tuple(map({"0": diffs_c, "1": diffs_b}.__getitem__, control))
     moves = map(next, islice(chain.from_iterable(repeat(picks)), count - 1))
     return list(accumulate(moves, xor, initial=z0))
 
 
-def _control(reg: DeBruijnRegister, steps: int) -> bytes:
-    """The control bits of the first `steps` steps, one period at most."""
-    return bytes(de_bruijn_sequence(reg, min(steps, 1 << reg.span)))
+def _control(reg: DeBruijnRegister, steps: int) -> str:
+    """The control bits of the first `steps` steps, one period at most, as
+    digits."""
+    return de_bruijn_digits(reg.base, reg.state.mask, min(steps, 1 << reg.span))
 
 
 def _jumped(poly: BinaryPolynomial, state: BitVector, jump: int, count: int) -> bytes:
@@ -213,7 +216,7 @@ def _alternate(control_reg: DeBruijnRegister, b: tuple[BinaryPolynomial, BitVect
     jumps register b (feedback, state, jump) on a 1 and c on a 0."""
     control = _control(control_reg, count - 1)
     laps, rest = divmod(count - 1, len(control) or 1)
-    ones = laps * control.count(1) + control.count(1, 0, rest)
+    ones = laps * control.count("1") + control.count("1", 0, rest)
     b0, diffs_b = _jumped_diffs(*b, ones + 1)
     c0, diffs_c = _jumped_diffs(*c, count - ones)
     return _merge(control, diffs_b, diffs_c, b0 ^ c0, count)

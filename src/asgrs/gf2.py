@@ -8,8 +8,9 @@ speed in the exhaustive search loops elsewhere in the package.
 State vectors are row vectors and multiply matrices on the right:
 ``xor_rows(v, rows)`` is v times the matrix with row masks ``rows``.  A
 register's k-clock jump is such a matrix, built from x^k mod f (see
-``registers.jump_rows``); ``poly_pow_mod`` holds the package's one
-square-and-multiply loop.
+``registers.jump_rows``); ``poly_pow_mod`` holds the square-and-multiply
+loop modulo any binary polynomial.  ``field.FieldContext.pow`` keeps its
+own, over the field's faster packed arithmetic, for the discrete log.
 """
 
 from __future__ import annotations

@@ -18,11 +18,12 @@ characteristic polynomial of the output recurrence.
 Each register kind has one stepping core, an endless generator of packed
 states (`lfsr_states` clocks a generating register, `jumped_states`
 jumps it k clocks at a time, `de_bruijn_states` steps the control
-register); every other stepping function reads them.  `de_bruijn_bits`
+register); every other stepping function reads them.  `de_bruijn_digits`
 reads the control register's bits off its base register's jumped states,
-splicing in the one extra zero of the de Bruijn cycle.  A nonzero state of
-a primitive register of length m recurs after 2^m - 1 clocks, and every
-span-l state of the de Bruijn register after 2^l steps.
+span bits per lookup, splicing in the one extra zero of the de Bruijn
+cycle.  A nonzero state of a primitive register of length m recurs after
+2^m - 1 clocks, and every span-l state of the de Bruijn register after
+2^l steps.
 
 A jump of k clocks is the polynomial c = x^k mod f: since f(T) = 0 for
 the one-clock map T, the state after k clocks is the XOR of the states
@@ -206,27 +207,51 @@ def de_bruijn_cycle(base: LfsrSpec) -> array:
     return array("I", islice(de_bruijn_states(base, 0), 1 << base.length))
 
 
+def de_bruijn_digits(base: LfsrSpec, state: int, count: int) -> str:
+    """Control bits 0 .. count - 1 of the de Bruijn register over `base`
+    from `state`, as the digits "0" and "1" in time order.
+
+    The register follows its base register except that it passes the
+    all-zero state between state 1 << (span - 1) and state 1, so from a
+    nonzero state its bits are the base register's cell-0 sequence v
+    with a 0 spliced in after each run of span - 1 zeros, v's longest,
+    one per period.  The state after k clocks holds v_(k-span+1) .. v_k,
+    oldest in cell span-1, so v comes span bits per `jumped_states`
+    lookup; the first window, `state` itself, holds the span - 1 bits
+    before v_0.  A run that fills them ended before v_0, so the register
+    has already passed the all-zero state, and the search for runs
+    starts one bit in, where every run ending at v_0 or later lies.
+    """
+    span, count = base.length, max(count, 0)
+    if state == 0:
+        # the all-zero state outputs its 0 and moves to state 1
+        return ("0" + de_bruijn_digits(base, 1, count - 1))[:count]
+    n = -(-(count + span - 1) // span)
+    windows, fmt = islice(jumped_states(base, state, span), n), f"0{span}b"
+    # 256 windows per inner join keep few short strings alive at once:
+    # one join of all 2^16 / 16 windows at (16,15,16) left the peak RSS
+    # of a `keystream` call of 10^6 bits 0.5 MB higher (40.65 against
+    # 40.17 MB in the benchmark's keystream workload)
+    v = "".join(["".join(map(format, islice(windows, 256), repeat(fmt)))
+                 for _ in range(0, n, 256)])
+    run = "0" * (span - 1)
+    return (v[:1] + v[1:].replace(run, run + "0"))[span - 1:span - 1 + count]
+
+
 def de_bruijn_bits(base: LfsrSpec, start: int, count: int) -> int:
     """Control bits start .. start + count - 1 of the de Bruijn cycle over
     `base` as one int: bit i is cell 0 of cycle state (start + i) mod 2^span.
 
-    Cycle state 0 is the all-zero state, and states 1 .. 2^span - 1 are
-    the base register's states from state 1 on, so the bits are the base
-    register's cell-0 sequence v with a 0 spliced in at every multiple of
-    2^span.  The state after k clocks holds v_(k-span+1) .. v_k, oldest in
-    cell span-1, so v comes span bits per `jumped_states` lookup, from a
-    first state reached by one jump of x^k mod f.  Nothing of size
-    2^span is built.
+    Cycle state 0 is the all-zero state, and cycle state p >= 1 is the
+    base register's state p - 1 clocks past state 1, reached by one jump
+    of x^(p-1) mod f; `de_bruijn_digits` reads on from there.  Nothing of
+    size 2^span is built.
     """
-    span, period = base.length, 1 << base.length
-    start %= period
-    jump = poly_pow_mod(X, max(start - 1, 0) + span - 1, base.feedback).mask
-    state = xor_rows(jump, tuple(islice(lfsr_states(base, 1), span)))
-    windows = islice(jumped_states(base, state, span), -(-count // span))
-    v = "".join(map(format, windows, repeat(f"0{span}b")))
-    head = -start % period  # the v bits before the first spliced 0
-    bits = "0".join([v[:head]] + [v[k:k + period - 1] for k in range(head, count, period - 1)])
-    return int(bits[:count][::-1] or "0", 2)
+    span = base.length
+    start %= 1 << span
+    state = start and xor_rows(poly_pow_mod(X, start - 1, base.feedback).mask,
+                               tuple(islice(lfsr_states(base, 1), span)))
+    return int(de_bruijn_digits(base, state, count)[::-1] or "0", 2)
 
 
 def de_bruijn_sequence(reg: DeBruijnRegister, count: int) -> list[int]:

@@ -1,25 +1,49 @@
 import math
 import random
+from array import array
 from dataclasses import dataclass
-from itertools import islice
+from functools import lru_cache, reduce
+from itertools import combinations, islice
+from operator import xor
 
 import pytest
 
 from asgrs import AsgKey, AsgParams, BitMatrix, BitVector
+from asgrs.attack import DecimationFit
+from asgrs.field import is_primitive
+from asgrs.gf2 import BinaryPolynomial
 from asgrs.registers import (
+    PRIMITIVE_POLYNOMIALS,
     LfsrSpec,
     de_bruijn_cycle,
+    jumped_states,
     lfsr_states,
     output_bits,
     primitive_polynomial,
+    state_from_outputs,
 )
+
+
+@lru_cache(maxsize=None)
+def wide_polynomial(degree):
+    """The stock primitive polynomial up to degree 16; above, the first
+    primitive trinomial x^d + x^k + 1 by ascending k, else the first
+    primitive pentanomial by ascending taps, largest tap first."""
+    if degree in PRIMITIVE_POLYNOMIALS:
+        return primitive_polynomial(degree)
+    for taps in [(k,) for k in range(1, degree)] + sorted(
+            combinations(range(1, degree), 3), key=lambda t: t[::-1]):
+        p = BinaryPolynomial(1 << degree | 1 | sum(1 << k for k in taps))
+        if is_primitive(p):
+            return p
+    raise ValueError(f"no primitive trinomial or pentanomial of degree {degree}")
 
 
 def make_params(l, m, n, strict=True):
     return AsgParams(l, m, n,
-                     primitive_polynomial(l),
-                     primitive_polynomial(m),
-                     primitive_polynomial(n),
+                     wide_polynomial(l),
+                     wide_polynomial(m),
+                     wide_polynomial(n),
                      strict=strict)
 
 
@@ -184,3 +208,56 @@ def trace_system_matrix(ctx, r):
         rows.append(row)
         g = ctx.mul(g, gamma)
     return BitMatrix(m, m, tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# Jump recovery by table search: the reference for the package's root and
+# log.  The package once searched this way, with a table of alpha^k.
+
+
+@lru_cache(maxsize=4)
+def _root_table(modulus):
+    """For GF(2^m) over `modulus`: the exponents r coprime to 2^m - 1
+    that lead their Frobenius class (r is the least r 2^j mod 2^m - 1),
+    ascending, and column i = [alpha^(r i) for each such r], i <= m."""
+    m, period = modulus.degree, (1 << modulus.degree) - 1
+    exp = array("I", [0]) * period
+    e, top = 1, 1 << m
+    for k in range(period):
+        exp[k] = e
+        e <<= 1
+        if e & top:
+            e ^= modulus.mask
+    seen, leaders = bytearray(period), []
+    for r in range(1, period):
+        if not seen[r] and math.gcd(r, period) == 1:
+            leaders.append(r)
+            for j in range(m):
+                seen[(r << j) % period] = 1
+    return leaders, [[exp[r * i % period] for r in leaders] for i in range(m + 1)]
+
+
+def reference_jump(ctx, fit, counters=None):
+    """`attack._recover_jump` by table search: r is the least exponent
+    coprime to 2^m - 1 with f(alpha^r) = 0 for the fitted connection
+    polynomial f, and the head is the fitted register jumped by r^-1.
+
+    f has binary coefficients, so f(alpha^(2r)) = f(alpha^r)^2 and the
+    least such r leads its Frobenius class: only class leaders are
+    tried, all at once, one column of the table per term of f.
+    """
+    m = ctx.m
+    if fit.linear_complexity != m:
+        return None
+    leaders, columns = _root_table(ctx.modulus)
+    terms = [columns[i] for i in range(m + 1) if fit.connection.coefficient(i)]
+    values = reduce(lambda acc, col: list(map(xor, acc, col)), terms)
+    r = next((r for r, v in zip(leaders, values) if not v), None)
+    if r is None:
+        return None
+    if counters:
+        counters.trace_solves += 1
+    period = (1 << m) - 1
+    states = jumped_states(LfsrSpec(m, fit.connection),
+                           state_from_outputs(fit.initial_state).mask, pow(r, -1, period))
+    return DecimationFit(r, BitVector.from_bits(list(islice(output_bits(states, m), m))))

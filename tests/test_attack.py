@@ -15,6 +15,7 @@ from asgrs.attack import (
     CandidateModel,
     DecimationFit,
     _attack_chunk,
+    _recover_jump,
     _chunk_control,
     _control_words,
     _sweep_lanes,
@@ -40,8 +41,8 @@ from asgrs.registers import (
     state_from_outputs,
 )
 
-from conftest import (_ref_debruijn_step, make_params, random_valid_key, reference_oracle,
-                      reference_trace, trace_system_matrix)
+from conftest import (_ref_debruijn_step, make_params, random_valid_key, reference_jump,
+                      reference_oracle, reference_trace, trace_system_matrix, wide_polynomial)
 
 P334 = make_params(3, 3, 4)
 P875 = make_params(8, 7, 5)
@@ -360,6 +361,51 @@ class TestRecoverDecimation:
             assert rank(trace_system_matrix(ctx, r)) == m
 
 
+def check_against_table_search(ctx, connection, rng):
+    fit = LfsrFit(ctx.m, connection, BitVector(rng.randrange(1, 1 << ctx.m), ctx.m))
+    got, want = AttackCounters(), AttackCounters()
+    assert _recover_jump(ctx, fit, got) == reference_jump(ctx, fit, want), connection
+    assert got == want
+
+
+class TestRecoverJump:
+    """The root and log against the table search in conftest: the same
+    jump, head and trace_solves count."""
+
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_every_polynomial(self, m, rng):
+        # reducible, irreducible but not primitive, and primitive f alike;
+        # at m = 1 the period is 1 and no jump is admissible
+        ctx = field_context(primitive_polynomial(m))
+        for low in range(1 << m):
+            check_against_table_search(ctx, BinaryPolynomial(1 << m | low), rng)
+
+    @pytest.mark.parametrize("m", range(10, 17))
+    def test_sampled_polynomials(self, m, rng):
+        # uniform f are mostly reducible, so every other one is the
+        # minimal polynomial of a random power of alpha, coprime or not
+        ctx = field_context(primitive_polynomial(m))
+        for i in range(300):
+            conn = BinaryPolynomial(1 << m | rng.randrange(1 << m))
+            if i % 2:
+                power = (ctx.alpha ** rng.randrange(1, 1 << m)).minimal_polynomial()
+                conn = power if power.degree == m else conn
+            check_against_table_search(ctx, conn, rng)
+
+    @pytest.mark.parametrize("m", [6, 12, 20])
+    def test_group_order_with_a_square_factor(self, m, rng):
+        # 2^m - 1 is 3^2 * 7, 3^2 * 5 * 7 * 13 and 3 * 5^2 * 11 * 31 * 41:
+        # the log lifts a second base-q digit, for r coprime to 2^m - 1
+        # and for r sharing each prime with it
+        ctx = field_context(wide_polynomial(m))
+        period = (1 << m) - 1
+        ks = [rng.randrange(1, period) for _ in range(30)] + [3, 5, 7, 25, 3 * 7, 5 * 11]
+        for k in ks:
+            conn = (ctx.alpha ** k).minimal_polynomial()
+            if conn.degree == m:
+                check_against_table_search(ctx, conn, rng)
+
+
 class TestRunAttack:
     def test_end_to_end(self, rng):
         nbits = suggested_keystream_length(P875)
@@ -376,6 +422,18 @@ class TestRunAttack:
                    for k in report.recovered_keys):
                 hits += 1
         assert hits == 5
+
+    @pytest.mark.parametrize("lmn", [(8, 20, 21), (8, 24, 23)], ids=lmn_id)
+    def test_wide_registers(self, lmn, rng):
+        # jump recovery takes time polynomial in m, so registers too wide
+        # for a table of 2^m powers recover like narrow ones
+        params = make_params(*lmn)
+        key = random_valid_key(params, rng)
+        z = keystream(params, key, suggested_keystream_length(params))
+        report = run_attack(AttackConfig(params, z))
+        assert report.counters.trace_solves == 2
+        long_true = keystream(params, key, 4096)
+        assert any(keystream(params, k, 4096) == long_true for k in report.recovered_keys)
 
     def test_short_keystream_rejected(self):
         with pytest.raises(ValueError, match="3\\(m\\+n\\)"):

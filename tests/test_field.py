@@ -4,8 +4,10 @@ import pytest
 
 from asgrs.errors import UnsupportedParameterError
 from asgrs.field import FieldContext, field_context, is_irreducible, is_primitive
-from asgrs.gf2 import BinaryPolynomial
+from asgrs.gf2 import BinaryPolynomial, _poly_mulmod, poly_pow_mod
 from asgrs.registers import primitive_polynomial
+
+from conftest import wide_polynomial
 
 GF8 = field_context(BinaryPolynomial(0b1011))  # x^3 + x + 1
 
@@ -165,6 +167,96 @@ class TestPrimitivity:
         for degree in range(1, 17):
             p = primitive_polynomial(degree)
             assert p.degree == degree and is_primitive(p)
+
+
+def frobenius_class(k, m):
+    period = (1 << m) - 1
+    return {(k << j) % period for j in range(m)}
+
+
+def evaluate(ctx, f, b):
+    """f(b) by Horner's rule."""
+    acc = 0
+    for i in range(f.degree, -1, -1):
+        acc = ctx.mul(acc, b) ^ f.coefficient(i)
+    return acc
+
+
+class TestArithmetic:
+    @pytest.mark.parametrize("m", [2, 3, 8, 13, 16, 20, 24])
+    def test_mul_square_pow_match_polynomial_arithmetic(self, m, rng):
+        ctx = field_context(wide_polynomial(m))
+        mod = ctx.modulus.mask
+        for _ in range(200):
+            a, b = rng.randrange(1 << m), rng.randrange(1 << m)
+            assert ctx.mul(a, b) == _poly_mulmod(a, b, mod)
+            assert ctx.square(a) == _poly_mulmod(a, a, mod)
+            e = rng.randrange(3 << m)
+            assert ctx.pow(a, e) == poly_pow_mod(BinaryPolynomial(a), e, ctx.modulus).mask
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_inverse_exhaustive(self, m):
+        ctx = field_context(primitive_polynomial(m))
+        for a in range(1, 1 << m):
+            assert ctx.mul(a, ctx.inverse(a)) == 1
+        with pytest.raises(ZeroDivisionError):
+            ctx.inverse(0)
+
+
+class TestLog:
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_every_power(self, m):
+        ctx = field_context(primitive_polynomial(m))
+        a = 1
+        for k in range((1 << m) - 1):
+            assert ctx.log(a) == k
+            a = ctx.mul(a, ctx.alpha.mask)
+
+    # 2^6 - 1 = 3^2 * 7, 2^12 - 1 = 3^2 * 5 * 7 * 13,
+    # 2^20 - 1 = 3 * 5^2 * 11 * 31 * 41, 2^24 - 1 = 3^2 * 5 * 7 * 13 * 17 * 241;
+    # 2^19 - 1 is prime, the largest baby-step giant-step below MAX_DEGREE
+    @pytest.mark.parametrize("m", [6, 12, 16, 19, 20, 24])
+    def test_sampled_powers(self, m, rng):
+        ctx = field_context(wide_polynomial(m))
+        period = (1 << m) - 1
+        # multiples of each prime power's digits as well as random k
+        ks = [0, 1, period - 1, 9, 25, 3 * 25, period // 3, period // 9 * 2]
+        ks += [rng.randrange(period) for _ in range(40)]
+        for k in ks:
+            if k < period:
+                assert ctx.log(ctx.pow(ctx.alpha.mask, k)) == k
+
+    def test_zero_rejected(self):
+        with pytest.raises(ValueError):
+            GF8.log(0)
+
+
+class TestRoot:
+    @pytest.mark.parametrize("m", [2, 3, 6, 9, 12, 16, 20, 24])
+    def test_root_of_minimal_polynomial_lies_in_the_class(self, m, rng):
+        ctx = field_context(wide_polynomial(m))
+        period = (1 << m) - 1
+        for k in [1, 3, period - 1] + [rng.randrange(1, period) for _ in range(12)]:
+            root = ctx.root((ctx.alpha ** k).minimal_polynomial())
+            assert ctx.log(root) in frobenius_class(k, m)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_exactly_the_polynomials_that_split(self, m):
+        # f splits into distinct linear factors here iff it divides
+        # y^(2^m) - y; the root found is then one of its roots
+        ctx = field_context(primitive_polynomial(m))
+        for degree in range(1, m + 2):
+            for low in range(1 << degree):
+                f = BinaryPolynomial(1 << degree | low)
+                roots = [b for b in range(1 << m) if not evaluate(ctx, f, b)]
+                root = ctx.root(f)
+                if len(roots) == degree:
+                    assert root in roots
+                else:
+                    assert root is None
+
+    def test_constant_has_no_root(self):
+        assert GF8.root(BinaryPolynomial(1)) is None
 
 
 class TestContext:

@@ -11,6 +11,7 @@ from asgrs.registers import (
     DeBruijnRegister,
     LfsrSpec,
     de_bruijn_cycle,
+    de_bruijn_digits,
     de_bruijn_sequence,
     jump_rows,
     jumped_states,
@@ -275,6 +276,20 @@ class TestDeBruijn:
         cyc = seq + seq[:span - 1]
         windows = {tuple(cyc[i:i + span]) for i in range(1 << span)}
         assert len(windows) == 1 << span
+
+    @pytest.mark.parametrize("span", range(1, 11))
+    def test_digits_match_stepping_from_every_state(self, span):
+        # the all-zero state, the state before it (1 << (span - 1)), the
+        # state after it, and counts that stop short of, reach or pass the
+        # spliced zero
+        base = LfsrSpec(span, primitive_polynomial(span))
+        period = 1 << span
+        for state in range(period):
+            stepped = de_bruijn_sequence(DeBruijnRegister(base, BitVector(state, span)),
+                                         period + 3)
+            for count in (0, 1, span, period - 1, period, period + 3):
+                digits = de_bruijn_digits(base, state, count)
+                assert [int(c) for c in digits] == stepped[:count]
 
     def test_rejects_non_primitive_base(self):
         with pytest.raises(ValueError):
