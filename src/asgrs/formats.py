@@ -114,19 +114,21 @@ def read_key(path: str | Path, params: AsgParams) -> AsgKey:
     return key_from_dict(json.loads(Path(path).read_text()), params)
 
 
+# bytes 0 .. 255 to the digit of their low bit, as `b & 1` reads them
+_DIGIT_OF = bytes(b"01"[i & 1] for i in range(256))
+_BIT_OF = bytes.maketrans(b"01", b"\x00\x01")
+# the ASCII characters str.isspace accepts, \x1c-\x1f among them
+_WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
+
+
 def write_bits(path: str | Path, bits: list[int], fmt: str = "text"):
+    digits = bytes(bits).translate(_DIGIT_OF)
     if fmt == "text":
-        lines = []
-        for i in range(0, len(bits), 64):
-            lines.append("".join(str(b & 1) for b in bits[i:i + 64]))
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        lines = [digits[i:i + 64] for i in range(0, len(digits), 64)]
+        Path(path).write_bytes(b"\n".join(lines) + (b"\n" if lines else b""))
     elif fmt == "binary":
-        payload = bytearray((len(bits) + 7) // 8)
-        for t, b in enumerate(bits):
-            if b & 1:
-                payload[t >> 3] |= 1 << (t & 7)
-        blob = BINARY_MAGIC + len(bits).to_bytes(8, "little") + bytes(payload)
-        Path(path).write_bytes(blob)
+        payload = int(digits[::-1] or b"0", 2).to_bytes((len(bits) + 7) // 8, "little")
+        Path(path).write_bytes(BINARY_MAGIC + len(bits).to_bytes(8, "little") + payload)
     else:
         raise ValueError(f"unknown bitstream format {fmt!r}")
 
@@ -147,14 +149,14 @@ def read_bits(path: str | Path) -> list[int]:
                              f"past its {count}-bit payload")
         if count % 8 and payload[-1] >> (count % 8):
             raise ValueError(f"binary bitstream sets padding bits past bit {count}")
-        return [(payload[t >> 3] >> (t & 7)) & 1 for t in range(count)]
-    bits = []
-    for ch in raw.decode("ascii"):
-        if ch in "01":
-            bits.append(ch == "1")
-        elif not ch.isspace():
-            raise ValueError(f"unexpected character {ch!r} in text bitstream")
-    return [int(b) for b in bits]
+        digits = format(int.from_bytes(payload, "little"), f"0{count}b")[::-1][:count]
+        return list(digits.encode().translate(_BIT_OF))
+    raw.decode("ascii")
+    digits = raw.translate(None, _WHITESPACE)
+    bad = digits.translate(None, b"01")
+    if bad:
+        raise ValueError(f"unexpected character {chr(bad[0])!r} in text bitstream")
+    return list(digits.translate(_BIT_OF))
 
 
 def report_to_dict(report: AttackReport) -> dict:

@@ -17,13 +17,23 @@ after p jumps, lambda_q is C's after q jumps, and p and q count the 1s
 and 0s among the control bits before step t.  Both entry points share
 one merge (`_merge`, the inverse of the attack's peeling): a control-1
 step changes z by beta_p ^ beta_{p+1}, a control-0 step by
-lambda_q ^ lambda_{q+1}.  Both build each sequence once, one period
-at most: min(count - 1, 2^l) control bits as a string of digits, and
-min(need, 2^m - 1) B and min(need, 2^n - 1) C outputs as `bytes`,
-`need` counted from the control bits.  That period holds for
-irreducible feedback, which every generator and every model
-`reduce_to_classical` builds has; a hand-built model with other
-feedback gets all `need` outputs.
+lambda_q ^ lambda_{q+1}.  Each sequence is built once as digits, one
+period at most: min(count - 1, 2^l) control bits, and the `need`
+outputs of each stream that they call for, at most 2^L - 1 from a
+register of length L with irreducible feedback (a hand-built model with
+other feedback gets all `need`).  `classical_asg_keystream` reads its
+model's registers, and `keystream` reads each stream off its substitute
+register, the fit `reduce_to_classical` makes, so it runs the classical
+generator over the reduced model; both read L outputs per L-clock jump
+(`registers.output_digits`).  A stream too short to repay its fit is
+stepped one jump per output instead.
+
+The merge works a block of whole control laps at a time, on Python
+ints with one bit per step: the expand network of Hacker's Delight
+(section 7-5) deposits the block's B differences into its control-1
+positions and its C differences into its 0-positions, with stage masks
+built once for every block, and z is the block's prefix XOR, taken in
+log(width) shift-xors and written out a block of `bytes` at a time.
 
 Because B only ever moves in strides of r, its stream is the r-fold
 decimation of B's regular output sequence (and likewise s for C).
@@ -38,9 +48,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat
-from operator import xor
-from typing import Iterator
+from functools import partial
+from itertools import islice
+from typing import Callable
 
 from .analysis import berlekamp_massey
 from .errors import DegenerateStateError, KeyValidationError
@@ -53,6 +63,7 @@ from .registers import (
     de_bruijn_digits,
     jumped_states,
     output_bits,
+    output_digits,
     state_from_outputs,
 )
 
@@ -176,15 +187,112 @@ def random_key(params: AsgParams, rng: random.Random) -> AsgKey:
     )
 
 
-def _merge(control: str, diffs_b: Iterator[int], diffs_c: Iterator[int],
-           z0: int, count: int) -> list[int]:
-    """First `count` >= 1 bits of z_t = beta_p ^ lambda_q from z_0.  Each
-    position of the control period (digits "0" and "1") picks, once, the
-    differences of the stream it moves; the picks repeat and z is the
-    prefix XOR of them."""
-    picks = tuple(map({"0": diffs_c, "1": diffs_b}.__getitem__, control))
-    moves = map(next, islice(chain.from_iterable(repeat(picks)), count - 1))
-    return list(accumulate(moves, xor, initial=z0))
+# A merge block holds whole control laps and at least this many
+# positions, unless the keystream is shorter; one set of deposit masks
+# serves every block.
+_BLOCK_BITS = 1 << 12
+
+# A decimated stream of at most this many outputs is stepped one jump
+# per output: below it, the fit of 2m head bits and the L-clock table of
+# the substitute register cost more than they save.  With cold tables
+# the two paths cost the same at about 1024 outputs for m = 13 to 16
+# (0.25-0.35 ms each on a 2-CPU host, Python 3.11); with warm ones the
+# fit already wins from about 400.
+_SHORT_STREAM = 1024
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _expand_stages(mask: int, width: int) -> tuple[tuple[int, int], ...]:
+    """The stages of the expand network (Hacker's Delight, section 7-5)
+    that deposits bits 0, 1, ... of a word into the set bits of `mask`,
+    a `width`-bit mask, lowest first: (shift, positions that take the
+    bit `shift` below), in the order they apply.
+
+    A bit moves up by the number of 0s of `mask` below its target.
+    Stage i moves the bits whose count has bit i set by 2^i, and the
+    parallel prefix XOR of the 0s to each position's right marks them.
+    """
+    full = (1 << width) - 1
+    zeros_right = ((full ^ mask) << 1) & full
+    stages = []
+    shift = 1
+    while shift < width:
+        odd = zeros_right
+        step = 1
+        while step < width:
+            odd ^= odd << step
+            step <<= 1
+        odd &= full
+        moved = odd & mask
+        if moved:
+            stages.append((shift, moved))
+        mask = (mask ^ moved) | (moved >> shift)
+        zeros_right &= ~odd
+        shift <<= 1
+    return tuple(reversed(stages))
+
+
+def _expand(word: int, stages: tuple[tuple[int, int], ...]) -> int:
+    """`word` after the network of `_expand_stages`; only its bits at the
+    mask's set positions are meaningful."""
+    for shift, moved in stages:
+        word ^= (word ^ (word << shift)) & moved
+    return word
+
+
+def _differences(stream: str, take: int) -> int:
+    """d_p = s_p ^ s_(p+1) of a stream given as one period of digits, the
+    last one wrapping, as an int (bit p = d_p) repeated so that `take`
+    bits from any offset below the period lie inside it."""
+    period = len(stream)
+    s = int(stream[::-1], 2)
+    d = s ^ (s >> 1) ^ ((s & 1) << (period - 1))
+    return int(format(d, f"0{period}b") * (1 + -(-take // period)), 2)
+
+
+def _merge(control: str, b: str, c: str, count: int) -> list[int]:
+    """First `count` >= 1 bits of z_t = beta_p ^ lambda_q from the control
+    period and a period (or all needed outputs) of each stream, as digits.
+
+    z changes at step t by the next B difference where control bit t is
+    1 and by the next C difference where it is 0.  Each block of whole
+    control laps deposits its B differences into its 1-positions and its
+    C differences into its 0-positions with the expand network, whose
+    stage masks are the same for every block, then takes the prefix XOR
+    in log(width) shift-xors and writes its bits out.
+    """
+    z = int(b[0]) ^ int(c[0])
+    out = [z]
+    steps = count - 1
+    if not steps:
+        return out
+    period = len(control)
+    width = min(-(-_BLOCK_BITS // period) * period, steps)
+    ones = int((control * -(-width // period))[:width][::-1], 2)
+    full = (1 << width) - 1
+    zeros = full ^ ones
+    take_b = ones.bit_count()
+    take_c = width - take_b
+    diffs_b, diffs_c = _differences(b, take_b), _differences(c, take_c)
+    to_b, to_c = _expand_stages(ones, width), _expand_stages(zeros, width)
+    at_b = at_c = 0
+    fmt = f"0{width}b"
+    for start in range(0, steps, width):
+        x = (_expand((diffs_b >> at_b) & ((1 << take_b) - 1), to_b) & ones
+             | _expand((diffs_c >> at_c) & ((1 << take_c) - 1), to_c) & zeros)
+        at_b = (at_b + take_b) % len(b)
+        at_c = (at_c + take_c) % len(c)
+        shift = 1
+        while shift < width:
+            x ^= x << shift
+            shift <<= 1
+        if z:
+            x = ~x
+        out += format(x & full, fmt)[::-1][:steps - start].encode().translate(_BITS)
+        z = out[-1]
+    return out
 
 
 def _control(reg: DeBruijnRegister, steps: int) -> str:
@@ -199,27 +307,47 @@ def _jumped(poly: BinaryPolynomial, state: BitVector, jump: int, count: int) -> 
     return bytes(output_bits(islice(jumped_states(spec, state.mask, jump), count), spec.length))
 
 
-def _jumped_diffs(poly: BinaryPolynomial, state: BitVector, jump: int,
-                  need: int) -> tuple[int, Iterator[int]]:
-    """The first output and the endless differences of `need` outputs
-    after jumps.  Irreducible feedback has T^(2^L - 1) = I, so one period
-    at most is built and repeated; other feedback is assumed to repeat
-    nowhere, and all `need` outputs are built."""
-    period = (1 << state.length) - 1 if is_irreducible(poly) else need
-    bits = _jumped(poly, state, jump, min(need, period))
-    return bits[0], chain.from_iterable(repeat(bytes(map(xor, bits, bits[1:] + bits[:1]))))
+def _register(spec: LfsrSpec, state: BitVector, need: int) -> str:
+    """The first `need` outputs of a unit-clocked model register as
+    digits, one period at most.  Irreducible feedback has T^(2^L - 1) = I;
+    a hand-built model with other feedback is assumed to repeat nowhere,
+    and all `need` outputs are built."""
+    period = (1 << spec.length) - 1 if is_irreducible(spec.feedback) else need
+    return output_digits(spec, state.mask, min(need, period))
 
 
-def _alternate(control_reg: DeBruijnRegister, b: tuple[BinaryPolynomial, BitVector, int],
-               c: tuple[BinaryPolynomial, BitVector, int], count: int) -> list[int]:
+def _decimated(poly: BinaryPolynomial, state: BitVector, jump: int, need: int) -> str:
+    """The first `need` outputs of a primitive register after 0, 1, ...
+    jumps of `jump`, as digits, one period at most.
+
+    A stream of more than `_SHORT_STREAM` outputs is read off its
+    substitute register, the Berlekamp-Massey fit of its 2m head bits.
+    The stream b_(jump*t) = Tr(u (alpha^jump)^t) obeys the minimal
+    polynomial of alpha^jump, irreducible of degree L <= m, so it repeats
+    after 2^L - 1 outputs; L < m only when gcd(jump, 2^m - 1) > 1, and
+    L = 0 when the stream is all zero.
+    """
+    if need <= _SHORT_STREAM:
+        period = (1 << state.length) - 1
+        return _jumped(poly, state, jump, min(need, period)).translate(_DIGITS).decode()
+    fit = berlekamp_massey(_jumped(poly, state, jump, 2 * state.length))
+    length = fit.linear_complexity
+    if not length:
+        return "0"
+    return output_digits(LfsrSpec(length, fit.connection),
+                         state_from_outputs(fit.initial_state).mask,
+                         min(need, (1 << length) - 1))
+
+
+def _alternate(control_reg: DeBruijnRegister, stream_b: Callable[[int], str],
+               stream_c: Callable[[int], str], count: int) -> list[int]:
     """First `count` >= 1 bits of the generator whose control register
-    jumps register b (feedback, state, jump) on a 1 and c on a 0."""
+    moves stream b on a 1 and stream c on a 0; stream_x(need) gives the
+    first `need` outputs of x, one period at most."""
     control = _control(control_reg, count - 1)
     laps, rest = divmod(count - 1, len(control) or 1)
     ones = laps * control.count("1") + control.count("1", 0, rest)
-    b0, diffs_b = _jumped_diffs(*b, ones + 1)
-    c0, diffs_c = _jumped_diffs(*c, count - ones)
-    return _merge(control, diffs_b, diffs_c, b0 ^ c0, count)
+    return _merge(control, stream_b(ones + 1), stream_c(count - ones), count)
 
 
 def keystream(params: AsgParams, key: AsgKey, count: int) -> list[int]:
@@ -228,8 +356,8 @@ def keystream(params: AsgParams, key: AsgKey, count: int) -> list[int]:
     if count <= 0:
         return []
     return _alternate(DeBruijnRegister(LfsrSpec(params.l, params.poly_a), key.state_a),
-                      (params.poly_b, key.state_b, key.r),
-                      (params.poly_c, key.state_c, key.s), count)
+                      partial(_decimated, params.poly_b, key.state_b, key.r),
+                      partial(_decimated, params.poly_c, key.state_c, key.s), count)
 
 
 @dataclass(frozen=True)
@@ -268,14 +396,13 @@ def reduce_to_classical(params: AsgParams, key: AsgKey) -> ReducedModel:
 
 def _decimated_register(poly: BinaryPolynomial, m: int, state: BitVector,
                         jump: int) -> tuple[LfsrSpec, BitVector]:
-    head = list(_jumped(poly, state, jump, 2 * m))
-    fit = berlekamp_massey(head)
+    fit = berlekamp_massey(_jumped(poly, state, jump, 2 * m))
     if fit.linear_complexity != m:
         # only possible when gcd(jump, period) > 1, i.e. non-strict keys
         raise DegenerateStateError(
             f"decimation by {jump} collapses the register: linear complexity "
             f"{fit.linear_complexity} < {m}")
-    return LfsrSpec(m, fit.connection), state_from_outputs(head[:m])
+    return LfsrSpec(m, fit.connection), state_from_outputs(fit.initial_state)
 
 
 def classical_asg_keystream(model: ReducedModel, count: int) -> list[int]:
@@ -284,5 +411,5 @@ def classical_asg_keystream(model: ReducedModel, count: int) -> list[int]:
         raise DegenerateStateError("all-zero generating register in reduced model")
     if count <= 0:
         return []
-    return _alternate(model.control, (model.beta_spec.feedback, model.beta_state, 1),
-                      (model.lambda_spec.feedback, model.lambda_state, 1), count)
+    return _alternate(model.control, partial(_register, model.beta_spec, model.beta_state),
+                      partial(_register, model.lambda_spec, model.lambda_state), count)

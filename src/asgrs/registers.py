@@ -18,12 +18,14 @@ characteristic polynomial of the output recurrence.
 Each register kind has one stepping core, an endless generator of packed
 states (`lfsr_states` clocks a generating register, `jumped_states`
 jumps it k clocks at a time, `de_bruijn_states` steps the control
-register); every other stepping function reads them.  `de_bruijn_digits`
-reads the control register's bits off its base register's jumped states,
-span bits per lookup, splicing in the one extra zero of the de Bruijn
-cycle.  A nonzero state of a primitive register of length m recurs after
-2^m - 1 clocks, and every span-l state of the de Bruijn register after
-2^l steps.
+register); every other stepping function reads them.  A state holds the
+register's next L outputs, so `output_digits` reads a generating
+register's outputs off its L-clock jumped states, L per lookup: the
+generator reads its streams this way, and `de_bruijn_digits` the
+control register's bits off its base register, splicing in the one
+extra zero of the de Bruijn cycle.  A nonzero state of a primitive
+register of length m recurs after 2^m - 1 clocks, and every span-l
+state of the de Bruijn register after 2^l steps.
 
 A jump of k clocks is the polynomial c = x^k mod f: since f(T) = 0 for
 the one-clock map T, the state after k clocks is the XOR of the states
@@ -207,6 +209,25 @@ def de_bruijn_cycle(base: LfsrSpec) -> array:
     return array("I", islice(de_bruijn_states(base, 0), 1 << base.length))
 
 
+def output_digits(spec: LfsrSpec, state: int, count: int) -> str:
+    """Output bits 0 .. count - 1 of the generating register from `state`,
+    as the digits "0" and "1" in time order.
+
+    The state after k clocks holds outputs k .. k + L - 1, the first in
+    cell L - 1, so its L-digit binary form is those outputs in time order
+    and the outputs come L per `jumped_states` lookup of L clocks.
+    """
+    length, count = spec.length, max(count, 0)
+    n = -(-count // length)
+    windows, fmt = islice(jumped_states(spec, state, length), n), f"0{length}b"
+    # 256 windows per inner join keep few short strings alive at once:
+    # one join of all 2^16 / 16 windows at (16,15,16) left the peak RSS
+    # of a `keystream` call of 10^6 bits 0.5 MB higher (40.65 against
+    # 40.17 MB in the benchmark's keystream workload)
+    return "".join(["".join(map(format, islice(windows, 256), repeat(fmt)))
+                    for _ in range(0, n, 256)])[:count]
+
+
 def de_bruijn_digits(base: LfsrSpec, state: int, count: int) -> str:
     """Control bits 0 .. count - 1 of the de Bruijn register over `base`
     from `state`, as the digits "0" and "1" in time order.
@@ -216,24 +237,18 @@ def de_bruijn_digits(base: LfsrSpec, state: int, count: int) -> str:
     nonzero state its bits are the base register's cell-0 sequence v
     with a 0 spliced in after each run of span - 1 zeros, v's longest,
     one per period.  The state after k clocks holds v_(k-span+1) .. v_k,
-    oldest in cell span-1, so v comes span bits per `jumped_states`
-    lookup; the first window, `state` itself, holds the span - 1 bits
-    before v_0.  A run that fills them ended before v_0, so the register
-    has already passed the all-zero state, and the search for runs
-    starts one bit in, where every run ending at v_0 or later lies.
+    oldest in cell span-1, so v is the base register's cell span - 1
+    output (`output_digits`) from `state`, whose first span - 1 bits
+    are the ones before v_0.  A run that fills them ended before v_0, so
+    the register has already passed the all-zero state, and the search
+    for runs starts one bit in, where every run ending at v_0 or later
+    lies.
     """
     span, count = base.length, max(count, 0)
     if state == 0:
         # the all-zero state outputs its 0 and moves to state 1
         return ("0" + de_bruijn_digits(base, 1, count - 1))[:count]
-    n = -(-(count + span - 1) // span)
-    windows, fmt = islice(jumped_states(base, state, span), n), f"0{span}b"
-    # 256 windows per inner join keep few short strings alive at once:
-    # one join of all 2^16 / 16 windows at (16,15,16) left the peak RSS
-    # of a `keystream` call of 10^6 bits 0.5 MB higher (40.65 against
-    # 40.17 MB in the benchmark's keystream workload)
-    v = "".join(["".join(map(format, islice(windows, 256), repeat(fmt)))
-                 for _ in range(0, n, 256)])
+    v = output_digits(base, state, count + span - 1)
     run = "0" * (span - 1)
     return (v[:1] + v[1:].replace(run, run + "0"))[span - 1:span - 1 + count]
 

@@ -128,6 +128,40 @@ def reference_keystream(params, key, count):
     return reference_trace(params, key, count).keystream
 
 
+def _ref_orbit(cells, step, poly_mask, cell):
+    """Cell `cell` of the states from `cells` on under `step`, until a
+    state recurs: (bits, the index where the cycle starts)."""
+    seen, bits = {}, []
+    while tuple(cells) not in seen:
+        seen[tuple(cells)] = len(bits)
+        bits.append(cells[cell])
+        cells = step(cells, poly_mask)
+    return bits, seen[tuple(cells)]
+
+
+def _ref_at(orbit, k):
+    bits, start = orbit
+    return bits[k] if k < len(bits) else bits[start + (k - start) % (len(bits) - start)]
+
+
+def reference_keystream_by_orbits(params, key, count):
+    """`reference_keystream` read off each register's orbit under the
+    same reference steppers instead of stepped bit by bit: z_t = beta_p
+    ^ lambda_q, where beta_p is B's output p * r clocks on.  Fast enough
+    for keystreams of many control laps and merge blocks."""
+    a = _ref_orbit(list(key.state_a), _ref_debruijn_step, params.poly_a.mask, 0)
+    b = _ref_orbit(list(key.state_b), _ref_lfsr_step, params.poly_b.mask, -1)
+    c = _ref_orbit(list(key.state_c), _ref_lfsr_step, params.poly_c.mask, -1)
+    out, p, q = [], 0, 0
+    for t in range(count):
+        out.append(_ref_at(b, p * key.r) ^ _ref_at(c, q * key.s))
+        if _ref_at(a, t):
+            p += 1
+        else:
+            q += 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Per-candidate brute-force oracle: the reference the hash-join oracle is
 # checked against.  It tests every (phase, r, B state, s, C state) tuple

@@ -19,6 +19,26 @@ class TestBitstreams:
         formats.write_bits(path, bits, fmt=fmt)
         assert formats.read_bits(path) == bits
 
+    @staticmethod
+    def per_bit_file(bits, fmt):
+        """The bytes of a bitstream file written one bit at a time."""
+        if fmt == "text":
+            lines = ["".join(str(b) for b in bits[i:i + 64]) for i in range(0, len(bits), 64)]
+            return ("\n".join(lines) + ("\n" if lines else "")).encode()
+        payload = bytearray((len(bits) + 7) // 8)
+        for t, b in enumerate(bits):
+            payload[t >> 3] |= b << (t & 7)
+        return b"ASGB" + len(bits).to_bytes(8, "little") + bytes(payload)
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 63, 64, 65, 10 ** 5])
+    def test_round_trip_counts(self, tmp_path, count, rng):
+        bits = [rng.randrange(2) for _ in range(count)]
+        for fmt in ("text", "binary"):
+            path = tmp_path / f"bits.{fmt}"
+            formats.write_bits(path, bits, fmt=fmt)
+            assert path.read_bytes() == self.per_bit_file(bits, fmt)
+            assert formats.read_bits(path) == bits
+
     @pytest.mark.parametrize("fmt", ("text", "binary"))
     def test_empty(self, tmp_path, fmt):
         path = tmp_path / "empty"
@@ -32,13 +52,20 @@ class TestBitstreams:
         assert formats.read_bits(tmp_path / "t") == formats.read_bits(tmp_path / "b")
 
     def test_text_whitespace_ignored(self, tmp_path):
-        (tmp_path / "w").write_text(" 1 0\n\t1\r\n01 \n")
-        assert formats.read_bits(tmp_path / "w") == [1, 0, 1, 0, 1]
+        # every ASCII character str.isspace accepts, \x1c-\x1f among them
+        (tmp_path / "w").write_text(" 1 0\n\t1\r\n01 \n\x0b1\x0c\x1c0\x1d\x1e\x1f1")
+        assert formats.read_bits(tmp_path / "w") == [1, 0, 1, 0, 1, 1, 0, 1]
 
     def test_text_garbage_rejected(self, tmp_path):
-        (tmp_path / "g").write_text("0102")
-        with pytest.raises(ValueError):
-            formats.read_bits(tmp_path / "g")
+        # the message names the first bad character
+        for text, bad in (("0102", "'2'"), ("01 \x1fx1y", "'x'"), ("1\x00", "'\\x00'")):
+            (tmp_path / "g").write_text(text)
+            with pytest.raises(ValueError, match=re.escape(f"unexpected character {bad}")):
+                formats.read_bits(tmp_path / "g")
+        # U+0085 is whitespace to str.isspace, but not ASCII
+        (tmp_path / "u").write_bytes(b"01\xc2\x850")
+        with pytest.raises(ValueError, match="'ascii' codec can't decode byte 0xc2"):
+            formats.read_bits(tmp_path / "u")
 
     def test_binary_truncation_detected(self, tmp_path):
         formats.write_bits(tmp_path / "b", [1] * 64, fmt="binary")

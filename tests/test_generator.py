@@ -7,9 +7,12 @@ from asgrs.analysis import measure_period
 from asgrs.errors import DegenerateStateError, KeyValidationError
 from asgrs.field import field_context
 from asgrs.generator import (
+    _BLOCK_BITS,
     AsgKey,
     AsgParams,
     ReducedModel,
+    _expand,
+    _expand_stages,
     classical_asg_keystream,
     keystream,
     random_key,
@@ -26,7 +29,13 @@ from asgrs.registers import (
     primitive_polynomial,
 )
 
-from conftest import make_params, random_valid_key, reference_keystream, reference_trace
+from conftest import (
+    make_params,
+    random_valid_key,
+    reference_keystream,
+    reference_keystream_by_orbits,
+    reference_trace,
+)
 
 P334 = make_params(3, 3, 4)
 
@@ -116,11 +125,23 @@ class TestRandomKey:
 class TestKeystream:
     @staticmethod
     def edge_counts(l, moves):
-        """0, 1, 2, k * 2^l and k * 2^l +- 1, and a count long enough for
-        each generating register to move about `moves` times."""
+        """0, 1, 2, k * 2^l and k * 2^l +- 1, counts whose count - 1 steps
+        are k * N and k * N +- 1 for the merge block width N (2^12 for
+        l <= 12, many control laps per block when l is small), and a count
+        long enough for each generating register to move about `moves`
+        times."""
         period = 1 << l
         laps = [k * period + d for k in range(1, 4) for d in (-1, 0, 1)]
-        return sorted({0, 1, 2, *laps, 2 * moves + 3})
+        blocks = [k * _BLOCK_BITS + d for k in range(1, 4) for d in (0, 1, 2)]
+        return sorted({0, 1, 2, *laps, *blocks, 2 * moves + 3})
+
+    @staticmethod
+    def reference(params, key, count):
+        """The reference keystream of `count` bits, read off the register
+        orbits and checked against the stepped simulator on 200 bits."""
+        expected = reference_keystream_by_orbits(params, key, count)
+        assert expected[:200] == reference_keystream(params, key, min(count, 200))
+        return expected
 
     def test_empty(self):
         model = reduce_to_classical(P334, fixed_key())
@@ -147,6 +168,9 @@ class TestKeystream:
         # non-strict keys: jumps sharing a factor with the period shorten the
         # jumped streams (r = 3, 5 at m = 4 give periods 5, 3, not 15), and
         # jumps of at least a period wrap; counts straddle control periods
+        # and merge blocks.  The fit of a long stream is then shorter than
+        # m (r = 5, 20 at m = 4; s = 9, 21 at n = 6), or empty for an
+        # all-zero stream
         for l, m, n, jumps_r, jumps_s in ((2, 4, 3, (3, 5, 16, 20), (1, 8, 9)),
                                           (3, 4, 6, (5, 6, 17), (3, 7, 9, 21, 64)),
                                           (4, 3, 5, (2, 7 + 3, 7 + 7 + 1), (32, 33))):
@@ -157,9 +181,10 @@ class TestKeystream:
                                  BitVector(rng.randrange(1, 1 << m), m),
                                  BitVector(rng.randrange(1, 1 << n), n), r, s)
                     assert validate(params, key) == []
-                    for count in self.edge_counts(l, 64):
-                        expected = reference_keystream(params, key, count)
-                        assert keystream(params, key, count) == expected
+                    counts = self.edge_counts(l, 64)
+                    expected = self.reference(params, key, counts[-1])
+                    for count in counts:
+                        assert keystream(params, key, count) == expected[:count], count
 
     def test_jump_cache_is_bounded(self, rng):
         bound = jump_rows.cache_info().maxsize
@@ -184,20 +209,22 @@ class TestKeystream:
             assert measure_period(keystream(P334, key, 1680)) == 840
 
     @pytest.mark.parametrize("dims", [(1, 2, 3), (2, 3, 2), (2, 5, 4), (3, 3, 5),
-                                      (4, 5, 3), (4, 2, 5)])
+                                      (4, 5, 3), (4, 2, 5), (13, 3, 4)])
     def test_edge_counts_match_reference(self, dims, rng):
         # the jumped streams are built one period long and repeated, so
         # counts at and around control laps, and streams several B and C
-        # periods long, are where an off-by-one would show
+        # periods long, are where an off-by-one would show; at l = 13 a
+        # control lap is longer than 2^12, and a merge block is one lap
         params = make_params(*dims)
         l, m, n = dims
         for _ in range(4):
             key = random_valid_key(params, rng)
             model = reduce_to_classical(params, key)
-            for count in self.edge_counts(l, 4 << max(m, n)):
-                expected = reference_keystream(params, key, count)
-                assert keystream(params, key, count) == expected, count
-                assert classical_asg_keystream(model, count) == expected, count
+            counts = self.edge_counts(l, 4 << max(m, n))
+            expected = self.reference(params, key, counts[-1])
+            for count in counts:
+                assert keystream(params, key, count) == expected[:count], count
+                assert classical_asg_keystream(model, count) == expected[:count], count
 
     def test_peak_memory_is_the_output(self, rng):
         # one period of each sequence is held, never a count-sized copy
@@ -297,6 +324,16 @@ class TestReduction:
         assert len(keystream(params, key, 16)) == 16
         with pytest.raises(DegenerateStateError):
             reduce_to_classical(params, key)
+        # keystream still reads such long streams off their shorter fits:
+        # from B states 0x1, 0x6 and 0x7 the stream of r = 5 is all zero (an
+        # empty fit), from the others it has linear complexity 2
+        counts = TestKeystream.edge_counts(3, 64)
+        for b_state in range(1, 16):
+            for r in (5, 20):
+                key = AsgKey(BitVector(5, 3), BitVector(b_state, 4), BitVector(3, 3), r, 1)
+                expected = TestKeystream.reference(params, key, counts[-1])
+                for count in counts:
+                    assert keystream(params, key, count) == expected[:count], (b_state, r, count)
 
     @pytest.mark.parametrize("m", range(3, 9))
     def test_matches_field_minimal_polynomial(self, m, rng):
@@ -346,3 +383,27 @@ class TestReduction:
             key = AsgKey(control.state, beta, lam, 1, 1)
             for count in (0, 1, 2, 7, 8, 9, 17, 100):
                 assert classical_asg_keystream(model, count) == reference_keystream(params, key, count)
+
+
+class TestExpand:
+    @staticmethod
+    def deposit(word, mask):
+        """Bits 0, 1, ... of `word` at the set bits of `mask`, lowest
+        first, one bit at a time."""
+        out = k = 0
+        for i in range(mask.bit_length()):
+            if mask >> i & 1:
+                out |= (word >> k & 1) << i
+                k += 1
+        return out
+
+    def test_matches_per_bit_deposit(self, rng):
+        cases = [(width, mask) for width in range(1, 201)
+                 for mask in (0, (1 << width) - 1, rng.getrandbits(width),
+                              rng.getrandbits(width) & rng.getrandbits(width))]
+        wide = 1 << 16
+        cases += [(wide, mask) for mask in (0, (1 << wide) - 1, rng.getrandbits(wide))]
+        for width, mask in cases:
+            word = rng.getrandbits(mask.bit_count())
+            got = _expand(word, _expand_stages(mask, width)) & mask
+            assert got == self.deposit(word, mask), (width, mask)
