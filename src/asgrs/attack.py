@@ -128,10 +128,14 @@ class AttackConfig:
                 f"keystream of {len(self.keystream)} bits is below the "
                 f"minimum requirement of 3(m+n) = {minimum}")
         require_bits(self.keystream)
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be positive")
-        if self.worker_count < 1:
-            raise ValueError("worker_count must be positive")
+        # bool is an int subclass; a float knob would pass a bounds check
+        # and fail only after the sweep, slicing or sizing the pool
+        for name in ("max_candidates", "worker_count"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 def suggested_keystream_length(params: AsgParams) -> int:
@@ -328,7 +332,12 @@ def _recover_key(config: AttackConfig, cand: CandidateModel,
 # Guesses swept at once.  Wider chunks spread each step's Python work over
 # more lanes: at (l, 7, 9), l = 16 .. 22, 2^16 lanes take about 0.65 of
 # the time per guess of 2^14, and 2^17 gains nothing steady.  Each
-# worker's lane slices stay near 2 MB whatever l is.
+# worker's lane slices stay near 2 MB whatever l is.  It also sizes the
+# process pool: run_attack gives each worker at least one full chunk of
+# CHUNK_LANES / 2 cycle positions, because a pool costs more to start than
+# splitting a smaller sweep saves (at (14, 7, 9) on 2 CPUs, 2 workers took
+# 28-39 ms against 13-14 ms for 1), so below 2^l = CHUNK_LANES the sweep
+# runs in-process whatever worker_count is.
 CHUNK_LANES = 1 << 16
 
 
@@ -480,14 +489,16 @@ def run_attack(config: AttackConfig) -> AttackReport:
     Every reported key regenerates the entire input keystream; reports
     are deterministic for a given config regardless of worker_count
     (wall time aside): keys come in ascending (control state, beta_0)
-    order.  At most min(worker_count, 2^l, usable CPUs) processes run
-    the sweep, each over a contiguous range of de Bruijn cycle
-    positions.  The candidate list is truncated to max_candidates after
-    the full sweep, so counters always reflect the complete search.
+    order.  The sweep runs in min(worker_count, usable CPUs,
+    ceil(2^l / (CHUNK_LANES / 2))) processes, each over a contiguous range
+    of de Bruijn cycle positions, so every worker gets at least one full
+    chunk; with one, it runs in this process and no pool starts.  The
+    candidate list is truncated to max_candidates after the full sweep, so
+    counters always reflect the complete search.
     """
     start = time.perf_counter()
     total = 1 << config.params.l
-    workers = min(config.worker_count, total, _usable_cpus())
+    workers = min(config.worker_count, _usable_cpus(), -(-total // (CHUNK_LANES // 2)))
     bounds = [(total * i // workers, total * (i + 1) // workers)
               for i in range(workers)]
     if workers == 1:

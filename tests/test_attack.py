@@ -455,20 +455,25 @@ class TestRunAttack:
             assert keystream(P334, k, len(z)) == z
             assert k in matching
 
-    def test_deterministic_across_workers(self, rng):
+    def test_deterministic_across_workers(self, rng, monkeypatch):
+        # one-position chunks, so that 2 and 4 workers start a real pool
         key = random_valid_key(P334, rng)
         z = keystream(P334, key, suggested_keystream_length(P334))
         reports = [run_attack(AttackConfig(P334, z, worker_count=w)) for w in (1, 2, 4)]
+        monkeypatch.setattr(attack, "CHUNK_LANES", 2)
+        reports += [run_attack(AttackConfig(P334, z, worker_count=w)) for w in (1, 2, 4)]
         for rep in reports[1:]:
             assert rep.recovered_keys == reports[0].recovered_keys
             assert rep.counters == reports[0].counters
 
     def test_worker_count_clamped_to_cpus(self, rng, monkeypatch):
         # without an affinity call the CPU count is the clamp; a missing
-        # clamp reaches the pool stub and fails without starting any process
+        # clamp reaches the pool stub and fails without starting any process.
+        # One-position chunks, so that the chunk count does not clamp first
         def no_pool(*args, **kwargs):
             raise AssertionError("run_attack asked for a process pool")
 
+        monkeypatch.setattr(attack, "CHUNK_LANES", 2)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
@@ -483,6 +488,7 @@ class TestRunAttack:
         def no_pool(*args, **kwargs):
             raise AssertionError("run_attack asked for a process pool")
 
+        monkeypatch.setattr(attack, "CHUNK_LANES", 2)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 64)
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
@@ -491,6 +497,66 @@ class TestRunAttack:
         report = run_attack(AttackConfig(P334, z, worker_count=4))
         assert report.counters.a_states_tried == 1 << P334.l
         assert report.recovered_keys == run_attack(AttackConfig(P334, z)).recovered_keys
+
+    @pytest.mark.parametrize("chunk, worker_counts, pool", [
+        # 2^l = 8 positions: chunks of 8 give no pool; chunks of 7 leave
+        # one position over, so a second worker gets it
+        (16, (1, 2, 5, 100), None),
+        (17, (100,), None),
+        (14, (1,), None),
+        (14, (2, 100), 2),
+        # chunks of 2 allow 4 workers, chunks of 1 allow 8, and 5 CPUs
+        (4, (3,), 3),
+        (4, (5, 100), 4),
+        (2, (100,), 5),
+    ])
+    def test_pool_holds_one_full_chunk_per_worker(self, chunk, worker_counts, pool,
+                                                  rng, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            """Runs each job in this process and records the pool size."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        key = random_valid_key(P334, rng)
+        z = keystream(P334, key, suggested_keystream_length(P334))
+        expected = run_attack(AttackConfig(P334, z))
+        assert expected.recovered_keys
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+        monkeypatch.setattr(attack, "CHUNK_LANES", chunk)
+        for w in worker_counts:
+            report = run_attack(AttackConfig(P334, z, worker_count=w))
+            assert report.recovered_keys == expected.recovered_keys
+            assert report.counters == expected.counters
+        assert sizes == ([pool] * len(worker_counts) if pool else [])
+
+    @pytest.mark.parametrize("knob, value", [
+        ("max_candidates", 1.5), ("max_candidates", True), ("max_candidates", "2"),
+        ("worker_count", 2.5), ("worker_count", True), ("worker_count", 2.0),
+    ])
+    def test_non_integer_knobs_rejected(self, knob, value):
+        z = [0, 1] * 15
+        with pytest.raises(ValueError, match=f"{knob} must be an int, not {value!r}"):
+            AttackConfig(P334, z, **{knob: value})
+
+    @pytest.mark.parametrize("knob", ["max_candidates", "worker_count"])
+    def test_non_positive_knobs_rejected(self, knob):
+        with pytest.raises(ValueError, match=f"{knob} must be positive"):
+            AttackConfig(P334, [0, 1] * 15, **{knob: 0})
 
     def test_max_candidates_cap(self, rng):
         key = random_valid_key(P334, rng)
