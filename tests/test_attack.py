@@ -456,10 +456,10 @@ class TestRunAttack:
             assert k in matching
 
     def test_deterministic_across_workers(self, rng, monkeypatch):
-        # one-position chunks, so that 2 and 4 workers start a real pool
         key = random_valid_key(P334, rng)
         z = keystream(P334, key, suggested_keystream_length(P334))
         reports = [run_attack(AttackConfig(P334, z, worker_count=w)) for w in (1, 2, 4)]
+        # one-position chunks, so that 2 and 4 workers start a real pool
         monkeypatch.setattr(attack, "CHUNK_LANES", 2)
         reports += [run_attack(AttackConfig(P334, z, worker_count=w)) for w in (1, 2, 4)]
         for rep in reports[1:]:
@@ -500,7 +500,7 @@ class TestRunAttack:
 
     @pytest.mark.parametrize("chunk, worker_counts, pool", [
         # 2^l = 8 positions: chunks of 8 give no pool; chunks of 7 leave
-        # one position over, so a second worker gets it
+        # one position over, which allows a second worker
         (16, (1, 2, 5, 100), None),
         (17, (100,), None),
         (14, (1,), None),
@@ -510,8 +510,8 @@ class TestRunAttack:
         (4, (5, 100), 4),
         (2, (100,), 5),
     ])
-    def test_pool_holds_one_full_chunk_per_worker(self, chunk, worker_counts, pool,
-                                                  rng, monkeypatch):
+    def test_pool_size_follows_chunk_count(self, chunk, worker_counts, pool,
+                                         rng, monkeypatch):
         sizes = []
 
         class RecordingPool:
