@@ -332,12 +332,12 @@ def _recover_key(config: AttackConfig, cand: CandidateModel,
 # Guesses swept at once.  Wider chunks spread each step's Python work over
 # more lanes: at (l, 7, 9), l = 16 .. 22, 2^16 lanes take about 0.65 of
 # the time per guess of 2^14, and 2^17 gains nothing steady.  Each
-# worker's lane slices stay near 2 MB whatever l is.  It also sizes the
-# process pool: run_attack gives each worker at least one full chunk of
-# CHUNK_LANES / 2 cycle positions, because a pool costs more to start than
-# splitting a smaller sweep saves (at (14, 7, 9) on 2 CPUs, 2 workers took
-# 28-39 ms against 13-14 ms for 1), so below 2^l = CHUNK_LANES the sweep
-# runs in-process whatever worker_count is.
+# worker's lane slices stay near 2 MB whatever l is.  It also decides when
+# run_attack starts a process pool: a sweep of at most one chunk
+# (CHUNK_LANES / 2 cycle positions) runs in-process whatever worker_count
+# is, because a pool costs more to start than splitting so small a sweep
+# saves (at (14, 7, 9) on 2 CPUs, 2 workers took 28-39 ms against 13-14 ms
+# for 1).
 CHUNK_LANES = 1 << 16
 
 
@@ -489,16 +489,17 @@ def run_attack(config: AttackConfig) -> AttackReport:
     Every reported key regenerates the entire input keystream; reports
     are deterministic for a given config regardless of worker_count
     (wall time aside): keys come in ascending (control state, beta_0)
-    order.  The sweep runs in min(worker_count, usable CPUs,
-    ceil(2^l / (CHUNK_LANES / 2))) processes, each over a contiguous range
-    of de Bruijn cycle positions, so every worker gets at least one full
-    chunk; with one, it runs in this process and no pool starts.  The
+    order.  A sweep of at most one chunk (2^l <= CHUNK_LANES / 2) runs
+    in this process and no pool starts; a longer one runs in
+    min(worker_count, usable CPUs, 2^l) processes, each over a contiguous
+    range of de Bruijn cycle positions (with one, in this process).  The
     candidate list is truncated to max_candidates after the full sweep, so
     counters always reflect the complete search.
     """
     start = time.perf_counter()
     total = 1 << config.params.l
-    workers = min(config.worker_count, _usable_cpus(), -(-total // (CHUNK_LANES // 2)))
+    workers = (1 if total <= CHUNK_LANES // 2
+               else min(config.worker_count, _usable_cpus(), total))
     bounds = [(total * i // workers, total * (i + 1) // workers)
               for i in range(workers)]
     if workers == 1:

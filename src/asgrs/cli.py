@@ -204,9 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True, help="keystream file")
     p.add_argument("--out", help="report JSON output path")
     p.add_argument("--workers", type=int, default=1,
-                   help="sweep processes: at most one per usable CPU and one "
-                        "per 2^15 control states, so below l = 16 the sweep "
-                        "runs in this process")
+                   help="sweep processes, at most one per usable CPU; a "
+                        "sweep that fits in one chunk runs in this process")
     p.add_argument("--max-candidates", type=int, default=16)
     p.set_defaults(func=cmd_attack)
 

@@ -469,7 +469,7 @@ class TestRunAttack:
     def test_worker_count_clamped_to_cpus(self, rng, monkeypatch):
         # without an affinity call the CPU count is the clamp; a missing
         # clamp reaches the pool stub and fails without starting any process.
-        # One-position chunks, so that the chunk count does not clamp first
+        # One-position chunks, so that the sweep is long enough for a pool
         def no_pool(*args, **kwargs):
             raise AssertionError("run_attack asked for a process pool")
 
@@ -498,20 +498,21 @@ class TestRunAttack:
         assert report.counters.a_states_tried == 1 << P334.l
         assert report.recovered_keys == run_attack(AttackConfig(P334, z)).recovered_keys
 
-    @pytest.mark.parametrize("chunk, worker_counts, pool", [
-        # 2^l = 8 positions: chunks of 8 give no pool; chunks of 7 leave
-        # one position over, which allows a second worker
-        (16, (1, 2, 5, 100), None),
-        (17, (100,), None),
-        (14, (1,), None),
-        (14, (2, 100), 2),
-        # chunks of 2 allow 4 workers, chunks of 1 allow 8, and 5 CPUs
-        (4, (3,), 3),
-        (4, (5, 100), 4),
-        (2, (100,), 5),
+    @pytest.mark.parametrize("chunk, cpus, worker_counts, pool", [
+        # 2^l = 8 positions: a sweep of one chunk of 8 starts no pool
+        (16, 5, (1, 2, 5, 100), None),
+        (17, 5, (100,), None),
+        # one position past it the pool is as large as workers, CPUs and
+        # positions allow, however few positions each worker gets
+        (14, 5, (1,), None),
+        (14, 5, (2,), 2),
+        (14, 5, (5, 100), 5),
+        (14, 12, (100,), 8),
+        (4, 5, (3,), 3),
+        (2, 5, (100,), 5),
     ])
-    def test_pool_size_follows_chunk_count(self, chunk, worker_counts, pool,
-                                         rng, monkeypatch):
+    def test_pool_starts_only_past_one_chunk(self, chunk, cpus, worker_counts, pool,
+                                             rng, monkeypatch):
         sizes = []
 
         class RecordingPool:
@@ -536,7 +537,7 @@ class TestRunAttack:
         expected = run_attack(AttackConfig(P334, z))
         assert expected.recovered_keys
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(attack, "CHUNK_LANES", chunk)
         for w in worker_counts:
             report = run_attack(AttackConfig(P334, z, worker_count=w))
@@ -699,8 +700,10 @@ class TestSweep:
 
     @pytest.mark.parametrize("lmn, count", [((8, 7, 5), 4), ((3, 3, 4), 1)], ids=["8-7-5", "3-3-4"])
     def test_chunking_and_workers_do_not_change_the_report(self, lmn, count, rng, monkeypatch):
-        # 3 workers split 2^l positions unevenly, and 8-lane chunks (4
-        # positions) put chunk edges inside every worker's range
+        # at the default chunk size both shapes sweep in-process; 8-lane
+        # chunks (4 positions) start a pool, where 3 workers split 2^l
+        # positions unevenly, and at (8, 7, 5) put chunk edges inside
+        # every worker's range
         params = make_params(*lmn)
         floor = 3 * (params.m + params.n)
         positions = {s: i for i, s in enumerate(
