@@ -169,14 +169,9 @@ def reconstruct_streams(a_seq: BitSequence, keystream: BitSequence,
     if len(a_seq) < len(keystream) - 1:
         raise ValueError("control sequence shorter than keystream - 1")
     diffs = list(map(xor, keystream, keystream[1:]))
-    return _peel(diffs, a_seq, map(not_, a_seq), beta0 & 1, keystream[0] ^ (beta0 & 1))
-
-
-def _peel(diffs: list[int], ones: BitSequence, zeros: BitSequence, beta0: int,
-          lam0: int) -> tuple[list[int], list[int]]:
-    # diffs[t] = z_t ^ z_{t+1}; ones/zeros mark the steps with control 1/0
-    return (list(accumulate(compress(diffs, ones), xor, initial=beta0)),
-            list(accumulate(compress(diffs, zeros), xor, initial=lam0)))
+    return (list(accumulate(compress(diffs, a_seq), xor, initial=beta0 & 1)),
+            list(accumulate(compress(diffs, map(not_, a_seq)), xor,
+                            initial=keystream[0] ^ (beta0 & 1))))
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -209,14 +204,6 @@ def _generates(fit: LfsrFit, packed: int, length: int) -> bool:
     return residue & ((1 << (length - L)) - 1) == 0
 
 
-def _guess_streams(config: AttackConfig, a_init: BitVector,
-                   beta0: int) -> tuple[list[int], list[int]]:
-    control = de_bruijn_sequence(
-        DeBruijnRegister(LfsrSpec(config.params.l, config.params.poly_a), a_init),
-        max(len(config.keystream) - 1, 0))
-    return reconstruct_streams(control, config.keystream, beta0)
-
-
 def verify_candidate(config: AttackConfig, cand: CandidateModel) -> bool:
     """Whether replaying the fitted model reproduces every supplied
     keystream bit.
@@ -226,7 +213,10 @@ def verify_candidate(config: AttackConfig, cand: CandidateModel) -> bool:
     streams harvested under the fit's own first B-bit; that is what is
     tested, one linear-consistency check per register.
     """
-    beta, lam = _guess_streams(config, cand.a_init, cand.beta_fit.extend(1)[0])
+    control = de_bruijn_sequence(
+        DeBruijnRegister(LfsrSpec(config.params.l, config.params.poly_a), cand.a_init),
+        max(len(config.keystream) - 1, 0))
+    beta, lam = reconstruct_streams(control, config.keystream, cand.beta_fit.extend(1)[0])
     return (_generates(cand.beta_fit, _pack(beta), len(beta))
             and _generates(cand.lambda_fit, _pack(lam), len(lam)))
 
@@ -366,9 +356,10 @@ def _window_state(bits: int, l: int, j: int) -> int:
 
 def _peel_lanes(z: list[int], words: Iterator[int],
                 width: int) -> tuple[list[int], list[int], list[int]]:
-    """`_peel` on 2 * width lanes at once: the control words drive lanes
-    0 .. width - 1 with beta_0 = 0, and lanes width + j hold the
-    complemented streams of lane j, which are those for beta_0 = 1.
+    """`reconstruct_streams` on 2 * width lanes at once: the control
+    words drive lanes 0 .. width - 1 with beta_0 = 0, and lanes width + j
+    hold the complemented streams of lane j, which are those for
+    beta_0 = 1.
 
     Returns both streams as bit slices (bit j of beta[k]: bit k of lane
     j's beta stream, for k below its length; likewise lambda), and each

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 
@@ -174,21 +173,6 @@ def reference_values_table1() -> list[float]:
 
 def reference_values_table2() -> list[float]:
     return [ref for *_x, ref, _f in _TABLE2]
-
-
-def johansson_segment_probability_exact(segment: int) -> Fraction:
-    """C(M, M/2) * 2^-M as an exact rational; M must be even and <= 1024."""
-    if segment % 2 != 0:
-        raise ValueError("segment length must be even")
-    if not 0 < segment <= 1024:
-        raise ValueError("segment length must be in (0, 1024]")
-    return Fraction(math.comb(segment, segment // 2), 1 << segment)
-
-
-def johansson_segment_probability(segment: int) -> float:
-    """Chance that exactly half of an all-equal output segment came from
-    the first generating register, computed exactly then converted."""
-    return float(johansson_segment_probability_exact(segment))
 
 
 def attack_complexity(inputs: ComplexityInputs) -> float:

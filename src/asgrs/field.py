@@ -2,8 +2,6 @@
 
 Elements are represented in the polynomial basis {1, x, ..., x^(m-1)}
 modulo the context's primitive polynomial, packed as integer masks.
-The same basis is used everywhere so trace-system coefficients are
-canonical and reproducible across runs.
 
 Two methods serve jump recovery, both in time polynomial in m.  `root`
 finds a root of a binary polynomial by trace splitting (Berlekamp,
@@ -21,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import UnsupportedParameterError
-from .gf2 import BinaryPolynomial, poly_gcd, poly_pow_mod, _poly_divmod, _poly_mulmod
+from .gf2 import BinaryPolynomial, poly_pow_mod, _poly_divmod
 
 MAX_DEGREE = 24
 
@@ -52,38 +50,16 @@ def _order_factors(d: int) -> tuple[tuple[int, int], ...]:
     return tuple(_factor((1 << d) - 1))
 
 
-# the generator asks once per register and call, for public and fitted
-# feedback alike
-@lru_cache(maxsize=64)
-def is_irreducible(p: BinaryPolynomial) -> bool:
-    """Rabin's test: x^(2^d) = x mod p and gcd(x^(2^(d/q)) - x, p) = 1."""
-    d = p.degree
-    if d is None or d == 0:
-        return False
-    if d == 1:
-        return True
-    # k-fold squaring of x modulo p gives x^(2^k)
-    def frob(k: int) -> BinaryPolynomial:
-        t = X % p
-        for _ in range(k):
-            t = BinaryPolynomial(_poly_mulmod(t.mask, t.mask, p.mask))
-        return t
-
-    if frob(d) != X % p:
-        return False
-    for q, _ in _factor(d):
-        h = frob(d // q) + (X % p)
-        if poly_gcd(h, p).mask != 1:
-            return False
-    return True
-
-
 # a run meets only the public polynomials and a few fitted ones
 @lru_cache(maxsize=64)
 def is_primitive(p: BinaryPolynomial) -> bool:
-    """True iff p is irreducible and its root has order 2^deg - 1.
+    """True iff x has order 2^d - 1 modulo p, d = deg p: p(0) = 1,
+    x^(2^d - 1) = 1 mod p, and x^((2^d - 1)/q) != 1 mod p for every prime
+    q dividing 2^d - 1.  That order alone makes GF(2)[x]/(p) a field, so
+    p is irreducible with no separate test (Lidl and Niederreiter,
+    Finite Fields, ch. 3).
 
-    Order testing factors 2^deg - 1 by trial division, so the degree is
+    The primes come from trial division of 2^d - 1, so the degree is
     capped at MAX_DEGREE.
     """
     d = p.degree
@@ -94,15 +70,10 @@ def is_primitive(p: BinaryPolynomial) -> bool:
             f"primitivity test limited to degree {MAX_DEGREE}, got {d}")
     if not p.coefficient(0):
         return False  # divisible by x
-    if d == 1:
-        return p.mask == 0b11  # x + 1
-    if not is_irreducible(p):
-        return False
     order = (1 << d) - 1
-    for q, _ in _order_factors(d):
-        if poly_pow_mod(X, order // q, p).mask == 1:
-            return False
-    return True
+    if poly_pow_mod(X, order, p).mask != 1:
+        return False
+    return all(poly_pow_mod(X, order // q, p).mask != 1 for q, _ in _order_factors(d))
 
 
 @dataclass(frozen=True)
@@ -130,26 +101,6 @@ class FieldContext:
         object.__setattr__(self, "_packing", (
             w, ones * ((1 << m) - 1), ones * ((1 << m - 1) - 1),
             [e for e in range(m) if tail >> e & 1]))
-
-    @property
-    def order(self) -> int:
-        return 1 << self.m
-
-    def element(self, mask: int) -> "FieldElement":
-        return FieldElement(self, mask)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    @property
-    def alpha(self) -> "FieldElement":
-        """The class of x: a primitive element by construction."""
-        return FieldElement(self, (X % self.modulus).mask)
 
     def _scale(self, v: int, c: int) -> int:
         """c times every slot of v, reduced: one shifted copy of v per bit
@@ -360,71 +311,6 @@ class FieldContext:
 
     def trace_of(self, mask: int) -> int:
         return (mask & self._trace_mask).bit_count() & 1
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of a FieldContext in the polynomial basis."""
-
-    ctx: FieldContext
-    mask: int
-
-    def __post_init__(self):
-        if not 0 <= self.mask < self.ctx.order:
-            raise ValueError("representation out of range for the field")
-
-    def _check(self, other: "FieldElement"):
-        if self.ctx != other.ctx:
-            raise ValueError("elements from different field contexts")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.ctx, self.mask ^ other.mask)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.ctx, self.ctx.mul(self.mask, other.mask))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.pow(self.mask, e))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.mask == 0
-
-    def trace(self) -> int:
-        """Sum of the Frobenius conjugates, always 0 or 1."""
-        return self.ctx.trace_of(self.mask)
-
-    def conjugates(self) -> list["FieldElement"]:
-        """Distinct images under repeated squaring, starting with self."""
-        out = [self]
-        c = self * self
-        while c != self:
-            out.append(c)
-            c = c * c
-        return out
-
-    def minimal_polynomial(self) -> BinaryPolynomial:
-        """Product of (y - c) over the distinct conjugates c, over GF(2)."""
-        coeffs = [1]  # constant polynomial 1 in y, coefficients in the field
-        for c in self.conjugates():
-            nxt = [0] * (len(coeffs) + 1)
-            for j, a in enumerate(coeffs):
-                nxt[j + 1] ^= a
-                nxt[j] ^= self.ctx.mul(a, c.mask)
-            coeffs = nxt
-        mask = 0
-        for i, a in enumerate(coeffs):
-            if a not in (0, 1):
-                raise AssertionError("minimal polynomial has non-binary coefficient")
-            mask |= a << i
-        return BinaryPolynomial(mask)
-
-    def __repr__(self) -> str:
-        return f"FieldElement(GF(2^{self.ctx.m}), 0x{self.mask:x})"
 
 
 @lru_cache(maxsize=64)

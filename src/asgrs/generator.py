@@ -20,11 +20,12 @@ step changes z by beta_p ^ beta_{p+1}, a control-0 step by
 lambda_q ^ lambda_{q+1}.  Each sequence is built once as digits, one
 period at most: min(count - 1, 2^l) control bits, and the `need`
 outputs of each stream that they call for, at most 2^L - 1 from a
-register of length L with irreducible feedback (a hand-built model with
-other feedback gets all `need`).  `classical_asg_keystream` reads its
-model's registers, and `keystream` reads each stream off its substitute
-register, the fit `reduce_to_classical` makes, so it runs the classical
-generator over the reduced model; both read L outputs per L-clock jump
+register of length L whose feedback f has x^(2^L - 1) = 1 mod f (a
+hand-built model with other feedback gets all `need`).
+`classical_asg_keystream` reads its model's registers, and `keystream`
+reads each stream off its substitute register, the fit
+`reduce_to_classical` makes, so it runs the classical generator over
+the reduced model; both read L outputs per L-clock jump
 (`registers.output_digits`).  A stream too short to repay its fit is
 stepped one jump per output instead.
 
@@ -52,14 +53,13 @@ from functools import partial
 from itertools import islice
 from typing import Callable
 
-from .analysis import berlekamp_massey
+from .analysis import LfsrFit, berlekamp_massey
 from .errors import DegenerateStateError, KeyValidationError
-from .field import is_irreducible
-from .gf2 import BinaryPolynomial, BitVector
+from .field import MAX_DEGREE, X, is_primitive
+from .gf2 import BinaryPolynomial, BitVector, poly_pow_mod
 from .registers import (
     DeBruijnRegister,
     LfsrSpec,
-    _safe_is_primitive,
     de_bruijn_digits,
     jumped_states,
     output_bits,
@@ -102,7 +102,9 @@ def validate_params(params: AsgParams) -> list[str]:
     ):
         if poly.degree != degree:
             v.append(f"{name} degree {poly.degree} != {degree}")
-        elif not _safe_is_primitive(poly):
+        elif degree > MAX_DEGREE:
+            v.append(f"{name} degree {degree} is above the supported maximum {MAX_DEGREE}")
+        elif not is_primitive(poly):
             v.append(f"{name} ({poly}) is not primitive")
     for name, length in (("B", params.m), ("C", params.n)):
         # a jump is only judged modulo the period 2^length - 1, which is 1
@@ -309,11 +311,19 @@ def _jumped(poly: BinaryPolynomial, state: BitVector, jump: int, count: int) -> 
 
 def _register(spec: LfsrSpec, state: BitVector, need: int) -> str:
     """The first `need` outputs of a unit-clocked model register as
-    digits, one period at most.  Irreducible feedback has T^(2^L - 1) = I;
-    a hand-built model with other feedback is assumed to repeat nowhere,
-    and all `need` outputs are built."""
-    period = (1 << spec.length) - 1 if is_irreducible(spec.feedback) else need
+    digits, one period at most.  Feedback with x^(2^L - 1) = 1 mod f has
+    T^(2^L - 1) = I, so 2^L - 1 outputs are a period; a hand-built model
+    with other feedback is assumed to repeat nowhere, and all `need`
+    outputs are built."""
+    full = (1 << spec.length) - 1
+    period = full if poly_pow_mod(X, full, spec.feedback).mask == 1 else need
     return output_digits(spec, state.mask, min(need, period))
+
+
+def _fit(poly: BinaryPolynomial, state: BitVector, jump: int) -> LfsrFit:
+    """The Berlekamp-Massey fit of the register's first 2m outputs after
+    0, 1, ... jumps of `jump`."""
+    return berlekamp_massey(_jumped(poly, state, jump, 2 * state.length))
 
 
 def _decimated(poly: BinaryPolynomial, state: BitVector, jump: int, need: int) -> str:
@@ -323,20 +333,19 @@ def _decimated(poly: BinaryPolynomial, state: BitVector, jump: int, need: int) -
     A stream of more than `_SHORT_STREAM` outputs is read off its
     substitute register, the Berlekamp-Massey fit of its 2m head bits.
     The stream b_(jump*t) = Tr(u (alpha^jump)^t) obeys the minimal
-    polynomial of alpha^jump, irreducible of degree L <= m, so it repeats
-    after 2^L - 1 outputs; L < m only when gcd(jump, 2^m - 1) > 1, and
-    L = 0 when the stream is all zero.
+    polynomial of alpha^jump, irreducible of degree L <= m with a nonzero
+    root, so x^(2^L - 1) = 1 modulo it and the stream repeats after
+    2^L - 1 outputs; L < m only when gcd(jump, 2^m - 1) > 1, and L = 0
+    when the stream is all zero.
     """
     if need <= _SHORT_STREAM:
         period = (1 << state.length) - 1
         return _jumped(poly, state, jump, min(need, period)).translate(_DIGITS).decode()
-    fit = berlekamp_massey(_jumped(poly, state, jump, 2 * state.length))
-    length = fit.linear_complexity
-    if not length:
+    fit = _fit(poly, state, jump)
+    if not fit.linear_complexity:
         return "0"
-    return output_digits(LfsrSpec(length, fit.connection),
-                         state_from_outputs(fit.initial_state).mask,
-                         min(need, (1 << length) - 1))
+    return _register(LfsrSpec(fit.linear_complexity, fit.connection),
+                     state_from_outputs(fit.initial_state), need)
 
 
 def _alternate(control_reg: DeBruijnRegister, stream_b: Callable[[int], str],
@@ -386,17 +395,16 @@ def reduce_to_classical(params: AsgParams, key: AsgKey) -> ReducedModel:
     state.  Likewise for lambda with (poly_c, s).
     """
     _require_valid(params, key)
-    beta_spec, beta_state = _decimated_register(
-        params.poly_b, params.m, key.state_b, key.r)
-    lambda_spec, lambda_state = _decimated_register(
-        params.poly_c, params.n, key.state_c, key.s)
+    beta_spec, beta_state = _decimated_register(params.poly_b, key.state_b, key.r)
+    lambda_spec, lambda_state = _decimated_register(params.poly_c, key.state_c, key.s)
     control = DeBruijnRegister(LfsrSpec(params.l, params.poly_a), key.state_a)
     return ReducedModel(beta_spec, beta_state, lambda_spec, lambda_state, control)
 
 
-def _decimated_register(poly: BinaryPolynomial, m: int, state: BitVector,
+def _decimated_register(poly: BinaryPolynomial, state: BitVector,
                         jump: int) -> tuple[LfsrSpec, BitVector]:
-    fit = berlekamp_massey(_jumped(poly, state, jump, 2 * m))
+    m = state.length
+    fit = _fit(poly, state, jump)
     if fit.linear_complexity != m:
         # only possible when gcd(jump, period) > 1, i.e. non-strict keys
         raise DegenerateStateError(

@@ -84,16 +84,6 @@ class BitMatrix:
         if any(not 0 <= r < top for r in self.row_masks):
             raise ValueError("row mask has bits beyond cols")
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
-        vecs = [BitVector.from_bits(r) for r in rows]
-        if not vecs:
-            return cls(0, 0, ())
-        cols = vecs[0].length
-        if any(v.length != cols for v in vecs):
-            raise ValueError("ragged rows")
-        return cls(len(vecs), cols, tuple(v.mask for v in vecs))
-
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -189,12 +179,6 @@ def _poly_mulmod(a: int, b: int, mod: int) -> int:
     return c
 
 
-def _poly_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    return a
-
-
 @dataclass(frozen=True)
 class BinaryPolynomial:
     """Polynomial over GF(2); coefficient of x^i at mask bit i.
@@ -246,11 +230,6 @@ class BinaryPolynomial:
 
     def __repr__(self) -> str:
         return f"BinaryPolynomial(0x{self.mask:x})"
-
-
-def poly_gcd(a: BinaryPolynomial, b: BinaryPolynomial) -> BinaryPolynomial:
-    """Greatest common divisor; monic automatically over GF(2)."""
-    return BinaryPolynomial(_poly_gcd(a.mask, b.mask))
 
 
 def poly_pow_mod(base: BinaryPolynomial, e: int, mod: BinaryPolynomial) -> BinaryPolynomial:

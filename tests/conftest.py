@@ -10,7 +10,7 @@ import pytest
 
 from asgrs import AsgKey, AsgParams, BitMatrix, BitVector
 from asgrs.attack import DecimationFit
-from asgrs.field import is_primitive
+from asgrs.field import X, is_primitive
 from asgrs.gf2 import BinaryPolynomial
 from asgrs.registers import (
     PRIMITIVE_POLYNOMIALS,
@@ -218,6 +218,30 @@ def reference_oracle(params, target):
 
 
 # ---------------------------------------------------------------------------
+# GF(2^m) elements are packed ints of a FieldContext, as in the package.
+
+
+def alpha(ctx):
+    """The class of x, the primitive element of the context."""
+    return (X % ctx.modulus).mask
+
+
+def minimal_polynomial(ctx, a):
+    """The product of y - c over the distinct conjugates c = a^(2^j) of
+    a: the binary polynomial a decimated register obeys."""
+    conjugates, c = [a], ctx.mul(a, a)
+    while c != a:
+        conjugates.append(c)
+        c = ctx.mul(c, c)
+    coeffs = [1]  # in y, each coefficient in the field
+    for c in conjugates:
+        coeffs = [high ^ ctx.mul(low, c) for high, low in zip([0] + coeffs, coeffs + [0])]
+    if any(co not in (0, 1) for co in coeffs):
+        raise AssertionError("minimal polynomial has a coefficient outside GF(2)")
+    return BinaryPolynomial(sum(co << i for i, co in enumerate(coeffs)))
+
+
+# ---------------------------------------------------------------------------
 # Trace system of the decimated register: solving d_t = Tr(u gamma^t)
 # for u is a second, linear way to the register head, and the
 # differential jump-recovery tests compare the package against it.
@@ -231,7 +255,7 @@ def trace_system_matrix(ctx, r):
     gamma^(m-1) is then a basis and the trace form is non-degenerate.
     """
     m = ctx.m
-    gamma = ctx.pow(ctx.alpha.mask, r)
+    gamma = ctx.pow(alpha(ctx), r)
     rows = []
     g = 1
     for _ in range(m):

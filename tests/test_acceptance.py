@@ -29,7 +29,7 @@ from asgrs.gf2 import rank
 from asgrs.oracle import brute_force_oracle
 from asgrs.registers import BitVector, LfsrSpec, output_sequence, primitive_polynomial
 
-from conftest import make_params, random_valid_key, trace_system_matrix
+from conftest import alpha, make_params, random_valid_key, trace_system_matrix
 
 
 def report(num, ok, detail, dt, budget):
@@ -157,11 +157,11 @@ def test_criterion_7_trace_recovery():
             continue
         if rank(trace_system_matrix(ctx, r)) == 7:
             full_rank += 1
-        gamma = ctx.alpha ** r
+        gamma = ctx.pow(alpha(ctx), r)
         for _ in range(20):
             cases += 1
-            u = ctx.element(rng.randrange(1, 128))
-            observed = [(u * gamma ** t).trace() for t in range(3 * 7)]
+            u = rng.randrange(1, 128)
+            observed = [ctx.trace_of(ctx.mul(u, ctx.pow(gamma, t))) for t in range(3 * 7)]
             fit = recover_decimation(ctx, observed)
             if fit is None:
                 continue
@@ -169,8 +169,8 @@ def test_criterion_7_trace_recovery():
             # exponent of the class with the matching power of u
             leader = min((r << j) % period for j in range(7))
             j = next(j for j in range(7) if (r << j) % period == leader)
-            witness = u ** (1 << j)
-            head = [(witness * ctx.alpha ** t).trace() for t in range(7)]
+            witness = ctx.pow(u, 1 << j)
+            head = [ctx.trace_of(ctx.mul(witness, ctx.pow(alpha(ctx), t))) for t in range(7)]
             if fit.r == leader and list(fit.initial_bits) == head:
                 exact += 1
     dt = time.perf_counter() - start

@@ -41,8 +41,9 @@ from asgrs.registers import (
     state_from_outputs,
 )
 
-from conftest import (_ref_debruijn_step, make_params, random_valid_key, reference_jump,
-                      reference_oracle, reference_trace, trace_system_matrix, wide_polynomial)
+from conftest import (_ref_debruijn_step, alpha, make_params, minimal_polynomial,
+                      random_valid_key, reference_jump, reference_oracle, reference_trace,
+                      trace_system_matrix, wide_polynomial)
 
 P334 = make_params(3, 3, 4)
 P875 = make_params(8, 7, 5)
@@ -60,10 +61,15 @@ def coset_leader(r, period, width):
     return min((r << j) % period for j in range(width))
 
 
-def register_head(u):
+def traces(ctx, u, gamma, count):
+    """Tr(u gamma^t) for t < count: the register output for gamma = alpha,
+    its decimation by r for gamma = alpha^r."""
+    return [ctx.trace_of(ctx.mul(u, ctx.pow(gamma, t))) for t in range(count)]
+
+
+def register_head(ctx, u):
     """The first m outputs Tr(u alpha^t) of the undecimated register."""
-    ctx = u.ctx
-    return [(u * ctx.alpha ** t).trace() for t in range(ctx.m)]
+    return traces(ctx, u, alpha(ctx), ctx.m)
 
 
 def ascending_trace_search(ctx, systems, observed, verify_bits):
@@ -77,9 +83,8 @@ def ascending_trace_search(ctx, systems, observed, verify_bits):
         u = sum(((row & head).bit_count() & 1) << j for j, row in enumerate(inv.row_masks))
         if u == 0:
             continue
-        u = ctx.element(u)
-        if all((u * gamma ** t).trace() == observed[t] for t in range(m, m + verify_bits)):
-            head_bits = register_head(u)
+        if traces(ctx, u, gamma, m + verify_bits)[m:] == observed[m:m + verify_bits]:
+            head_bits = register_head(ctx, u)
             return DecimationFit(r, BitVector.from_bits(head_bits))
     return None
 
@@ -270,47 +275,45 @@ class TestVerifyCandidate:
 class TestRecoverDecimation:
     def test_identity_decimation(self):
         ctx = field_context(primitive_polynomial(3))
-        observed = [ctx.element(ctx.pow(ctx.alpha.mask, t)).trace() for t in range(12)]
+        observed = traces(ctx, 1, alpha(ctx), 12)
         fit = recover_decimation(ctx, observed)
         assert fit is not None and fit.r == 1
-        assert list(fit.initial_bits) == register_head(ctx.one)
+        assert list(fit.initial_bits) == register_head(ctx, 1)
 
     def test_exact_recovery_small_field(self, rng):
         # r = 3 is its own conjugacy-class leader mod 7, so recovery is literal
         ctx = field_context(primitive_polynomial(3))
         for _ in range(10):
-            u = ctx.element(rng.randrange(1, 8))
-            gamma = ctx.alpha ** 3
-            observed = [(u * gamma ** t).trace() for t in range(9)]
+            u = rng.randrange(1, 8)
+            observed = traces(ctx, u, ctx.pow(alpha(ctx), 3), 9)
             fit = recover_decimation(ctx, observed, verify_bits=6)
             assert fit is not None
-            assert fit.r == 3 and list(fit.initial_bits) == register_head(u)
+            assert fit.r == 3 and list(fit.initial_bits) == register_head(ctx, u)
 
     def test_conjugate_jump_returns_class_leader(self, rng):
         ctx = field_context(primitive_polynomial(5))
         period = 31
         for r in (2, 12, 24):
-            u = ctx.element(rng.randrange(1, 32))
-            gamma = ctx.alpha ** r
-            observed = [(u * gamma ** t).trace() for t in range(3 * 5)]
+            u = rng.randrange(1, 32)
+            observed = traces(ctx, u, ctx.pow(alpha(ctx), r), 3 * 5)
             fit = recover_decimation(ctx, observed)
             leader = coset_leader(r, period, 5)
             assert fit is not None and fit.r == leader
             # the register from the returned head, decimated by the
             # returned jump, regenerates the stream exactly
             j = next(j for j in range(5) if (r << j) % period == leader)
-            assert list(fit.initial_bits) == register_head(u ** (1 << j))
+            assert list(fit.initial_bits) == register_head(ctx, ctx.pow(u, 1 << j))
             spec = LfsrSpec(5, primitive_polynomial(5))
             b = output_sequence(spec, state_from_outputs(fit.initial_bits), 15 * fit.r)
             assert b[::fit.r] == observed
 
     def test_initial_bits_are_register_head(self, rng):
         ctx = field_context(primitive_polynomial(4))
-        u = ctx.element(rng.randrange(1, 16))
-        observed = [(u * (ctx.alpha ** 4) ** t).trace() for t in range(12)]
+        u = rng.randrange(1, 16)
+        observed = traces(ctx, u, ctx.pow(alpha(ctx), 4), 12)
         fit = recover_decimation(ctx, observed)
         # the head of one conjugacy witness u^(2^j)
-        expected = [register_head(u ** (1 << j)) for j in range(4)]
+        expected = [register_head(ctx, ctx.pow(u, 1 << j)) for j in range(4)]
         assert list(fit.initial_bits) in expected
 
     def test_all_zero_stream_not_found(self):
@@ -324,7 +327,7 @@ class TestRecoverDecimation:
 
     def test_verify_bits_below_m_rejected(self):
         ctx = field_context(primitive_polynomial(5))
-        observed = [(ctx.alpha ** t).trace() for t in range(15)]
+        observed = traces(ctx, 1, alpha(ctx), 15)
         assert recover_decimation(ctx, observed, verify_bits=5) is not None
         with pytest.raises(ValueError, match="at least m"):
             recover_decimation(ctx, observed, verify_bits=4)
@@ -333,12 +336,11 @@ class TestRecoverDecimation:
     def test_matches_ascending_trace_search(self, m, rng):
         ctx = field_context(primitive_polynomial(m))
         period = (1 << m) - 1
-        systems = [(r, ctx.alpha ** r, invert(trace_system_matrix(ctx, r)))
+        systems = [(r, ctx.pow(alpha(ctx), r), invert(trace_system_matrix(ctx, r)))
                    for r in range(1, period) if math.gcd(r, period) == 1]
         cases = []
         for r, gamma, _ in systems:
-            u = ctx.element(rng.randrange(1, period + 1))
-            cases.append([(u * gamma ** t).trace() for t in range(3 * m)])
+            cases.append(traces(ctx, rng.randrange(1, period + 1), gamma, 3 * m))
         for _ in range(20):
             # random bit strings, and register outputs whose connection
             # polynomial has degree m but is rarely primitive
@@ -388,7 +390,7 @@ class TestRecoverJump:
         for i in range(300):
             conn = BinaryPolynomial(1 << m | rng.randrange(1 << m))
             if i % 2:
-                power = (ctx.alpha ** rng.randrange(1, 1 << m)).minimal_polynomial()
+                power = minimal_polynomial(ctx, ctx.pow(alpha(ctx), rng.randrange(1, 1 << m)))
                 conn = power if power.degree == m else conn
             check_against_table_search(ctx, conn, rng)
 
@@ -401,7 +403,7 @@ class TestRecoverJump:
         period = (1 << m) - 1
         ks = [rng.randrange(1, period) for _ in range(30)] + [3, 5, 7, 25, 3 * 7, 5 * 11]
         for k in ks:
-            conn = (ctx.alpha ** k).minimal_polynomial()
+            conn = minimal_polynomial(ctx, ctx.pow(alpha(ctx), k))
             if conn.degree == m:
                 check_against_table_search(ctx, conn, rng)
 

@@ -8,8 +8,6 @@ from asgrs.complexity import (
     attack_complexity,
     estimate_table1,
     estimate_table2,
-    johansson_segment_probability,
-    johansson_segment_probability_exact,
     reference_values_table1,
     reference_values_table2,
 )
@@ -67,41 +65,6 @@ class TestTable2:
         flagged = {r.attack_name for r in estimate_table2(C64) if r.flagged}
         assert flagged == {"Clock Control Guessing", "Khazaei Reduced Complexity",
                            "Johansson Reduced Complexity"}
-
-
-def pascal_central(n):
-    row = [1]
-    for _ in range(n):
-        row = [a + b for a, b in zip([0] + row, row + [0])]
-    return row[n // 2]
-
-
-class TestJohanssonProbability:
-    def test_small_cases(self):
-        assert johansson_segment_probability(2) == 0.5
-        assert johansson_segment_probability(4) == 0.375
-
-    def test_m64_against_pascal(self):
-        expected = pascal_central(64) / 2 ** 64
-        got = johansson_segment_probability(64)
-        assert abs(got - 0.0993) <= 1e-4
-        assert got == expected
-
-    @pytest.mark.parametrize("m", range(2, 66, 2))
-    def test_exact_binomial_identity(self, m):
-        # the exact rational times 2^M is the central binomial on the nose;
-        # the float form is its correctly rounded conversion
-        exact = johansson_segment_probability_exact(m)
-        assert exact * 2 ** m == pascal_central(m)
-        assert johansson_segment_probability(m) == float(exact)
-
-    def test_odd_rejected(self):
-        with pytest.raises(ValueError):
-            johansson_segment_probability(7)
-
-    def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            johansson_segment_probability(1026)
 
 
 class TestAttackComplexity:

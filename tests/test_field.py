@@ -3,67 +3,60 @@ import math
 import pytest
 
 from asgrs.errors import UnsupportedParameterError
-from asgrs.field import FieldContext, field_context, is_irreducible, is_primitive
+from asgrs.field import FieldContext, field_context, is_primitive
 from asgrs.gf2 import BinaryPolynomial, _poly_mulmod, poly_pow_mod
 from asgrs.registers import primitive_polynomial
 
-from conftest import wide_polynomial
+from conftest import alpha, minimal_polynomial, wide_polynomial
 
 GF8 = field_context(BinaryPolynomial(0b1011))  # x^3 + x + 1
+A8 = alpha(GF8)
 
 
 class TestMulPow:
     def test_multiplicative_identity(self):
-        a = GF8.alpha
-        assert a * GF8.one == a
+        assert GF8.mul(A8, 1) == A8
 
     def test_alpha_cubed(self):
         # x^3 = x + 1 after reduction by the modulus
-        assert (GF8.alpha ** 3).mask == 0b011
+        assert GF8.pow(A8, 3) == 0b011
 
     def test_lagrange_order(self):
         for m in (3, 4, 5):
             ctx = field_context(primitive_polynomial(m))
-            assert (ctx.alpha ** ((1 << m) - 1)) == ctx.one
+            assert ctx.pow(alpha(ctx), (1 << m) - 1) == 1
 
     def test_order_by_iterated_product(self):
         # multiply step by step as the oracle for the pow ladder
-        acc = GF8.one
+        acc = 1
         for _ in range(7):
-            acc = acc * GF8.alpha
-        assert acc == GF8.one
+            acc = GF8.mul(acc, A8)
+        assert acc == 1
         for e in range(1, 7):
-            assert (GF8.alpha ** e) != GF8.one
-
-    def test_mixed_contexts_rejected(self):
-        other = field_context(BinaryPolynomial(0b1101))
-        with pytest.raises(ValueError):
-            GF8.alpha * other.alpha
+            assert GF8.pow(A8, e) != 1
 
     def test_pow_zero(self):
-        assert (GF8.element(0b101) ** 0) == GF8.one
+        assert GF8.pow(0b101, 0) == 1
 
 
 class TestTrace:
     def test_zero(self):
-        assert GF8.zero.trace() == 0
+        assert GF8.trace_of(0) == 0
 
     def test_one_gives_parity_of_m(self):
-        assert GF8.one.trace() == 1  # m = 3
+        assert GF8.trace_of(1) == 1  # m = 3
         gf16 = field_context(primitive_polynomial(4))
-        assert gf16.one.trace() == 0  # m = 4
+        assert gf16.trace_of(1) == 0  # m = 4
 
     def test_alpha_conjugates_cancel(self):
         # alpha + alpha^2 + alpha^4 with alpha^4 = alpha^2 + alpha
-        a = GF8.alpha
-        total = a + a * a + (a ** 4)
-        assert total == GF8.zero
-        assert a.trace() == 0
+        assert A8 ^ GF8.mul(A8, A8) ^ GF8.pow(A8, 4) == 0
+        assert GF8.trace_of(A8) == 0
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_linearity_exhaustive(self, m):
         ctx = field_context(primitive_polynomial(m))
-        traces = [ctx.element(v).trace() for v in range(1 << m)]
+        traces = [ctx.trace_of(v) for v in range(1 << m)]
         for a in range(1 << m):
             for b in range(1 << m):
                 assert traces[a ^ b] == traces[a] ^ traces[b]
@@ -72,40 +65,30 @@ class TestTrace:
     def test_frobenius_invariance_exhaustive(self, m):
         ctx = field_context(primitive_polynomial(m))
         for v in range(1 << m):
-            e = ctx.element(v)
-            assert (e * e).trace() == e.trace()
+            assert ctx.trace_of(ctx.mul(v, v)) == ctx.trace_of(v)
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_trace_zero_count(self, m):
         ctx = field_context(primitive_polynomial(m))
-        zeros = sum(1 for v in range(1 << m) if ctx.element(v).trace() == 0)
+        zeros = sum(1 for v in range(1 << m) if ctx.trace_of(v) == 0)
         assert zeros == 1 << (m - 1)
 
 
 class TestMinimalPolynomial:
+    """The reference in conftest, which the jump tests rely on."""
+
     def test_one(self):
-        assert GF8.one.minimal_polynomial().mask == 0b11
+        assert minimal_polynomial(GF8, 1).mask == 0b11
 
     def test_defining_element(self):
-        assert GF8.alpha.minimal_polynomial() == GF8.modulus
+        assert minimal_polynomial(GF8, A8) == GF8.modulus
 
     def test_alpha_cubed_by_expansion(self):
-        # expand (y - a^3)(y - a^6)(y - a^5) with test-local arithmetic
-        a = GF8.alpha
-        roots = [a ** 3, a ** 6, a ** 5]
-        coeffs = [GF8.one]
-        for root in roots:
-            nxt = [GF8.zero] * (len(coeffs) + 1)
-            for j, co in enumerate(coeffs):
-                nxt[j + 1] += co
-                nxt[j] += co * root
-            coeffs = nxt
-        mask = 0
-        for i, co in enumerate(coeffs):
-            assert co.mask in (0, 1)
-            mask |= co.mask << i
-        assert mask == 0b1101  # x^3 + x^2 + 1
-        assert (a ** 3).minimal_polynomial().mask == mask
+        # (y - a^3)(y - a^6)(y - a^5) = y^3 + y^2 + 1, which vanishes at
+        # each of the three conjugates
+        f = minimal_polynomial(GF8, GF8.pow(A8, 3))
+        assert f.mask == 0b1101
+        assert all(evaluate(GF8, f, GF8.pow(A8, k)) == 0 for k in (3, 6, 5))
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_degree_full_for_coprime_power(self, m):
@@ -114,7 +97,7 @@ class TestMinimalPolynomial:
         ctx = field_context(primitive_polynomial(m))
         period = (1 << m) - 1
         for r in range(1, period):
-            degree = (ctx.alpha ** r).minimal_polynomial().degree
+            degree = minimal_polynomial(ctx, ctx.pow(alpha(ctx), r)).degree
             if math.gcd(r, period) == 1:
                 assert degree == m
             else:
@@ -149,8 +132,10 @@ class TestPrimitivity:
         assert not is_primitive(BinaryPolynomial(0b101))  # (x+1)^2
 
     def test_irreducible_but_not_primitive(self):
-        p = BinaryPolynomial(0b11111)  # root of order 5, not 15
-        assert is_irreducible(p)
+        # the minimal polynomial of alpha^3 in GF(16), whose order is 5, not 15
+        gf16 = field_context(primitive_polynomial(4))
+        p = BinaryPolynomial(0b11111)
+        assert minimal_polynomial(gf16, gf16.pow(alpha(gf16), 3)) == p
         assert not is_primitive(p)
 
     def test_degree_cap(self):
@@ -162,6 +147,16 @@ class TestPrimitivity:
         for low in range(1 << degree):
             p = BinaryPolynomial((1 << degree) | low)
             assert is_primitive(p) == lfsr_cycles_all_nonzero(p.mask, degree)
+
+    @pytest.mark.parametrize("degree", range(1, 13))
+    def test_count_is_phi_over_degree(self, degree):
+        # the primitive polynomials of degree d are the minimal polynomials
+        # of the phi(2^d - 1) generators of GF(2^d)*, d of them each
+        order = (1 << degree) - 1
+        phi = sum(1 for k in range(1, order + 1) if math.gcd(k, order) == 1)
+        count = sum(is_primitive(BinaryPolynomial(1 << degree | low))
+                    for low in range(1 << degree))
+        assert count == phi // degree
 
     def test_stock_table(self):
         for degree in range(1, 17):
@@ -210,7 +205,7 @@ class TestLog:
         a = 1
         for k in range((1 << m) - 1):
             assert ctx.log(a) == k
-            a = ctx.mul(a, ctx.alpha.mask)
+            a = ctx.mul(a, alpha(ctx))
 
     # 2^6 - 1 = 3^2 * 7, 2^12 - 1 = 3^2 * 5 * 7 * 13,
     # 2^20 - 1 = 3 * 5^2 * 11 * 31 * 41, 2^24 - 1 = 3^2 * 5 * 7 * 13 * 17 * 241;
@@ -224,7 +219,7 @@ class TestLog:
         ks += [rng.randrange(period) for _ in range(40)]
         for k in ks:
             if k < period:
-                assert ctx.log(ctx.pow(ctx.alpha.mask, k)) == k
+                assert ctx.log(ctx.pow(alpha(ctx), k)) == k
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -237,7 +232,7 @@ class TestRoot:
         ctx = field_context(wide_polynomial(m))
         period = (1 << m) - 1
         for k in [1, 3, period - 1] + [rng.randrange(1, period) for _ in range(12)]:
-            root = ctx.root((ctx.alpha ** k).minimal_polynomial())
+            root = ctx.root(minimal_polynomial(ctx, ctx.pow(alpha(ctx), k)))
             assert ctx.log(root) in frobenius_class(k, m)
 
     @pytest.mark.parametrize("m", range(2, 8))
@@ -267,7 +262,3 @@ class TestContext:
     def test_rejects_degree_mismatch(self):
         with pytest.raises(ValueError):
             FieldContext(4, BinaryPolynomial(0b1011))
-
-    def test_element_range_checked(self):
-        with pytest.raises(ValueError):
-            GF8.element(8)

@@ -30,7 +30,9 @@ from asgrs.registers import (
 )
 
 from conftest import (
+    alpha,
     make_params,
+    minimal_polynomial,
     random_valid_key,
     reference_keystream,
     reference_keystream_by_orbits,
@@ -91,6 +93,11 @@ class TestValidate:
         params = AsgParams(3, 3, 4, primitive_polynomial(3),
                            BinaryPolynomial(0b1111), primitive_polynomial(4))
         assert any("not primitive" in v for v in validate_params(params))
+        # x^25 + x^3 + 1 is primitive, but above the degree the test takes
+        params = AsgParams(25, 3, 5, BinaryPolynomial(0x2000009),
+                           primitive_polynomial(3), BinaryPolynomial(0x25))
+        assert validate_params(params) == [
+            "poly_a degree 25 is above the supported maximum 24"]
 
     @pytest.mark.parametrize("lmn, register", [((3, 1, 2), "B"), ((3, 2, 1), "C")],
                              ids=["m1", "n1"])
@@ -344,7 +351,7 @@ class TestReduction:
         for r in range(1, (1 << m) - 1):
             key = AsgKey(BitVector(rng.randrange(8), 3), BitVector(rng.randrange(1, 1 << m), m),
                          BitVector(rng.randrange(1, 8), 3), r, 1)
-            minimal = (ctx.alpha ** r).minimal_polynomial()
+            minimal = minimal_polynomial(ctx, ctx.pow(alpha(ctx), r))
             if minimal.degree == m:
                 model = reduce_to_classical(params, key)
                 assert model.beta_spec.feedback == minimal
@@ -366,6 +373,8 @@ class TestReduction:
         (0b10001, 0b111),      # (x+1)^4: period 4, which does not divide 15
         (0b11111, 0b1001),     # x^4+x^3+x^2+x+1 (period 5); x^3+1 = (x+1)(x^2+x+1)
         (0b11000, 0b110),      # x^4+x^3 and x^2+x: singular, not periodic from the start
+        # (x^3+x+1)(x^3+x^2+1): reducible, period 7, and x^63 = 1 modulo it
+        (0b1111111, 0b111),
     ])
     def test_non_primitive_model_matches_reference(self, beta_feedback, lambda_feedback, rng):
         # a hand-built model may carry any feedback, so the classical path

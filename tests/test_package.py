@@ -3,6 +3,7 @@ import importlib
 import pkgutil
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 import asgrs
@@ -63,3 +64,44 @@ def test_every_asgrs_name_the_benchmark_uses_resolves():
             missing += [(path.name, node.lineno, name) for module, name in found
                         if not hasattr(module, name)]
     assert checked and not missing
+
+
+
+# Names kept with no caller in the package or the benchmark, each for a reason
+UNCALLED_BY_DESIGN = {
+    # the writer and reader that complete the params and report file formats
+    "write_params", "read_report",
+    # the paper's published figures, which the estimate tables are checked against
+    "reference_values_table1", "reference_values_table2",
+}
+
+
+def _names(tree):
+    """How often each name occurs in `tree`: as a variable, an attribute
+    or an imported name."""
+    return Counter(node.id if isinstance(node, ast.Name)
+                   else node.attr if isinstance(node, ast.Attribute) else node.name
+                   for node in ast.walk(tree)
+                   if isinstance(node, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_every_package_definition_has_a_caller():
+    # each module-level function and class, and each method but the
+    # dunders, is named in the package outside its own definition or in
+    # the benchmark
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    used = sum(map(_names, trees), Counter())
+    used += sum((_names(ast.parse(path.read_text(), str(path)))
+                 for path in sorted(bench.glob("*.py"))), Counter())
+    definitions = []
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            definitions.append(node)
+        if isinstance(node, ast.ClassDef):
+            definitions += [sub for sub in node.body if isinstance(sub, ast.FunctionDef)
+                            and not sub.name.startswith("__")]
+    uncalled = [d.name for d in definitions
+                if used[d.name] == _names(d)[d.name] and d.name not in UNCALLED_BY_DESIGN]
+    assert definitions
+    assert not uncalled
