@@ -375,6 +375,7 @@ class TestReduction:
         (0b11000, 0b110),      # x^4+x^3 and x^2+x: singular, not periodic from the start
         # (x^3+x+1)(x^3+x^2+1): reducible, period 7, and x^63 = 1 modulo it
         (0b1111111, 0b111),
+        (0b10, 0b111),         # x: irreducible, but x^1 = 0 mod x, so never periodic
     ])
     def test_non_primitive_model_matches_reference(self, beta_feedback, lambda_feedback, rng):
         # a hand-built model may carry any feedback, so the classical path
