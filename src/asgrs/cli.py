@@ -21,7 +21,7 @@ from .complexity import (
     estimate_table1,
     estimate_table2,
 )
-from .errors import KeyValidationError, UnsupportedParameterError
+from .errors import KeyValidationError
 from .generator import (
     classical_asg_keystream,
     keystream,
@@ -64,27 +64,19 @@ def cmd_keystream(args) -> int:
         return _fail(f"--count must not be negative, got {args.count}")
     params = formats.read_params(args.params, strict=args.strict)
     key = formats.read_key(args.key, params)
-    try:
-        bits = keystream(params, key, args.count)
-    except KeyValidationError as e:
-        return _fail(str(e))
-    formats.write_bits(args.out, bits, fmt=args.format)
+    formats.write_bits(args.out, keystream(params, key, args.count), fmt=args.format)
     return 0
 
 
 def cmd_attack(args) -> int:
     params = formats.read_params(args.params, strict=args.strict)
     bits = formats.read_bits(args.infile)
-    try:
-        config = AttackConfig(
-            params=params,
-            keystream=bits,
-            max_candidates=args.max_candidates,
-            worker_count=args.workers,
-        )
-    except ValueError as e:
-        return _fail(str(e))
-    report = run_attack(config)
+    report = run_attack(AttackConfig(
+        params=params,
+        keystream=bits,
+        max_candidates=args.max_candidates,
+        worker_count=args.workers,
+    ))
     if args.out:
         formats.write_report(args.out, report)
     else:
@@ -109,10 +101,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    try:
-        inputs = ComplexityInputs(args.l, args.m, args.n)
-    except ValueError as e:
-        return _fail(str(e))
+    inputs = ComplexityInputs(args.l, args.m, args.n)
 
     def rows(table):
         return [
@@ -139,10 +128,7 @@ def cmd_estimate(args) -> int:
 def cmd_oracle(args) -> int:
     params = formats.read_params(args.params, strict=args.strict)
     bits = formats.read_bits(args.infile)
-    try:
-        keys = brute_force_oracle(params, bits)
-    except UnsupportedParameterError as e:
-        return _fail(str(e))
+    keys = brute_force_oracle(params, bits)
     _emit({"count": len(keys), "keys": [formats.key_to_dict(k) for k in keys]},
           args.out)
     return 0
@@ -153,11 +139,8 @@ def cmd_reduce(args) -> int:
         return _fail(f"--count must be at least 1, got {args.count}")
     params = formats.read_params(args.params, strict=args.strict)
     key = formats.read_key(args.key, params)
-    try:
-        model = reduce_to_classical(params, key)
-        original = keystream(params, key, args.count)
-    except (KeyValidationError, ValueError) as e:
-        return _fail(str(e))
+    model = reduce_to_classical(params, key)
+    original = keystream(params, key, args.count)
     replayed = classical_asg_keystream(model, args.count)
     equivalent = replayed == original
     _emit({
@@ -244,6 +227,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except OSError as e:
         return _fail(f"cannot open {e.filename}: {e.strerror}")
+    # commands leave their domain errors to this one report
     except (ValueError, KeyError) as e:
         return _fail(str(e))
 

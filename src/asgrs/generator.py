@@ -300,7 +300,7 @@ def _merge(control: str, b: str, c: str, count: int) -> list[int]:
 def _control(reg: DeBruijnRegister, steps: int) -> str:
     """The control bits of the first `steps` steps, one period at most, as
     digits."""
-    return de_bruijn_digits(reg.base, reg.state.mask, min(steps, 1 << reg.span))
+    return de_bruijn_digits(reg.base, reg.state.mask, min(steps, 1 << reg.base.length))
 
 
 def _jumped(poly: BinaryPolynomial, state: BitVector, jump: int, count: int) -> bytes:

@@ -42,10 +42,6 @@ class BitVector:
             n += 1
         return cls(mask, n)
 
-    @classmethod
-    def zeros(cls, n: int) -> "BitVector":
-        return cls(0, n)
-
     def __len__(self) -> int:
         return self.length
 
@@ -56,11 +52,6 @@ class BitVector:
 
     def __iter__(self) -> Iterator[int]:
         return (self[i] for i in range(self.length))
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.mask ^ other.mask, self.length)
 
     def __str__(self) -> str:
         return "".join(str(b) for b in self)
@@ -155,16 +146,6 @@ def _poly_divmod(a: int, b: int) -> tuple[int, int]:
     return q, a
 
 
-def _poly_mul(a: int, b: int) -> int:
-    c = 0
-    while a:
-        if a & 1:
-            c ^= b
-        a >>= 1
-        b <<= 1
-    return c
-
-
 def _poly_mulmod(a: int, b: int, mod: int) -> int:
     # operands already reduced below mod's degree
     dm = _degree(mod)
@@ -203,21 +184,6 @@ class BinaryPolynomial:
 
     def coefficient(self, i: int) -> int:
         return (self.mask >> i) & 1
-
-    def __add__(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
-        return BinaryPolynomial(self.mask ^ other.mask)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
-        return BinaryPolynomial(_poly_mul(self.mask, other.mask))
-
-    def __divmod__(self, other: "BinaryPolynomial") -> tuple["BinaryPolynomial", "BinaryPolynomial"]:
-        q, r = _poly_divmod(self.mask, other.mask)
-        return BinaryPolynomial(q), BinaryPolynomial(r)
-
-    def __mod__(self, other: "BinaryPolynomial") -> "BinaryPolynomial":
-        return divmod(self, other)[1]
 
     def __str__(self) -> str:
         if self.mask == 0:

@@ -45,18 +45,11 @@ from operator import rshift
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateStateError, UnsupportedParameterError
-from .field import MAX_DEGREE, X, is_primitive
+from .field import X, is_primitive
 from .gf2 import BinaryPolynomial, BitVector, poly_pow_mod, xor_rows
 
 # Sequences of bits are plain lists/tuples of 0/1 ints throughout the package.
 BitSequence = Sequence[int]
-
-
-def _safe_is_primitive(p: BinaryPolynomial) -> bool:
-    d = p.degree
-    if d is None or d > MAX_DEGREE:
-        return False
-    return is_primitive(p)
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,7 @@ def output_sequence(spec: LfsrSpec, init: BitVector, count: int) -> list[int]:
     """First `count` output bits; bit t reads cell len-1 after t clocks."""
     if init.length != spec.length:
         raise ValueError("state length does not match register length")
-    if init.mask == 0 and _safe_is_primitive(spec.feedback):
+    if init.mask == 0 and is_primitive(spec.feedback):
         raise DegenerateStateError("all-zero state on a maximum-length register")
     return list(output_bits(islice(lfsr_states(spec, init.mask), max(count, 0)), spec.length))
 
@@ -177,12 +170,8 @@ class DeBruijnRegister:
     def __post_init__(self):
         if self.state.length != self.base.length:
             raise ValueError("state length does not match register length")
-        if not _safe_is_primitive(self.base.feedback):
+        if not is_primitive(self.base.feedback):
             raise ValueError("de Bruijn base polynomial must be primitive")
-
-    @property
-    def span(self) -> int:
-        return self.base.length
 
 
 def de_bruijn_states(base: LfsrSpec, state: int) -> Iterator[int]:

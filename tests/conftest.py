@@ -11,7 +11,7 @@ import pytest
 from asgrs import AsgKey, AsgParams, BitMatrix, BitVector
 from asgrs.attack import DecimationFit
 from asgrs.field import X, is_primitive
-from asgrs.gf2 import BinaryPolynomial
+from asgrs.gf2 import BinaryPolynomial, _poly_divmod
 from asgrs.registers import (
     PRIMITIVE_POLYNOMIALS,
     LfsrSpec,
@@ -223,7 +223,7 @@ def reference_oracle(params, target):
 
 def alpha(ctx):
     """The class of x, the primitive element of the context."""
-    return (X % ctx.modulus).mask
+    return _poly_divmod(X.mask, ctx.modulus.mask)[1]
 
 
 def minimal_polynomial(ctx, a):

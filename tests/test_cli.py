@@ -4,8 +4,11 @@ import pytest
 
 from asgrs import AsgKey, BitVector, formats
 from asgrs.analysis import measure_period
+from asgrs.attack import AttackConfig
 from asgrs.cli import main
-from asgrs.generator import keystream, validate
+from asgrs.complexity import ComplexityInputs
+from asgrs.generator import keystream, reduce_to_classical, validate
+from asgrs.oracle import brute_force_oracle
 
 from conftest import make_params
 
@@ -19,6 +22,12 @@ def params_file(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+def assert_reported(capsys, raised):
+    """The command printed the library's exception as one line on stderr,
+    and nothing else."""
+    assert capsys.readouterr() == ("", f"error: {raised.value}\n")
 
 
 class TestKeygen:
@@ -84,6 +93,17 @@ class TestKeystream:
         assert "--count" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_invalid_key_fails(self, tmp_path, params_file, capsys):
+        key, out = tmp_path / "key.json", tmp_path / "z.txt"
+        bad = AsgKey(BitVector(1, 3), BitVector(0, 3), BitVector(1, 4), 1, 1)
+        formats.write_key(key, bad)
+        with pytest.raises(ValueError) as raised:
+            keystream(formats.read_params(params_file), bad, 10)
+        assert run("keystream", "--params", params_file, "--key", str(key),
+                   "--count", "10", "--out", str(out)) == 1
+        assert_reported(capsys, raised)
+        assert not out.exists()
+
     def test_text_binary_agree(self, tmp_path, params_file):
         key = tmp_path / "key.json"
         run("keygen", "--params", params_file, "--out", str(key), "--seed", "5")
@@ -122,8 +142,10 @@ class TestAttackCommand:
 
     def test_short_keystream_rejected(self, tmp_path, capsys):
         pfile, _, z = self.setup_round_trip(tmp_path, 8, 7, 5, 12)
+        with pytest.raises(ValueError, match=r"3\(m\+n\) = 36") as raised:
+            AttackConfig(formats.read_params(pfile), formats.read_bits(z))
         assert run("attack", "--params", str(pfile), "--in", str(z)) == 1
-        assert "3(m+n) = 36" in capsys.readouterr().err
+        assert_reported(capsys, raised)
 
     def test_no_key_found_exits_1(self, tmp_path, params_file):
         import random
@@ -173,8 +195,12 @@ class TestEstimate:
         assert table2["Clock Control Guessing"]["flagged_inconsistent"]
         assert abs(doc["key_recovery_log2"] - 82) <= 0.5
 
-    def test_bad_sizes_fail(self):
-        assert run("estimate", "1", "64", "64") == 1
+    def test_bad_sizes_fail(self, capsys):
+        for l, m, n in ((1, 64, 64), (1, 3, 4)):
+            with pytest.raises(ValueError) as raised:
+                ComplexityInputs(l, m, n)
+            assert run("estimate", str(l), str(m), str(n)) == 1
+            assert_reported(capsys, raised)
 
 
 class TestOracle:
@@ -212,8 +238,10 @@ class TestOracle:
         formats.write_params(pfile, make_params(8, 7, 5))
         z = tmp_path / "z.txt"
         formats.write_bits(z, [0] * 40)
+        with pytest.raises(ValueError, match="cap") as raised:
+            brute_force_oracle(formats.read_params(pfile), [0] * 40)
         assert run("oracle", "--params", str(pfile), "--in", str(z)) == 1
-        assert "cap" in capsys.readouterr().err
+        assert_reported(capsys, raised)
 
     def test_key_cap_refusal(self, tmp_path, capsys):
         # an empty target at (4,3,5) matches all 624,960 keys
@@ -250,9 +278,12 @@ class TestReduce:
         (tmp_path / "k.json").write_text(json.dumps({
             "state_a": "0x0", "state_b": "0x1", "state_c": "0x1",
             "r": 5, "s": 1}) + "\n")
+        params = formats.read_params(pfile, strict=False)
+        with pytest.raises(ValueError, match="collapses") as raised:
+            reduce_to_classical(params, formats.read_key(tmp_path / "k.json", params))
         assert run("reduce", "--params", str(pfile), "--key",
                    str(tmp_path / "k.json"), "--no-strict") == 1
-        assert "collapses" in capsys.readouterr().err
+        assert_reported(capsys, raised)
 
 
 class TestUsage:

@@ -60,7 +60,7 @@ class TestValidate:
 
     def test_gcd_jump_violation(self):
         params = make_params(3, 4, 3)
-        key = AsgKey(BitVector.zeros(3), BitVector(1, 4), BitVector(1, 3), 3, 1)
+        key = AsgKey(BitVector(0, 3), BitVector(1, 4), BitVector(1, 3), 3, 1)
         violations = validate(params, key)
         assert any("gcd(r = 3, 15) = 3" in v for v in violations)
 
@@ -71,7 +71,7 @@ class TestValidate:
         assert validate_params(relaxed) == []
 
     def test_zero_states_flagged(self):
-        key = AsgKey(BitVector.zeros(3), BitVector.zeros(3), BitVector.zeros(4), 1, 1)
+        key = AsgKey(BitVector(0, 3), BitVector(0, 3), BitVector(0, 4), 1, 1)
         violations = validate(P334, key)
         assert any("state_b" in v for v in violations)
         assert any("state_c" in v for v in violations)
@@ -206,7 +206,7 @@ class TestKeystream:
         assert jump_rows.cache_info().currsize <= bound
 
     def test_invalid_key_raises(self):
-        bad = AsgKey(BitVector.zeros(3), BitVector.zeros(3), BitVector(1, 4), 1, 1)
+        bad = AsgKey(BitVector(0, 3), BitVector(0, 3), BitVector(1, 4), 1, 1)
         with pytest.raises(KeyValidationError):
             keystream(P334, bad, 8)
 
@@ -317,7 +317,7 @@ class TestReduction:
     def test_all_zero_register_rejected(self):
         model = reduce_to_classical(P334, fixed_key())
         broken = type(model)(model.beta_spec, model.beta_state,
-                             model.lambda_spec, BitVector.zeros(4), model.control)
+                             model.lambda_spec, BitVector(0, 4), model.control)
         with pytest.raises(DegenerateStateError):
             classical_asg_keystream(broken, 10)
 
@@ -326,7 +326,7 @@ class TestReduction:
         # jump whose decimated stream drops below full linear complexity
         # cannot be modelled by a same-length register
         params = make_params(3, 4, 3, strict=False)
-        key = AsgKey(BitVector.zeros(3), BitVector(1, 4), BitVector(1, 3), 5, 1)
+        key = AsgKey(BitVector(0, 3), BitVector(1, 4), BitVector(1, 3), 5, 1)
         assert validate(params, key) == []
         assert len(keystream(params, key, 16)) == 16
         with pytest.raises(DegenerateStateError):
@@ -364,7 +364,7 @@ class TestReduction:
         # r = 3 at m = 4 hits the degree-4 cyclotomic polynomial: not an
         # m-sequence any more, but still representable at full length
         params = make_params(3, 4, 3, strict=False)
-        key = AsgKey(BitVector.zeros(3), BitVector(1, 4), BitVector(1, 3), 3, 1)
+        key = AsgKey(BitVector(0, 3), BitVector(1, 4), BitVector(1, 3), 3, 1)
         model = reduce_to_classical(params, key)
         assert model.beta_spec.feedback.mask == 0b11111
         assert classical_asg_keystream(model, 500) == keystream(params, key, 500)

@@ -5,7 +5,8 @@ from itertools import islice
 import pytest
 
 from asgrs.analysis import berlekamp_massey, measure_period
-from asgrs.errors import DegenerateStateError
+from asgrs.errors import DegenerateStateError, UnsupportedParameterError
+from asgrs.field import MAX_DEGREE
 from asgrs.gf2 import BinaryPolynomial, BitMatrix, BitVector, xor_rows
 from asgrs.registers import (
     DeBruijnRegister,
@@ -25,6 +26,8 @@ from asgrs.registers import (
 from conftest import _ref_debruijn_step
 
 SPEC3 = LfsrSpec(3, BinaryPolynomial(0b1011))
+# x^25 + x^3 + 1, primitive, one degree past the primitivity test's cap
+SPEC25 = LfsrSpec(25, BinaryPolynomial(1 << 25 | 1 << 3 | 1))
 
 
 def one_clock_matrix(spec):
@@ -72,7 +75,7 @@ class TestLfsrStep:
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            lfsr_step(SPEC3, BitVector.zeros(4), 1)
+            lfsr_step(SPEC3, BitVector(0, 4), 1)
 
     def test_matches_matrix_power(self):
         rng = random.Random(99)
@@ -163,11 +166,17 @@ class TestOutputSequence:
 
     def test_degenerate_zero_state(self):
         with pytest.raises(DegenerateStateError):
-            output_sequence(SPEC3, BitVector.zeros(3), 5)
+            output_sequence(SPEC3, BitVector(0, 3), 5)
 
     def test_zero_state_allowed_for_non_primitive(self):
         spec = LfsrSpec(2, BinaryPolynomial(0b101))  # (x+1)^2
-        assert output_sequence(spec, BitVector.zeros(2), 3) == [0, 0, 0]
+        assert output_sequence(spec, BitVector(0, 2), 3) == [0, 0, 0]
+
+    def test_zero_state_above_degree_cap_names_the_cap(self):
+        # the register's primitivity is unknown there, so the zero state
+        # is refused rather than read as a stream of zeros
+        with pytest.raises(UnsupportedParameterError, match=f"degree {MAX_DEGREE}"):
+            output_sequence(SPEC25, BitVector(0, 25), 5)
 
 
 class TestJumpedStates:
@@ -249,7 +258,7 @@ class TestDeBruijn:
         assert de_bruijn_sequence(reg, 6) == [0, 1, 0, 1, 0, 1]
 
     def test_span3_every_window_once(self):
-        reg = DeBruijnRegister(SPEC3, BitVector.zeros(3))
+        reg = DeBruijnRegister(SPEC3, BitVector(0, 3))
         seq = de_bruijn_sequence(reg, 8)
         cyc = seq + seq[:2]
         windows = {tuple(cyc[i:i + 3]) for i in range(8)}
@@ -271,7 +280,7 @@ class TestDeBruijn:
     @pytest.mark.parametrize("span", range(1, 13))
     def test_window_property(self, span):
         base = LfsrSpec(span, primitive_polynomial(span))
-        seq = de_bruijn_sequence(DeBruijnRegister(base, BitVector.zeros(span)),
+        seq = de_bruijn_sequence(DeBruijnRegister(base, BitVector(0, span)),
                                  1 << span)
         cyc = seq + seq[:span - 1]
         windows = {tuple(cyc[i:i + span]) for i in range(1 << span)}
@@ -293,7 +302,11 @@ class TestDeBruijn:
 
     def test_rejects_non_primitive_base(self):
         with pytest.raises(ValueError):
-            DeBruijnRegister(LfsrSpec(2, BinaryPolynomial(0b101)), BitVector.zeros(2))
+            DeBruijnRegister(LfsrSpec(2, BinaryPolynomial(0b101)), BitVector(0, 2))
+
+    def test_base_above_degree_cap_names_the_cap(self):
+        with pytest.raises(UnsupportedParameterError, match=f"degree {MAX_DEGREE}"):
+            DeBruijnRegister(SPEC25, BitVector(1, 25))
 
 
 class TestSpecValidation:
