@@ -8,20 +8,31 @@ desk scale.
 The keystream is z_t = beta_{p_t} ^ lambda_{q_t}, where p_t and q_t count
 the 1s and 0s among the control bits before step t, so once the control
 phase is fixed a key splits into a B half (r, B state) and a C half
-(s, C state).  Per phase the oracle writes the C word lambda_{q_t},
-t < len(z), of every C half into a dict, and looks up the word
-z_t ^ beta_{p_t} of every B half in it: an exact equality join.  That
-is 2^l * (|R|*(2^m-1) + |S|*(2^n-1)) word builds of len(z) bits each,
-not 2^l * |R|*(2^m-1) * |S|*(2^n-1) candidate checks, although every
-candidate is still covered.  R and S are the jumps that `validate`
-admits: with strict params those coprime to the register's period,
-otherwise every jump that is nonzero modulo it.
+(s, C state).  For that phase the identity holds for every t < len(z)
+exactly when
+  (i)   beta_{p_t} ^ beta_{p_t+1} = z_t ^ z_{t+1} at the control-1 steps t,
+  (ii)  lambda_{q_t} ^ lambda_{q_t+1} = z_t ^ z_{t+1} at the control-0 steps t,
+  (iii) beta_0 ^ lambda_0 = z_0.
+Necessary: a control-1 step moves p_t and keeps q_t, so z changes by the
+beta difference alone, and a control-0 step likewise by the lambda one.
+Sufficient, by induction on t: (iii) is t = 0, and (i) or (ii) carries
+the identity from t to t+1.  So per phase the oracle peels beta^ (P+1
+bits, P the 1s among the len(z)-1 control bits) and lambda^ (Q+1 bits,
+Q the 0s) off the differences of z, each with bit 0 set to 0; it keeps
+the halves whose stream begins with the peeled one or its complement,
+which gives beta_0 or lambda_0, and pairs each kept B half with the kept
+C halves of lambda_0 = z_0 ^ beta_0.  The streams are len(z)-bit windows
+of the output cycles: |R|*(2^m-1) + |S|*(2^n-1) of them, built once per
+call, and as many masked compares per phase.  The work cap still counts
+all 2^l * |R|*(2^m-1) * |S|*(2^n-1) candidates.  R and S are the jumps
+that `validate` admits: with strict params those coprime to the
+register's period, otherwise every jump that is nonzero modulo it.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, islice
+from itertools import accumulate, compress, cycle, islice, repeat
 from operator import xor
 
 from .errors import UnsupportedParameterError
@@ -42,14 +53,17 @@ def _jumps(length: int, strict: bool) -> list[int]:
 def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
     """All valid keys whose keystream matches `target`, by exhaustion.
 
-    Independent of the generator's merge and jumps: candidate keystream
-    bits are read off precomputed output cycles as
-    z_t = b[(p_t * r + off_b) mod 2^m-1] ^ c[(q_t * s + off_c) mod 2^n-1],
-    and B and C halves are paired by a per-phase hash join (see the
-    module docstring).  Keys come in the order (phase along the de
-    Bruijn cycle, r, B state, s, C state), B and C states in cycle order
-    from state 1.  The work cap counts 2^(l+m+n) * |R| * |S| candidates;
-    past ORACLE_KEY_CAP matching keys the search stops with an error.
+    Independent of the generator's merge and jumps: the stream of a half
+    is read off its register's output cycle, beta_k = b[(k*r + off_b) mod
+    2^m-1] and lambda_k = c[(k*s + off_c) mod 2^n-1], and B and C halves
+    are kept and paired per phase by conditions (i)-(iii) of the module
+    docstring, which hold exactly when z_t = beta_{p_t} ^ lambda_{q_t}
+    for every t < len(z).  That costs |R|*(2^m-1) + |S|*(2^n-1) windows
+    once and as many masked compares per phase.  Keys come in the order
+    (phase along the de Bruijn cycle, r, B state, s, C state), B and C
+    states in cycle order from state 1.  The work cap counts
+    2^(l+m+n) * |R| * |S| candidates; past ORACLE_KEY_CAP matching keys
+    the search stops with an error.
     """
     violations = validate_params(params)
     if violations:
@@ -65,42 +79,64 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
     z = list(target)
     require_bits(z)
 
-    pm, pn = (1 << m) - 1, (1 << n) - 1
-    b_states, b_cycle = _state_cycle(LfsrSpec(m, params.poly_b), pm)
-    c_states, c_cycle = _state_cycle(LfsrSpec(n, params.poly_c), pn)
-    b_vectors = [BitVector(st, m) for st in b_states]
-    c_vectors = [BitVector(st, n) for st in c_states]
-    b_twice, c_twice = b_cycle * 2, c_cycle * 2
+    # indexed by the control bit that steps the side: C (lambda, s) is 0, B (beta, r) is 1
+    sides = (_windows(LfsrSpec(n, params.poly_c), jumps_s, len(z)),
+             _windows(LfsrSpec(m, params.poly_b), jumps_r, len(z)))
     a_states = de_bruijn_cycle(LfsrSpec(l, params.poly_a))
-    period = 1 << l
-
+    # the empty target has no z_0 and 0-bit windows: every half is kept
+    # with first bit 0, and every pair of halves is a key
+    first = z[0] if z else 0
     out: list[AsgKey] = []
-    for phase in range(period):
-        steps = [a_states[(phase + t) % period] & 1 for t in range(len(z) - 1)]
-        p_arr = list(accumulate(steps, initial=0))[:len(z)]
-        q_arr = [t - p for t, p in enumerate(p_arr)]
-        c_halves: dict[bytes, list[tuple[int, int]]] = {}
-        for s in jumps_s:
-            qs = [q * s % pn for q in q_arr]
-            for off_c in range(pn):
-                cycle = c_twice[off_c:off_c + pn]
-                c_halves.setdefault(bytes(map(cycle.__getitem__, qs)), []).append((s, off_c))
-        state_a = BitVector(a_states[phase], l)
-        for r in jumps_r:
-            ps = [p * r % pm for p in p_arr]
-            for off_b in range(pm):
-                cycle = b_twice[off_b:off_b + pm]
-                need = bytes(map(xor, z, map(cycle.__getitem__, ps)))
-                for s, off_c in c_halves.get(need, ()):
-                    out.append(AsgKey(state_a, b_vectors[off_b], c_vectors[off_c], r, s))
-                if len(out) > ORACLE_KEY_CAP:
-                    raise UnsupportedParameterError(
-                        f"more than {ORACLE_KEY_CAP} keys match the {len(z)}-bit target")
+    for phase, state in enumerate(a_states):
+        diffs = ([], [])
+        for step, control in zip(map(xor, z, z[1:]), islice(cycle(a_states), phase, None)):
+            diffs[control & 1].append(step)
+        c_halves, b_halves = map(_kept, sides, diffs)
+        state_a = BitVector(state, l)
+        for beta0, r, state_b in b_halves:
+            out += [AsgKey(state_a, state_b, state_c, r, s)
+                    for lambda0, s, state_c in c_halves if lambda0 == first ^ beta0]
+            if len(out) > ORACLE_KEY_CAP:
+                raise UnsupportedParameterError(
+                    f"more than {ORACLE_KEY_CAP} keys match the {len(z)}-bit target")
     return out
 
 
-def _state_cycle(spec: LfsrSpec, period: int) -> tuple[list[int], list[int]]:
-    """The register's states from state 1 over one period, and the output
-    bit (the top cell) of each."""
+Half = tuple[int, int, BitVector]  # (first stream bit, jump, generating state)
+
+
+def _windows(spec: LfsrSpec, jumps: list[int], width: int) -> tuple[list[int], list[Half]]:
+    """The halves of the register, jumps outermost and states from state 1
+    in cycle order, and the `width`-bit window of each: bit k is the output
+    bit (the top cell) of the state k*j clocks on.
+
+    The states k*j clocks apart form one orbit per coset of <j> in
+    Z/(2^length - 1); each orbit is packed once into an int that runs
+    `width` bits past its end, so a window is one shift and mask.
+    """
+    period = (1 << spec.length) - 1
     states = list(islice(lfsr_states(spec, 1), period))
-    return states, list(output_bits(states, spec.length))
+    bits = list(output_bits(states, spec.length))
+    vectors = [BitVector(st, spec.length) for st in states]
+    mask = (1 << width) - 1
+    windows, halves = [], []
+    for j in jumps:
+        cosets = math.gcd(j, period)  # 1 unless params are not strict
+        size, inverse = period // cosets, pow(j // cosets, -1, period // cosets)
+        orbits = [sum(bits[(coset + k * j) % period] << k for k in range(size + width))
+                  for coset in range(cosets)]
+        # state i lies (i // cosets) / (j / cosets) mod size steps into orbit i % cosets
+        row = [(orbits[i % cosets] >> (i // cosets * inverse % size)) & mask for i in range(period)]
+        windows += row
+        halves += zip(map((1).__and__, row), repeat(j), vectors)
+    return windows, halves
+
+
+def _kept(side: tuple[list[int], list[Half]], diffs: list[int]) -> list[Half]:
+    """The halves whose stream's successive differences begin with `diffs`."""
+    # bit k of the peeled stream is the stream's bit k xor its bit 0
+    peeled = sum(bit << k for k, bit in enumerate(accumulate(diffs, xor, initial=0)))
+    mask = (1 << (len(diffs) + 1)) - 1
+    windows, halves = side
+    return list(compress(halves, map({peeled, peeled ^ mask}.__contains__,
+                                     map(mask.__and__, windows))))

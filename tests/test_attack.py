@@ -51,6 +51,9 @@ P875 = make_params(8, 7, 5)
 # factor with B's period 15
 P343_LOOSE = make_params(3, 4, 3, strict=False)
 KEY_R3 = AsgKey(BitVector(5, 3), BitVector(9, 4), BitVector(3, 3), 3, 2)
+# both register periods are 15, and r = 3 and s = 5 share a factor with it
+P244_LOOSE = make_params(2, 4, 4, strict=False)
+KEY_R3_S5 = AsgKey(BitVector(1, 2), BitVector(9, 4), BitVector(3, 4), 3, 5)
 
 
 def lmn_id(lmn):
@@ -640,17 +643,27 @@ class TestBruteForceOracle:
                 brute_force_oracle(P334, z)
 
     @pytest.mark.parametrize("params", [make_params(2, 3, 5), P334, make_params(4, 3, 5),
-                                        P343_LOOSE], ids=["2-3-5", "3-3-4", "4-3-5", "3-4-3-loose"])
+                                        P343_LOOSE, P244_LOOSE],
+                             ids=["2-3-5", "3-3-4", "4-3-5", "3-4-3-loose", "2-4-4-loose"])
     def test_matches_reference_oracle(self, params, rng):
         # same keys in the same order as the per-candidate reference on a
-        # true keystream past one control period; below l = 4 (where the
-        # reference takes well under 1 s) also on one of 3(m+n) bits and a
-        # random string, and at (3, 3, 4) on the empty and 1-bit targets
+        # true keystream past one control period and past twice the longer
+        # register period, so that windows wrap their cycle, and on it with
+        # its last bit flipped; below l = 4 (where the reference takes well
+        # under 1 s) also on one of 3(m+n) bits, on its 2- and 3-bit
+        # prefixes, where P or Q is 0, and on a random string, and at
+        # (3, 3, 4) on the empty and 1-bit targets.  Without strict, 15
+        # is composite, so at (2, 4, 4) jumps 3, 5, 6, 9, 10 and 12 split
+        # both cycles into several orbits
         floor = 3 * (params.m + params.n)
-        key = KEY_R3 if params is P343_LOOSE else random_valid_key(params, rng)
-        inputs = [keystream(params, key, (1 << params.l) + floor + 3)]
+        key = {P343_LOOSE: KEY_R3, P244_LOOSE: KEY_R3_S5}.get(params)
+        key = key or random_valid_key(params, rng)
+        longest = (1 << max(params.m, params.n)) - 1
+        z = keystream(params, key, max((1 << params.l) + floor + 3, 2 * longest + 3))
+        inputs = [z, z[:-1] + [1 - z[-1]]]
         if params.l < 4:
-            inputs += [keystream(params, key, floor), [rng.randrange(2) for _ in range(floor)]]
+            short = keystream(params, key, floor)
+            inputs += [short, short[:2], short[:3], [rng.randrange(2) for _ in range(floor)]]
         if params is P334:
             inputs += [[], [1]]
         for z in inputs:
@@ -780,8 +793,8 @@ class TestSoundnessAndCompleteness:
     regenerates the input, and on ASG keystreams every reported key is
     one the brute-force oracle finds too."""
 
-    @pytest.mark.parametrize("lmn, examples", [((3, 3, 4), 12), ((4, 3, 5), 12)],
-                             ids=["3-3-4", "4-3-5"])
+    @pytest.mark.parametrize("lmn, examples", [((3, 3, 4), 12), ((4, 3, 5), 12), ((5, 4, 7), 4)],
+                             ids=["3-3-4", "4-3-5", "5-4-7"])
     def test_keys_regenerate_and_lie_in_oracle_set(self, lmn, examples):
         params = make_params(*lmn)
         floor = 3 * (params.m + params.n)
