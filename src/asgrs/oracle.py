@@ -63,14 +63,15 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
     (phase along the de Bruijn cycle, r, B state, s, C state), B and C
     states in cycle order from state 1.  The work cap counts
     2^(l+m+n) * |R| * |S| candidates; past ORACLE_KEY_CAP matching keys
-    the search stops with an error.
+    the search stops with an error.  The empty target has no z_0 and
+    0-bit windows, so every half is kept with first bit 0 and every pair
+    of halves is a key.
     """
     violations = validate_params(params)
     if violations:
         raise ValueError("invalid params: " + "; ".join(violations))
     l, m, n = params.l, params.m, params.n
-    jumps_r = _jumps(m, params.strict)
-    jumps_s = _jumps(n, params.strict)
+    jumps_r, jumps_s = _jumps(m, params.strict), _jumps(n, params.strict)
     work = (1 << (l + m + n)) * len(jumps_r) * len(jumps_s)
     if work > ORACLE_WORK_CAP:
         raise UnsupportedParameterError(
@@ -79,19 +80,15 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
     z = list(target)
     require_bits(z)
 
-    # indexed by the control bit that steps the side: C (lambda, s) is 0, B (beta, r) is 1
-    sides = (_windows(LfsrSpec(n, params.poly_c), jumps_s, len(z)),
-             _windows(LfsrSpec(m, params.poly_b), jumps_r, len(z)))
+    sides = (_windows(LfsrSpec(n, params.poly_c), jumps_s, len(z)),  # C: control bit 0
+             _windows(LfsrSpec(m, params.poly_b), jumps_r, len(z)))  # B: control bit 1
     a_states = de_bruijn_cycle(LfsrSpec(l, params.poly_a))
-    # the empty target has no z_0 and 0-bit windows: every half is kept
-    # with first bit 0, and every pair of halves is a key
     first = z[0] if z else 0
     out: list[AsgKey] = []
     for phase, state in enumerate(a_states):
-        diffs = ([], [])
-        for step, control in zip(map(xor, z, z[1:]), islice(cycle(a_states), phase, None)):
-            diffs[control & 1].append(step)
-        c_halves, b_halves = map(_kept, sides, diffs)
+        steps = list(zip(map(xor, z, z[1:]), islice(cycle(a_states), phase, None)))
+        c_halves, b_halves = (_kept(*side, [d for d, a in steps if a & 1 == control])
+                              for control, side in enumerate(sides))
         state_a = BitVector(state, l)
         for beta0, r, state_b in b_halves:
             out += [AsgKey(state_a, state_b, state_c, r, s)
@@ -110,33 +107,38 @@ def _windows(spec: LfsrSpec, jumps: list[int], width: int) -> tuple[list[int], l
     in cycle order, and the `width`-bit window of each: bit k is the output
     bit (the top cell) of the state k*j clocks on.
 
-    The states k*j clocks apart form one orbit per coset of <j> in
-    Z/(2^length - 1); each orbit is packed once into an int that runs
-    `width` bits past its end, so a window is one shift and mask.
+    The states k*j clocks apart walk one coset of <j> in Z/(2^length - 1),
+    the only coset unless params are not strict.  The output bits of each
+    walk are packed once into an int that runs `width` bits past its end,
+    so the window of its k-th state is one shift by k and mask.
     """
     period = (1 << spec.length) - 1
     states = list(islice(lfsr_states(spec, 1), period))
-    bits = list(output_bits(states, spec.length))
+    digits = "".join(map(str, output_bits(states, spec.length)))
     vectors = [BitVector(st, spec.length) for st in states]
     mask = (1 << width) - 1
     windows, halves = [], []
     for j in jumps:
-        cosets = math.gcd(j, period)  # 1 unless params are not strict
-        size, inverse = period // cosets, pow(j // cosets, -1, period // cosets)
-        orbits = [sum(bits[(coset + k * j) % period] << k for k in range(size + width))
-                  for coset in range(cosets)]
-        # state i lies (i // cosets) / (j / cosets) mod size steps into orbit i % cosets
-        row = [(orbits[i % cosets] >> (i // cosets * inverse % size)) & mask for i in range(period)]
+        row = [0] * period
+        for coset in range(math.gcd(j, period)):
+            walk = [i % period for i in range(coset, coset + math.lcm(j, period), j)]
+            orbit = "".join(map(digits.__getitem__, islice(cycle(walk), len(walk) + width)))
+            packed = int(orbit[::-1], 2)
+            for k, i in enumerate(walk):
+                row[i] = packed >> k & mask
         windows += row
         halves += zip(map((1).__and__, row), repeat(j), vectors)
     return windows, halves
 
 
-def _kept(side: tuple[list[int], list[Half]], diffs: list[int]) -> list[Half]:
-    """The halves whose stream's successive differences begin with `diffs`."""
-    # bit k of the peeled stream is the stream's bit k xor its bit 0
-    peeled = sum(bit << k for k, bit in enumerate(accumulate(diffs, xor, initial=0)))
+def _kept(windows: list[int], halves: list[Half], diffs: list[int]) -> list[Half]:
+    """The halves whose stream's successive differences begin with `diffs`.
+
+    Bit k of the peeled stream is the stream's bit k xor its bit 0, so a
+    kept stream begins with the peeled one or with its complement.
+    """
+    peeled = int("".join(map(str, accumulate(diffs, xor, initial=0)))[::-1], 2)
     mask = (1 << (len(diffs) + 1)) - 1
-    windows, halves = side
     return list(compress(halves, map({peeled, peeled ^ mask}.__contains__,
                                      map(mask.__and__, windows))))
+

@@ -85,22 +85,26 @@ def _names(tree, kinds=(ast.Name, ast.Attribute, ast.alias)):
 
 
 def _uncalled(trees, callers=()):
-    """The module-level functions and classes of `trees` that no name in
+    """How many definitions of `trees` were checked, and those that no
+    caller reaches: the module-level functions and classes that no name in
     `trees` or `callers` refers to outside their own definition, and the
-    methods but the dunders that no attribute does: a local variable or a
-    function of the same name does not call a method."""
+    methods but the dunders that no attribute does (a local variable or a
+    function of the same name does not call a method)."""
     used = sum(map(_names, [*trees, *callers]), Counter())
     attributes = sum((_names(tree, ast.Attribute) for tree in [*trees, *callers]), Counter())
-    uncalled = []
+    checked, uncalled = 0, []
     for node in (node for tree in trees for node in tree.body):
-        if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                and used[node.name] == _names(node)[node.name]):
-            uncalled.append(node.name)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            checked += 1
+            if used[node.name] == _names(node)[node.name]:
+                uncalled.append(node.name)
         if isinstance(node, ast.ClassDef):
-            uncalled += [sub.name for sub in node.body if isinstance(sub, ast.FunctionDef)
-                         and not sub.name.startswith("__")
-                         and attributes[sub.name] == _names(sub, ast.Attribute)[sub.name]]
-    return uncalled
+            methods = [sub for sub in node.body if isinstance(sub, ast.FunctionDef)
+                       and not sub.name.startswith("__")]
+            checked += len(methods)
+            uncalled += [sub.name for sub in methods
+                         if attributes[sub.name] == _names(sub, ast.Attribute)[sub.name]]
+    return checked, uncalled
 
 
 def test_every_package_definition_has_a_caller():
@@ -109,7 +113,8 @@ def test_every_package_definition_has_a_caller():
     trees = [ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))]
     bench = Path(__file__).resolve().parents[1] / "perfbench"
     callers = [ast.parse(path.read_text(), str(path)) for path in sorted(bench.glob("*.py"))]
-    assert not [name for name in _uncalled(trees, callers) if name not in UNCALLED_BY_DESIGN]
+    checked, uncalled = _uncalled(trees, callers)
+    assert checked and not [name for name in uncalled if name not in UNCALLED_BY_DESIGN]
 
 
 def test_caller_guard_needs_an_attribute_use_for_a_method():
@@ -122,4 +127,4 @@ def test_caller_guard_needs_an_attribute_use_for_a_method():
         "def merge(vector):\n"
         "    zeros = ones = 0\n"
         "    return vector.ones(), Vector, zeros\n")
-    assert _uncalled([tree]) == ["zeros", "merge"]
+    assert _uncalled([tree]) == (4, ["zeros", "merge"])
