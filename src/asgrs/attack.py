@@ -29,8 +29,8 @@ exactly the guesses whose fitted model, replayed under the guessed
 control sequence, reproduces every supplied keystream bit: harvested
 bits satisfy beta_p ^ lambda_q = z_t by construction, so the replay
 matches z at every step if and only if the fitted streams equal the
-harvested ones.  The few surviving lanes are decoded in ascending
-(control state, beta_0) order and fitted again one by one.
+harvested ones.  The few surviving lanes are decoded and fitted again
+one by one, and `run_attack` sorts the keys by (control state, beta_0).
 
 Surviving candidates then have their jump sizes recovered.  The
 undecimated register output b_t = Tr(u a^t), for a root a of the public
@@ -174,36 +174,6 @@ def reconstruct_streams(a_seq: BitSequence, keystream: BitSequence,
                             initial=keystream[0] ^ (beta0 & 1))))
 
 
-_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _pack(bits: list[int]) -> int:
-    """The bits as one integer, bit t = bits[t]."""
-    return int(bytes(bits[::-1]).translate(_BIT_DIGITS), 2)
-
-
-def _generates(fit: LfsrFit, packed: int, length: int) -> bool:
-    """Whether the fitted register outputs exactly the `length` bits in
-    `packed` (bit t = s_t).
-
-    Bit t of the XOR of packed >> i over the terms x^i of the connection
-    polynomial is s_{t+L} XOR the recurrence's prediction for it, so one
-    shift and XOR per term tests every bit past the head at once.
-    """
-    L = fit.linear_complexity
-    if (packed ^ fit.initial_state.mask) & ((1 << min(L, length)) - 1):
-        return False
-    if length <= L:
-        return True
-    residue = 0
-    f = fit.connection.mask
-    while f:
-        low = f & -f
-        residue ^= packed >> (low.bit_length() - 1)
-        f ^= low
-    return residue & ((1 << (length - L)) - 1) == 0
-
-
 def verify_candidate(config: AttackConfig, cand: CandidateModel) -> bool:
     """Whether replaying the fitted model reproduces every supplied
     keystream bit.
@@ -211,14 +181,14 @@ def verify_candidate(config: AttackConfig, cand: CandidateModel) -> bool:
     Harvested bits satisfy beta_p ^ lambda_q = z_t, so the replay matches
     z at every step exactly when both fitted registers generate the
     streams harvested under the fit's own first B-bit; that is what is
-    tested, one linear-consistency check per register.
+    tested, by replaying each fitted register over its whole stream.
     """
     control = de_bruijn_sequence(
         DeBruijnRegister(LfsrSpec(config.params.l, config.params.poly_a), cand.a_init),
         max(len(config.keystream) - 1, 0))
     beta, lam = reconstruct_streams(control, config.keystream, cand.beta_fit.extend(1)[0])
-    return (_generates(cand.beta_fit, _pack(beta), len(beta))
-            and _generates(cand.lambda_fit, _pack(lam), len(lam)))
+    return (cand.beta_fit.extend(len(beta)) == beta
+            and cand.lambda_fit.extend(len(lam)) == lam)
 
 
 @dataclass(frozen=True)
@@ -331,23 +301,6 @@ def _recover_key(config: AttackConfig, cand: CandidateModel,
 CHUNK_LANES = 1 << 16
 
 
-def _chunk_control(base: LfsrSpec, lo: int, width: int, steps: int) -> int:
-    """The control bits a chunk of cycle positions lo .. lo + width - 1
-    reads over `steps` steps, after the l - 1 bits before lo: bit i is
-    the control bit of cycle position lo - l + 1 + i, wrapping at 2^l."""
-    l = base.length
-    return de_bruijn_bits(base, lo - l + 1, width + steps + l - 2)
-
-
-def _control_words(bits: int, l: int, width: int, steps: int) -> Iterator[int]:
-    """The chunk's control bits at each step: bit j of word t is the
-    control bit t steps after position lo + j, read off `_chunk_control`
-    past its l - 1 bits of history."""
-    mask = (1 << width) - 1
-    for t in range(l - 1, l - 1 + steps):
-        yield (bits >> t) & mask
-
-
 def _window_state(bits: int, l: int, j: int) -> int:
     """The control state at position lo + j of a chunk: the l control
     bits ending there, the newest in cell 0."""
@@ -406,9 +359,8 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     width + j the same position with beta_0 = 1.
 
     Returns the guesses that have enough bits on both streams, fit within
-    both length caps and pass the linear-consistency test, in ascending
-    (control state, beta_0) order, each fitted by `berlekamp_massey` on
-    its 2m / 2n prefix.
+    both length caps and pass the linear-consistency test, in lane order,
+    each fitted by `berlekamp_massey` on its 2m / 2n prefix.
     """
     params = config.params
     l, m, n = params.l, params.m, params.n
@@ -416,8 +368,11 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     steps = len(z) - 1
     half, lanes = (1 << width) - 1, (1 << 2 * width) - 1
     counters.a_states_tried += width
-    bits = _chunk_control(LfsrSpec(l, params.poly_a), lo, width, steps)
-    beta, lam, at_least = _peel_lanes(z, _control_words(bits, l, width, steps), width)
+    # bit i: the control bit of cycle position lo - l + 1 + i, wrapping at
+    # 2^l, so lane j reads bit l - 1 + j + t at step t
+    bits = de_bruijn_bits(LfsrSpec(l, params.poly_a), lo - l + 1, width + steps + l - 2)
+    beta, lam, at_least = _peel_lanes(
+        z, ((bits >> t) & half for t in range(l - 1, l - 1 + steps)), width)
     # p + 1 >= 2m beta bits and steps - p + 1 >= 2n lambda bits
     enough = at_least[2 * m - 1] & ~at_least[steps + 2 - 2 * n]
     if not enough:
@@ -445,11 +400,11 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     while ok:
         j = (ok & -ok).bit_length() - 1
         ok &= ok - 1
-        survivors.append((_window_state(bits, l, j % width), j // width, j))
-    return [CandidateModel(BitVector(state, params.l), beta0,
-                           berlekamp_massey([(s >> j) & 1 for s in beta[:2 * m]]),
-                           berlekamp_massey([(s >> j) & 1 for s in lam[:2 * n]]))
-            for state, beta0, j in sorted(survivors)]
+        survivors.append(CandidateModel(
+            BitVector(_window_state(bits, l, j % width), l), j // width,
+            berlekamp_massey([(s >> j) & 1 for s in beta[:2 * m]]),
+            berlekamp_massey([(s >> j) & 1 for s in lam[:2 * n]])))
+    return survivors
 
 
 def _attack_chunk(config: AttackConfig, lo: int,
@@ -479,13 +434,13 @@ def run_attack(config: AttackConfig) -> AttackReport:
 
     Every reported key regenerates the entire input keystream; reports
     are deterministic for a given config regardless of worker_count
-    (wall time aside): keys come in ascending (control state, beta_0)
-    order.  A sweep of at most one chunk (2^l <= CHUNK_LANES / 2) runs
-    in this process and no pool starts; a longer one runs in
-    min(worker_count, usable CPUs, 2^l) processes, each over a contiguous
-    range of de Bruijn cycle positions (with one, in this process).  The
-    candidate list is truncated to max_candidates after the full sweep, so
-    counters always reflect the complete search.
+    (wall time aside): the keys of all chunks are sorted once, by
+    (control state, beta_0).  A sweep of at most one chunk
+    (2^l <= CHUNK_LANES / 2) runs in this process and no pool starts; a
+    longer one runs in min(worker_count, usable CPUs, 2^l) processes,
+    each over a contiguous range of de Bruijn cycle positions (with one,
+    in this process).  The candidate list is truncated to max_candidates
+    after the full sweep, so counters always reflect the complete search.
     """
     start = time.perf_counter()
     total = 1 << config.params.l

@@ -12,6 +12,7 @@ rows are flagged rather than fudged to match.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +31,9 @@ class ComplexityInputs:
     def __post_init__(self):
         if min(self.l, self.m, self.n) < 2:
             raise ValueError("register lengths must be at least 2")
+        # the formulas work in floats, on values up to about 3(l + m + n)
+        if 4 * (self.l + self.m + self.n) > sys.float_info.max:
+            raise ValueError("register lengths are too large for the cost formulas")
 
     @property
     def total_length(self) -> int:

@@ -297,12 +297,6 @@ def _merge(control: str, b: str, c: str, count: int) -> list[int]:
     return out
 
 
-def _control(reg: DeBruijnRegister, steps: int) -> str:
-    """The control bits of the first `steps` steps, one period at most, as
-    digits."""
-    return de_bruijn_digits(reg.base, reg.state.mask, min(steps, 1 << reg.base.length))
-
-
 def _jumped(poly: BinaryPolynomial, state: BitVector, jump: int, count: int) -> bytes:
     """The register's outputs after 0, 1, ..., count - 1 jumps of `jump`."""
     spec = LfsrSpec(state.length, poly)
@@ -353,7 +347,8 @@ def _alternate(control_reg: DeBruijnRegister, stream_b: Callable[[int], str],
     """First `count` >= 1 bits of the generator whose control register
     moves stream b on a 1 and stream c on a 0; stream_x(need) gives the
     first `need` outputs of x, one period at most."""
-    control = _control(control_reg, count - 1)
+    base = control_reg.base
+    control = de_bruijn_digits(base, control_reg.state.mask, min(count - 1, 1 << base.length))
     laps, rest = divmod(count - 1, len(control) or 1)
     ones = laps * control.count("1") + control.count("1", 0, rest)
     return _merge(control, stream_b(ones + 1), stream_c(count - ones), count)

@@ -16,8 +16,6 @@ from asgrs.attack import (
     DecimationFit,
     _attack_chunk,
     _recover_jump,
-    _chunk_control,
-    _control_words,
     _sweep_lanes,
     _window_state,
     reconstruct_streams,
@@ -34,6 +32,7 @@ from asgrs.oracle import ORACLE_KEY_CAP, brute_force_oracle
 from asgrs.registers import (
     DeBruijnRegister,
     LfsrSpec,
+    de_bruijn_bits,
     de_bruijn_cycle,
     de_bruijn_sequence,
     output_sequence,
@@ -273,6 +272,22 @@ class TestVerifyCandidate:
         )
         mutated = type(cand)(cand.a_init, cand.beta0, flipped, cand.lambda_fit)
         assert not verify_candidate(config, mutated)
+
+    def test_fit_longer_than_its_stream(self, rng):
+        # a beta fit with more head bits than the harvested beta stream
+        # verifies when its head starts with that stream, whatever follows,
+        # and fails when one of those bits differs
+        config, a_init, beta0 = true_candidate(P334, random_valid_key(P334, rng), 60)
+        control = de_bruijn_sequence(DeBruijnRegister(LfsrSpec(P334.l, P334.poly_a), a_init),
+                                     len(config.keystream) - 1)
+        beta, lam = reconstruct_streams(control, config.keystream, beta0)
+        length = len(beta) + 3
+        lambda_fit = berlekamp_massey(lam)
+        for flip, verifies in ((0, True), (1 << (len(beta) - 1), False)):
+            head = BitVector(BitVector.from_bits(beta + [1, 0, 1]).mask ^ flip, length)
+            beta_fit = LfsrFit(length, BinaryPolynomial((1 << length) | 1), head)
+            cand = CandidateModel(a_init, beta0, beta_fit, lambda_fit)
+            assert verify_candidate(config, cand) == verifies
 
 
 class TestRecoverDecimation:
@@ -709,7 +724,7 @@ class TestSweep:
                     assert verify_candidate(config, relabelled) == (outcome == "accepted")
                     if outcome == "accepted":
                         expected.append(cand)
-            assert swept == expected
+            assert sorted(swept, key=lambda c: (c.a_init.mask, c.beta0)) == expected
             assert counters == AttackCounters(1 << l, bm_runs, 0, len(expected))
         assert {"accepted", "rejected", "complexity"} <= seen
 
@@ -757,9 +772,11 @@ class TestChunkControl:
                       (period // 3, period - period // 3), (1, period // 2)]
             for steps in (1, l, period - 1, 2 * period + 3):
                 for lo, width in chunks:
-                    bits = _chunk_control(spec, lo, width, steps)
-                    words = list(_control_words(bits, l, width, steps))
-                    assert len(words) == steps
+                    # what the sweep reads: the l - 1 bits before lo, then
+                    # one word of width bits per step
+                    bits = de_bruijn_bits(spec, lo - l + 1, width + steps + l - 2)
+                    words = [(bits >> t) & ((1 << width) - 1)
+                             for t in range(l - 1, l - 1 + steps)]
                     # every lane's window, but the long runs only on a
                     # sample of lanes, each crossing the spliced zero at a
                     # different step

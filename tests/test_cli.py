@@ -196,7 +196,9 @@ class TestEstimate:
         assert abs(doc["key_recovery_log2"] - 82) <= 0.5
 
     def test_bad_sizes_fail(self, capsys):
-        for l, m, n in ((1, 64, 64), (1, 3, 4)):
+        # lengths past what the float formulas hold, first or last
+        huge = 10 ** 400
+        for l, m, n in ((1, 64, 64), (1, 3, 4), (huge, 64, 64), (64, 64, huge)):
             with pytest.raises(ValueError) as raised:
                 ComplexityInputs(l, m, n)
             assert run("estimate", str(l), str(m), str(n)) == 1
