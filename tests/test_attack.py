@@ -274,20 +274,20 @@ class TestVerifyCandidate:
         assert not verify_candidate(config, mutated)
 
     def test_fit_longer_than_its_stream(self, rng):
-        # a beta fit with more head bits than the harvested beta stream
-        # verifies when its head starts with that stream, whatever follows,
-        # and fails when one of those bits differs
+        # a fit with more head bits than its harvested stream verifies when
+        # its head starts with that stream, whatever follows, and fails
+        # when the stream's last bit differs; for the beta and lambda fit
         config, a_init, beta0 = true_candidate(P334, random_valid_key(P334, rng), 60)
         control = de_bruijn_sequence(DeBruijnRegister(LfsrSpec(P334.l, P334.poly_a), a_init),
                                      len(config.keystream) - 1)
-        beta, lam = reconstruct_streams(control, config.keystream, beta0)
-        length = len(beta) + 3
-        lambda_fit = berlekamp_massey(lam)
-        for flip, verifies in ((0, True), (1 << (len(beta) - 1), False)):
-            head = BitVector(BitVector.from_bits(beta + [1, 0, 1]).mask ^ flip, length)
-            beta_fit = LfsrFit(length, BinaryPolynomial((1 << length) | 1), head)
-            cand = CandidateModel(a_init, beta0, beta_fit, lambda_fit)
-            assert verify_candidate(config, cand) == verifies
+        streams = reconstruct_streams(control, config.keystream, beta0)
+        for side, stream in enumerate(streams):
+            length = len(stream) + 3
+            for flip, verifies in ((0, True), (1 << (len(stream) - 1), False)):
+                head = BitVector(BitVector.from_bits(stream + [1, 0, 1]).mask ^ flip, length)
+                fits = [berlekamp_massey(s) for s in streams]
+                fits[side] = LfsrFit(length, BinaryPolynomial((1 << length) | 1), head)
+                assert verify_candidate(config, CandidateModel(a_init, beta0, *fits)) == verifies
 
 
 class TestRecoverDecimation:
