@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 from itertools import accumulate, compress, islice
 from operator import and_, itemgetter, not_, xor
@@ -99,10 +99,8 @@ class AttackCounters:
     verified_candidates: int = 0
 
     def merge(self, other: "AttackCounters"):
-        self.a_states_tried += other.a_states_tried
-        self.bm_runs += other.bm_runs
-        self.trace_solves += other.trace_solves
-        self.verified_candidates += other.verified_candidates
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
 @dataclass(frozen=True)
@@ -289,13 +287,13 @@ def _recover_key(config: AttackConfig, cand: CandidateModel,
     return key
 
 
-# Guesses swept at once.  Wider chunks spread each step's Python work over
-# more lanes: at (l, 7, 9), l = 16 .. 22, 2^16 lanes take about 0.65 of
-# the time per guess of 2^14, and 2^17 gains nothing steady.  Each
-# worker's lane slices stay near 2 MB whatever l is.  It also decides when
-# run_attack starts a process pool: a sweep of at most one chunk
-# (CHUNK_LANES / 2 cycle positions) runs in-process whatever worker_count
-# is, because a pool costs more to start than splitting so small a sweep
+# Guesses swept at once: each chunk of the sweep, one task of run_attack,
+# spans at most CHUNK_LANES / 2 cycle positions.  Wider chunks spread each
+# step's Python work over more lanes: at (l, 7, 9), l = 16 .. 22, 2^16
+# lanes take about 0.65 of the time per guess of 2^14, and 2^17 gains
+# nothing steady.  A chunk's lane slices stay near 2 MB whatever l is.  A
+# sweep of at most one chunk runs in-process whatever worker_count is,
+# because a pool costs more to start than splitting so small a sweep
 # saves (at (14, 7, 9) on 2 CPUs, 2 workers took 28-39 ms against 13-14 ms
 # for 1).
 CHUNK_LANES = 1 << 16
@@ -409,16 +407,14 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
 
 def _attack_chunk(config: AttackConfig, lo: int,
                   hi: int) -> tuple[list[tuple[int, int, AsgKey]], AttackCounters]:
-    """Sweep cycle positions lo .. hi - 1, at most CHUNK_LANES guesses at
-    a time; each recovered key comes with its (control state, beta_0)."""
+    """Sweep the one chunk of cycle positions lo .. hi - 1; each recovered
+    key comes with its (control state, beta_0)."""
     counters = AttackCounters()
     found = []
-    width = CHUNK_LANES // 2
-    for start in range(lo, hi, width):
-        for cand in _sweep_lanes(config, start, min(width, hi - start), counters):
-            key = _recover_key(config, cand, counters)
-            if key is not None:
-                found.append((cand.a_init.mask, cand.beta0, key))
+    for cand in _sweep_lanes(config, lo, hi - lo, counters):
+        key = _recover_key(config, cand, counters)
+        if key is not None:
+            found.append((cand.a_init.mask, cand.beta0, key))
     return found, counters
 
 
@@ -437,17 +433,18 @@ def run_attack(config: AttackConfig) -> AttackReport:
     (wall time aside): the keys of all chunks are sorted once, by
     (control state, beta_0).  A sweep of at most one chunk
     (2^l <= CHUNK_LANES / 2) runs in this process and no pool starts; a
-    longer one runs in min(worker_count, usable CPUs, 2^l) processes,
-    each over a contiguous range of de Bruijn cycle positions (with one,
-    in this process).  The candidate list is truncated to max_candidates
-    after the full sweep, so counters always reflect the complete search.
+    longer one runs in min(worker_count, usable CPUs, 2^l) processes (with
+    one, in this process).  The de Bruijn cycle positions are cut once,
+    into near-equal chunks of at most CHUNK_LANES / 2 and at least one per
+    process, and each chunk is one task.  The candidate list is truncated
+    to max_candidates after the full sweep, so counters always reflect
+    the complete search.
     """
     start = time.perf_counter()
-    total = 1 << config.params.l
-    workers = (1 if total <= CHUNK_LANES // 2
-               else min(config.worker_count, _usable_cpus(), total))
-    bounds = [(total * i // workers, total * (i + 1) // workers)
-              for i in range(workers)]
+    total, width = 1 << config.params.l, CHUNK_LANES // 2
+    workers = 1 if total <= width else min(config.worker_count, _usable_cpus(), total)
+    k = min(total, workers * -(-total // (workers * width)))
+    bounds = [(total * i // k, total * (i + 1) // k) for i in range(k)]
     if workers == 1:
         parts = [_attack_chunk(config, lo, hi) for lo, hi in bounds]
     else:

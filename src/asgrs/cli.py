@@ -8,7 +8,6 @@ errors, no key recovered, oracle cap), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import random
 import sys
 
@@ -35,15 +34,6 @@ from .oracle import brute_force_oracle
 def _fail(msg: str) -> int:
     print(f"error: {msg}", file=sys.stderr)
     return 1
-
-
-def _emit(doc: dict, out_path: str | None):
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_keygen(args) -> int:
@@ -77,10 +67,7 @@ def cmd_attack(args) -> int:
         max_candidates=args.max_candidates,
         worker_count=args.workers,
     ))
-    if args.out:
-        formats.write_report(args.out, report)
-    else:
-        _emit(formats.report_to_dict(report), None)
+    formats.write_report(args.out, report)
     print(f"recovered {len(report.recovered_keys)} key(s) after trying "
           f"{report.counters.a_states_tried} control states",
           file=sys.stderr)
@@ -91,12 +78,12 @@ def cmd_analyze(args) -> int:
     bits = formats.read_bits(args.infile)
     fit = berlekamp_massey(bits)
     period = measure_period(bits)
-    _emit({
+    formats.write_json(args.out, {
         "length": len(bits),
         "linear_complexity": fit.linear_complexity,
         "connection_poly": f"0x{fit.connection.mask:x}",
         "period": period,
-    }, args.out)
+    })
     return 0
 
 
@@ -114,14 +101,14 @@ def cmd_estimate(args) -> int:
             for row in table
         ]
 
-    _emit({
+    formats.write_json(args.out, {
         "l": args.l,
         "m": args.m,
         "n": args.n,
         "classic_asg_attacks": rows(estimate_table1(inputs)),
         "asg_rs_attacks": rows(estimate_table2(inputs)),
         "key_recovery_log2": round(attack_complexity(inputs), 4),
-    }, args.out)
+    })
     return 0
 
 
@@ -129,8 +116,8 @@ def cmd_oracle(args) -> int:
     params = formats.read_params(args.params, strict=args.strict)
     bits = formats.read_bits(args.infile)
     keys = brute_force_oracle(params, bits)
-    _emit({"count": len(keys), "keys": [formats.key_to_dict(k) for k in keys]},
-          args.out)
+    formats.write_json(args.out, {"count": len(keys),
+                                  "keys": [formats.key_to_dict(k) for k in keys]})
     return 0
 
 
@@ -143,7 +130,7 @@ def cmd_reduce(args) -> int:
     original = keystream(params, key, args.count)
     replayed = classical_asg_keystream(model, args.count)
     equivalent = replayed == original
-    _emit({
+    formats.write_json(args.out, {
         "beta_feedback": f"0x{model.beta_spec.feedback.mask:x}",
         "beta_state": f"0x{model.beta_state.mask:x}",
         "lambda_feedback": f"0x{model.lambda_spec.feedback.mask:x}",
@@ -152,7 +139,7 @@ def cmd_reduce(args) -> int:
         "control_state": f"0x{model.control.state.mask:x}",
         "equivalence_bits_checked": args.count,
         "equivalent": equivalent,
-    }, args.out)
+    })
     return 0 if equivalent else 1
 
 

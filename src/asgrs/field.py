@@ -200,9 +200,7 @@ class FieldContext:
             return None
         m, fm = self.m, f.mask
         w = self._packing[0]
-        h = 0  # f, one coefficient per slot
-        for j in range(d, -1, -1):
-            h = h << w | fm >> j & 1
+        h = int(("0" * (w - 1)).join(format(fm, "b")), 2)  # f, one coefficient per slot
         # squaring mod f is GF(2)-linear: row j is y^(2j) mod f, as bits
         # and spread over slots
         rows, s, sp = [], 1, 1
@@ -217,9 +215,7 @@ class FieldContext:
                 s ^= fm
                 sp ^= h
         r = y = _poly_divmod(X.mask, fm)[1]
-        sp = 0  # R_0 = y mod f, spread
-        for j in range(d - 1, -1, -1):
-            sp = sp << w | r >> j & 1
+        sp = int(("0" * (w - 1)).join(format(r, "b")), 2)  # R_0 = y mod f, spread
         squares = []  # R_0 .. R_(m-1), spread
         for _ in range(m):
             squares.append(sp)

@@ -14,6 +14,7 @@ two interchangeable forms:
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -69,7 +70,7 @@ def write_params(path: str | Path, params: AsgParams):
         "poly_b": _hex(params.poly_b.mask),
         "poly_c": _hex(params.poly_c.mask),
     }
-    _write_json(path, doc)
+    write_json(path, doc)
 
 
 def read_params(path: str | Path, strict: bool = True) -> AsgParams:
@@ -107,7 +108,7 @@ def key_from_dict(doc: dict, params: AsgParams) -> AsgKey:
 
 
 def write_key(path: str | Path, key: AsgKey):
-    _write_json(path, key_to_dict(key))
+    write_json(path, key_to_dict(key))
 
 
 def read_key(path: str | Path, params: AsgParams) -> AsgKey:
@@ -167,8 +168,8 @@ def report_to_dict(report: AttackReport) -> dict:
     }
 
 
-def write_report(path: str | Path, report: AttackReport):
-    _write_json(path, report_to_dict(report))
+def write_report(path: str | Path | None, report: AttackReport):
+    write_json(path, report_to_dict(report))
 
 
 def read_report(path: str | Path, params: AsgParams) -> AttackReport:
@@ -184,5 +185,10 @@ def read_report(path: str | Path, params: AsgParams) -> AttackReport:
     return AttackReport([key_from_dict(d, params) for d in keys], counters, wall)
 
 
-def _write_json(path: str | Path, doc: dict):
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def write_json(path: str | Path | None, doc: dict):
+    """Write doc as indented JSON with sorted keys, to stdout when path is None."""
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)

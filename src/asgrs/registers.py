@@ -89,13 +89,11 @@ def lfsr_states(spec: LfsrSpec, state: int) -> Iterator[int]:
         state = ((state << 1) & full) | ((state & taps).bit_count() & 1)
 
 
-@lru_cache(maxsize=64)
 def jump_rows(feedback_mask: int, length: int, k: int) -> tuple[int, ...]:
     """Row masks of T^k, the k-clock jump applied as a row-vector product.
 
     Row j is basis state e_j after k clocks: the XOR of its first
-    `length` successors picked by the terms of x^k mod f.  The cache is
-    bounded: every distinct key brings its own jump sizes.
+    `length` successors picked by the terms of x^k mod f.
     """
     spec = LfsrSpec(length, BinaryPolynomial(feedback_mask))
     c = poly_pow_mod(X, k, spec.feedback).mask
@@ -106,7 +104,8 @@ def jump_rows(feedback_mask: int, length: int, k: int) -> tuple[int, ...]:
 @lru_cache(maxsize=16)
 def _half_tables(feedback_mask: int, length: int, k: int) -> tuple[tuple[int, ...], ...]:
     """T^k of every state of the low L//2 cells, and of the rest: the
-    entries with row j set are the earlier entries XOR row j of T^k."""
+    entries with row j set are the earlier entries XOR row j of T^k.
+    The cache is bounded: every distinct key brings its own jump sizes."""
     half = length // 2
     low, high = [0], [0]
     for j, row in enumerate(jump_rows(feedback_mask, length, k)):

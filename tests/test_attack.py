@@ -533,13 +533,15 @@ class TestRunAttack:
     ])
     def test_pool_starts_only_past_one_chunk(self, chunk, cpus, worker_counts, pool,
                                              rng, monkeypatch):
-        sizes = []
+        sizes, chunks = [], []
 
         class RecordingPool:
-            """Runs each job in this process and records the pool size."""
+            """Runs each job in this process and records the pool size and
+            the (lo, hi) of each chunk it is given."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
+                chunks.append([])
 
             def __enter__(self):
                 return self
@@ -547,9 +549,10 @@ class TestRunAttack:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
+            def submit(self, fn, config, lo, hi):
+                chunks[-1].append((lo, hi))
                 future = concurrent.futures.Future()
-                future.set_result(fn(*args))
+                future.set_result(fn(config, lo, hi))
                 return future
 
         key = random_valid_key(P334, rng)
@@ -564,6 +567,14 @@ class TestRunAttack:
             assert report.recovered_keys == expected.recovered_keys
             assert report.counters == expected.counters
         assert sizes == ([pool] * len(worker_counts) if pool else [])
+        # the sweep is cut once: the chunks tile the cycle positions in
+        # order, none empty or wider than CHUNK_LANES / 2, at least one
+        # per process
+        for size, bounds in zip(sizes, chunks):
+            assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+            assert bounds[-1][1] == 1 << P334.l
+            assert all(0 < hi - lo <= chunk // 2 for lo, hi in bounds)
+            assert len(bounds) >= size
 
     @pytest.mark.parametrize("knob, value", [
         ("max_candidates", 1.5), ("max_candidates", True), ("max_candidates", "2"),
@@ -732,8 +743,7 @@ class TestSweep:
     def test_chunking_and_workers_do_not_change_the_report(self, lmn, count, rng, monkeypatch):
         # at the default chunk size both shapes sweep in-process; 8-lane
         # chunks (4 positions) start a pool, where 3 workers split 2^l
-        # positions unevenly, and at (8, 7, 5) put chunk edges inside
-        # every worker's range
+        # positions unevenly
         params = make_params(*lmn)
         floor = 3 * (params.m + params.n)
         positions = {s: i for i, s in enumerate(
@@ -796,13 +806,11 @@ class TestChunkControl:
         for chunk in (1 << 14, 64):
             monkeypatch.setattr(attack, "CHUNK_LANES", chunk)
             registers._half_tables.cache_clear()
-            registers.jump_rows.cache_clear()
             report = run_attack(AttackConfig(params, z))
             assert report.recovered_keys
-            misses.append((registers._half_tables.cache_info().misses,
-                           registers.jump_rows.cache_info().misses))
+            misses.append(registers._half_tables.cache_info().misses)
         assert misses[1] == misses[0]
-        assert misses[0][0] <= 6
+        assert misses[0] <= 6
 
 
 class TestSoundnessAndCompleteness:

@@ -172,6 +172,20 @@ class TestAttackCommand:
         assert d1["recovered_keys"] == d2["recovered_keys"]
         assert d1["counters"] == d2["counters"]
 
+    def test_report_on_stdout(self, tmp_path, capsys):
+        # without --out the report goes to stdout, written as --out writes it
+        pfile, _, z = self.setup_round_trip(tmp_path, 3, 3, 4, 59)
+        report_path = tmp_path / "report.json"
+        code = run("attack", "--params", str(pfile), "--in", str(z), "--out", str(report_path))
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert run("attack", "--params", str(pfile), "--in", str(z)) == code
+        out = capsys.readouterr().out
+        printed, written = json.loads(out), json.loads(report_path.read_text())
+        assert out == json.dumps(printed, indent=2, sort_keys=True) + "\n"
+        assert printed["recovered_keys"] == written["recovered_keys"]
+        assert printed["counters"] == written["counters"]
+
 
 class TestAnalyze:
     def test_msequence(self, tmp_path, capsys):

@@ -24,7 +24,7 @@ from asgrs.gf2 import BinaryPolynomial, BitVector
 from asgrs.registers import (
     DeBruijnRegister,
     LfsrSpec,
-    jump_rows,
+    _half_tables,
     output_sequence,
     primitive_polynomial,
 )
@@ -194,7 +194,7 @@ class TestKeystream:
                         assert keystream(params, key, count) == expected[:count], count
 
     def test_jump_cache_is_bounded(self, rng):
-        bound = jump_rows.cache_info().maxsize
+        bound = _half_tables.cache_info().maxsize
         assert bound is not None
         params = make_params(3, 7, 8)
         jumps = set()
@@ -203,7 +203,7 @@ class TestKeystream:
             jumps.update({(7, key.r), (8, key.s)})
             keystream(params, key, 10)
         assert len(jumps) > bound
-        assert jump_rows.cache_info().currsize <= bound
+        assert _half_tables.cache_info().currsize <= bound
 
     def test_invalid_key_raises(self):
         bad = AsgKey(BitVector(0, 3), BitVector(0, 3), BitVector(1, 4), 1, 1)
