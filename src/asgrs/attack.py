@@ -18,19 +18,26 @@ B-side stream, a step with 0 only the C-side): the difference is the
 same for every lane, and a one-hot count of each lane's control-1 steps
 routes it into bit slice k of its stream.  The beta_0 = 1 lanes sit
 above the beta_0 = 0 lanes and hold the complemented slices.
-Berlekamp-Massey then runs on the first 2m and 2n harvested bits of all
-lanes at once, with the connection polynomial held coefficient by
-coefficient as slices and the linear complexity as a thermometer code
-(T_k = the lanes with L >= k), so that each branch of the algorithm is
-a masked update.  A guess is kept only if both fits stay within the
-register lengths and each fitted connection polynomial generates every
-harvested bit of its stream.  This linear-consistency test accepts
-exactly the guesses whose fitted model, replayed under the guessed
-control sequence, reproduces every supplied keystream bit: harvested
-bits satisfy beta_p ^ lambda_q = z_t by construction, so the replay
-matches z at every step if and only if the fitted streams equal the
-harvested ones.  The few surviving lanes are decoded and fitted again
-one by one, and `run_attack` sorts the keys by (control state, beta_0).
+A guess is kept only if Berlekamp-Massey fits on the first 2m and 2n
+harvested bits stay within the register lengths and each fitted
+connection polynomial generates every harvested bit of its stream.  This
+linear-consistency test accepts exactly the guesses whose fitted model,
+replayed under the guessed control sequence, reproduces every supplied
+keystream bit: harvested bits satisfy beta_p ^ lambda_q = z_t by
+construction, so the replay matches z at every step if and only if the
+fitted streams equal the harvested ones.  The test is a conjunction, so
+the B side runs first, on all lanes at once, with the connection
+polynomial held coefficient by coefficient as slices and the linear
+complexity as a thermometer code (T_k = the lanes with L >= k), so that
+each branch of the algorithm is a masked update.  At the suggested
+keystream length about one guess per chunk passes it, and only those get
+the C-side test: a fit of each one's 2n lambda bits and a replay of its
+whole lambda stream.  Near 3(m+n) bits, where tens to hundreds pass, the
+C side runs on all lanes like the B side.  So the sweep costs about
+m^2 2^(l+1) lane work plus n^2 per B-consistent guess, against the
+paper's (m^2 + n^2) 2^(l+1).  The surviving lanes' B streams are fitted
+again one by one, and `run_attack` sorts the keys by (control state,
+beta_0).
 
 Surviving candidates then have their jump sizes recovered.  The
 undecimated register output b_t = Tr(u a^t), for a root a of the public
@@ -87,10 +94,17 @@ from .registers import (
 
 @dataclass
 class AttackCounters:
-    """Work actually performed, for empirical complexity measurements.
+    """Work counts of an attack, for empirical complexity measurements.
 
-    ``trace_solves`` counts jump solves, one per jump found: at most one
-    per `recover_decimation` call.
+    ``a_states_tried`` counts the control states swept, 2^l in all.
+    ``bm_runs`` counts one B-side Berlekamp-Massey fit per guess with
+    enough bits on both streams, plus one C-side fit per guess whose B fit
+    is within m.  ``verified_candidates`` counts the guesses that pass
+    every filter.  Both follow that per-guess filter order, whatever order
+    the sweep evaluates it in: the sweep fits the C side only for guesses
+    that also pass the B-side consistency test, so ``bm_runs`` is not the
+    number of fits it performs.  ``trace_solves`` counts jump solves, one
+    per jump found: at most one per `recover_decimation` call.
     """
 
     a_states_tried: int = 0
@@ -298,6 +312,16 @@ def _recover_key(config: AttackConfig, cand: CandidateModel,
 # for 1).
 CHUNK_LANES = 1 << 16
 
+# The C side of a chunk's B-consistent guesses: up to this many, each is
+# fitted on its own and replayed over its whole lambda stream (45-70 us a
+# guess at 2^14 lanes); past it, which happens only near 3(m+n) bits, the
+# lane fit and consistency loop run on all lanes (about 2 ms a chunk at
+# (13,7,9), 2^14 lanes, and 13-16 ms at (16,15,16), 2^16 lanes).  Over 81
+# inputs from (4,3,5) to (16,15,16), at 3(m+n) .. 3(m+n) + 12 bits and the
+# suggested length (2 CPUs, Python 3.11), 32 was within 1.2% of the faster
+# branch on average and 1.23x at worst; 16 was 1.34x at worst, and 64 2.2x.
+_LANE_FIT_SURVIVORS = 32
+
 
 def _window_state(bits: int, l: int, j: int) -> int:
     """The control state at position lo + j of a chunk: the l control
@@ -358,7 +382,10 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
 
     Returns the guesses that have enough bits on both streams, fit within
     both length caps and pass the linear-consistency test, in lane order,
-    each fitted by `berlekamp_massey` on its 2m / 2n prefix.
+    each fitted by `berlekamp_massey` on its 2m / 2n prefix.  The B side
+    is tested on all lanes, and the C side only on the guesses that pass
+    it: one by one when at most _LANE_FIT_SURVIVORS do, else on all lanes
+    again.  Both ways accept the same guesses.
     """
     params = config.params
     l, m, n = params.l, params.m, params.n
@@ -377,11 +404,10 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
         return []
     enough |= enough << width
     c_beta, t_beta = berlekamp_massey_lanes(beta, 2 * m, lanes)
-    c_lam, t_lam = berlekamp_massey_lanes(lam, 2 * n, lanes)
-    # the lambda fit runs only where the beta fit is within its cap
+    # counted per guess: the lambda fit follows wherever the beta fit is
+    # within its cap, whichever lanes the C side below actually fits
     ok = enough & ~t_beta[m + 1]
     counters.bm_runs += enough.bit_count() + ok.bit_count()
-    ok &= ~t_lam[n + 1]
     # linear consistency: where L <= m, c has no term above x^m and must
     # annihilate every window of each lane's whole stream; the fit
     # already covers the windows inside the 2m-bit prefix
@@ -389,19 +415,32 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
         alive = at_least[j]
         ok &= ~((alive | (alive << width))
                 & reduce(xor, map(and_, c_beta[:m + 1], beta[j - m:j + 1][::-1])))
-    for j in range(2 * n, len(lam)):
-        alive = half & ~at_least[steps + 1 - j]
-        ok &= ~((alive | (alive << width))
-                & reduce(xor, map(and_, c_lam[:n + 1], lam[j - n:j + 1][::-1])))
-    counters.verified_candidates += ok.bit_count()
+    exact = ok.bit_count() <= _LANE_FIT_SURVIVORS
+    if not exact:
+        c_lam, t_lam = berlekamp_massey_lanes(lam, 2 * n, lanes)
+        ok &= ~t_lam[n + 1]
+        for j in range(2 * n, len(lam)):
+            alive = half & ~at_least[steps + 1 - j]
+            ok &= ~((alive | (alive << width))
+                    & reduce(xor, map(and_, c_lam[:n + 1], lam[j - n:j + 1][::-1])))
     survivors = []
     while ok:
         j = (ok & -ok).bit_length() - 1
         ok &= ok - 1
+        i = j % width
+        if exact:
+            # lane j's lambda stream: steps - p + 1 bits, p its control-1 steps
+            p = ((bits >> (l - 1 + i)) & ((1 << steps) - 1)).bit_count()
+            stream = [(s >> j) & 1 for s in lam[:steps + 1 - p]]
+            fit_lam = berlekamp_massey(stream[:2 * n])
+            if fit_lam.linear_complexity > n or fit_lam.extend(len(stream)) != stream:
+                continue
+        else:
+            fit_lam = berlekamp_massey([(s >> j) & 1 for s in lam[:2 * n]])
         survivors.append(CandidateModel(
-            BitVector(_window_state(bits, l, j % width), l), j // width,
-            berlekamp_massey([(s >> j) & 1 for s in beta[:2 * m]]),
-            berlekamp_massey([(s >> j) & 1 for s in lam[:2 * n]])))
+            BitVector(_window_state(bits, l, i), l), j // width,
+            berlekamp_massey([(s >> j) & 1 for s in beta[:2 * m]]), fit_lam))
+    counters.verified_candidates += len(survivors)
     return survivors
 
 

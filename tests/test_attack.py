@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asgrs import attack, registers
-from asgrs.analysis import LfsrFit, berlekamp_massey
+from asgrs.analysis import LfsrFit, berlekamp_massey, berlekamp_massey_lanes
 from asgrs.attack import (
     AttackConfig,
     AttackCounters,
@@ -124,6 +124,20 @@ def replay_reference(params, z, a_mask, beta0):
             q += 1
         ok = ok and beta_hat[p] ^ lam_hat[q] == z[t + 1]
     return ("accepted" if ok else "rejected"), tuple(fits), 2
+
+
+def over_cap_keystream(params, a_mask, nbits):
+    """A keystream on which the guess (a_mask, beta_0 = 0) harvests a
+    constant beta stream and a lambda stream whose 2n-bit fit, of linear
+    complexity 2n > n, generates all of it."""
+    reg = DeBruijnRegister(LfsrSpec(params.l, params.poly_a), BitVector(a_mask, params.l))
+    control = de_bruijn_sequence(reg, nbits - 1)
+    lam = berlekamp_massey([0] * (2 * params.n - 1) + [1]).extend(nbits - sum(control))
+    z, q = [lam[0]], 0
+    for a in control:
+        q += not a
+        z.append(lam[q])
+    return z
 
 
 class TestReconstructStreams:
@@ -704,21 +718,32 @@ class TestSweep:
                                      (7, 4, 5), (9, 5, 3)], ids=lmn_id)
     def test_matches_replay_reference(self, lmn, rng, monkeypatch):
         # every (state, beta_0) guess gets the same decision, fits and BM
-        # runs from the sweep and from the replay reference, and
+        # runs from the sweep and from the replay reference, whichever way
+        # the sweep tests the C side: on all lanes (threshold 0), guess by
+        # guess (threshold above 2^(l+1)) or as it chooses by default; and
         # verify_candidate agrees with the reference on its fits
         params = make_params(*lmn)
         l, floor = params.l, 3 * (params.m + params.n)
         inputs = [keystream(params, random_valid_key(params, rng), nbits)
                   for nbits in (floor, floor + 5, suggested_keystream_length(params))]
         inputs += [[rng.randrange(2) for _ in range(floor + extra)] for extra in (0, 3, 9)]
-        seen = set()
+        # every stream of an all-zero keystream is constant, so every guess
+        # with enough bits passes the B side: more than the default
+        # threshold from l = 4 on
+        inputs.append([0] * floor)
+        # one guess passes the B side and fails only the cap at n
+        a_over = rng.randrange(1 << l)
+        inputs.append(over_cap_keystream(params, a_over, floor + 5))
+        assert replay_reference(params, inputs[-1], a_over, 0)[0] == "complexity"
+        default = attack._LANE_FIT_SURVIVORS
+        swept, lane_fits, seen = [], [], set()
+        monkeypatch.setattr(attack, "_recover_key",
+                            lambda config, cand, counters: swept.append(cand))
+        monkeypatch.setattr(attack, "berlekamp_massey_lanes",
+                            lambda *args: lane_fits.append(args) or berlekamp_massey_lanes(*args))
+        all_lanes_by_default = False
         for z in inputs:
             config = AttackConfig(params, z)
-            swept = []
-            monkeypatch.setattr(
-                attack, "_recover_key",
-                lambda config, cand, counters: swept.append(cand))
-            _, counters = _attack_chunk(config, 0, 1 << l)
             expected, bm_runs = [], 0
             for a_mask in range(1 << l):
                 a_init = BitVector(a_mask, l)
@@ -735,9 +760,31 @@ class TestSweep:
                     assert verify_candidate(config, relabelled) == (outcome == "accepted")
                     if outcome == "accepted":
                         expected.append(cand)
-            assert sorted(swept, key=lambda c: (c.a_init.mask, c.beta0)) == expected
-            assert counters == AttackCounters(1 << l, bm_runs, 0, len(expected))
+            for threshold in (0, default, 1 << (l + 2)):
+                monkeypatch.setattr(attack, "_LANE_FIT_SURVIVORS", threshold)
+                swept.clear()
+                lane_fits.clear()
+                _, counters = _attack_chunk(config, 0, 1 << l)
+                assert sorted(swept, key=lambda c: (c.a_init.mask, c.beta0)) == expected
+                assert counters == AttackCounters(1 << l, bm_runs, 0, len(expected))
+                all_lanes_by_default |= threshold == default and len(lane_fits) == 2
         assert {"accepted", "rejected", "complexity"} <= seen
+        assert all_lanes_by_default or 2 << l <= default
+
+    def test_c_side_lane_fit_only_past_the_threshold(self, rng, monkeypatch):
+        # at the suggested length about one guess per chunk passes the B
+        # side, so each chunk runs the lane fit once, for the B side only
+        lane_fits = []
+        monkeypatch.setattr(attack, "berlekamp_massey_lanes",
+                            lambda *args: lane_fits.append(args) or berlekamp_massey_lanes(*args))
+        for lmn, chunk, chunks in [((8, 7, 9), attack.CHUNK_LANES, 1), ((8, 7, 9), 64, 8),
+                                   ((13, 7, 9), attack.CHUNK_LANES, 1)]:
+            params = make_params(*lmn)
+            z = keystream(params, random_valid_key(params, rng), suggested_keystream_length(params))
+            monkeypatch.setattr(attack, "CHUNK_LANES", chunk)
+            lane_fits.clear()
+            assert run_attack(AttackConfig(params, z)).recovered_keys
+            assert [length for _, length, _ in lane_fits] == [2 * params.m] * chunks
 
     @pytest.mark.parametrize("lmn, count", [((8, 7, 5), 4), ((3, 3, 4), 1)], ids=["8-7-5", "3-3-4"])
     def test_chunking_and_workers_do_not_change_the_report(self, lmn, count, rng, monkeypatch):
