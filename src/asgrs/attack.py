@@ -100,11 +100,12 @@ class AttackCounters:
     ``bm_runs`` counts one B-side Berlekamp-Massey fit per guess with
     enough bits on both streams, plus one C-side fit per guess whose B fit
     is within m.  ``verified_candidates`` counts the guesses that pass
-    every filter.  Both follow that per-guess filter order, whatever order
-    the sweep evaluates it in: the sweep fits the C side only for guesses
-    that also pass the B-side consistency test, so ``bm_runs`` is not the
-    number of fits it performs.  ``trace_solves`` counts jump solves, one
-    per jump found: at most one per `recover_decimation` call.
+    every filter.  Both count by that per-guess filter order, not by the
+    order in which the sweep runs the filters: the sweep fits the C side
+    only for guesses that also pass the B-side consistency test, so
+    ``bm_runs`` is not the number of fits it performs.  ``trace_solves``
+    counts jump solves, one per jump found: at most one per
+    `recover_decimation` call.
     """
 
     a_states_tried: int = 0

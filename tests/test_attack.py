@@ -140,6 +140,14 @@ def over_cap_keystream(params, a_mask, nbits):
     return z
 
 
+def record_lane_fits(monkeypatch):
+    """The arguments of every lane fit the sweep runs from here on."""
+    calls = []
+    monkeypatch.setattr(attack, "berlekamp_massey_lanes",
+                        lambda *args: calls.append(args) or berlekamp_massey_lanes(*args))
+    return calls
+
+
 class TestReconstructStreams:
     def test_direct_substitution(self):
         # one control-1 step with equal keystream bits keeps the B-side bit
@@ -728,19 +736,18 @@ class TestSweep:
                   for nbits in (floor, floor + 5, suggested_keystream_length(params))]
         inputs += [[rng.randrange(2) for _ in range(floor + extra)] for extra in (0, 3, 9)]
         # every stream of an all-zero keystream is constant, so every guess
-        # with enough bits passes the B side: more than the default
-        # threshold from l = 4 on
+        # with enough bits passes the B side: more guesses than the
+        # default threshold once 2^(l+1) exceeds it
         inputs.append([0] * floor)
         # one guess passes the B side and fails only the cap at n
         a_over = rng.randrange(1 << l)
         inputs.append(over_cap_keystream(params, a_over, floor + 5))
         assert replay_reference(params, inputs[-1], a_over, 0)[0] == "complexity"
         default = attack._LANE_FIT_SURVIVORS
-        swept, lane_fits, seen = [], [], set()
+        swept, seen = [], set()
         monkeypatch.setattr(attack, "_recover_key",
                             lambda config, cand, counters: swept.append(cand))
-        monkeypatch.setattr(attack, "berlekamp_massey_lanes",
-                            lambda *args: lane_fits.append(args) or berlekamp_massey_lanes(*args))
+        lane_fits = record_lane_fits(monkeypatch)
         all_lanes_by_default = False
         for z in inputs:
             config = AttackConfig(params, z)
@@ -774,9 +781,7 @@ class TestSweep:
     def test_c_side_lane_fit_only_past_the_threshold(self, rng, monkeypatch):
         # at the suggested length about one guess per chunk passes the B
         # side, so each chunk runs the lane fit once, for the B side only
-        lane_fits = []
-        monkeypatch.setattr(attack, "berlekamp_massey_lanes",
-                            lambda *args: lane_fits.append(args) or berlekamp_massey_lanes(*args))
+        lane_fits = record_lane_fits(monkeypatch)
         for lmn, chunk, chunks in [((8, 7, 9), attack.CHUNK_LANES, 1), ((8, 7, 9), 64, 8),
                                    ((13, 7, 9), attack.CHUNK_LANES, 1)]:
             params = make_params(*lmn)
