@@ -313,16 +313,6 @@ def _recover_key(config: AttackConfig, cand: CandidateModel,
 # for 1).
 CHUNK_LANES = 1 << 16
 
-# The C side of a chunk's B-consistent guesses: up to this many, each is
-# fitted on its own and replayed over its whole lambda stream (45-70 us a
-# guess at 2^14 lanes); past it, which happens only near 3(m+n) bits, the
-# lane fit and consistency loop run on all lanes (about 2 ms a chunk at
-# (13,7,9), 2^14 lanes, and 13-16 ms at (16,15,16), 2^16 lanes).  Over 81
-# inputs from (4,3,5) to (16,15,16), at 3(m+n) .. 3(m+n) + 12 bits and the
-# suggested length (2 CPUs, Python 3.11), 32 was within 1.2% of the faster
-# branch on average and 1.23x at worst; 16 was 1.34x at worst, and 64 2.2x.
-_LANE_FIT_SURVIVORS = 32
-
 
 def _window_state(bits: int, l: int, j: int) -> int:
     """The control state at position lo + j of a chunk: the l control
@@ -331,33 +321,30 @@ def _window_state(bits: int, l: int, j: int) -> int:
 
 
 def _peel_lanes(z: list[int], words: Iterator[int],
-                width: int) -> tuple[list[int], list[int], list[int]]:
-    """`reconstruct_streams` on 2 * width lanes at once: the control
-    words drive lanes 0 .. width - 1 with beta_0 = 0, and lanes width + j
-    hold the complemented streams of lane j, which are those for
-    beta_0 = 1.
+                width: int) -> tuple[list[int], list[int]]:
+    """The B side of `reconstruct_streams` on 2 * width lanes at once: the
+    control words drive lanes 0 .. width - 1 with beta_0 = 0, and lanes
+    width + j hold the complemented stream of lane j, which is the one
+    for beta_0 = 1.
 
-    Returns both streams as bit slices (bit j of beta[k]: bit k of lane
-    j's beta stream, for k below its length; likewise lambda), and each
-    lane's count p of control-1 steps as a thermometer code over the
-    first width lanes (bit j of at_least[k]: lane j has p >= k), so that
-    a lane's streams hold p + 1 and steps - p + 1 bits.  The keystream
-    difference is the same for every lane, so the peel records where
-    each stream toggles: at a step where z changes, a one-hot count
-    routes the lanes with p = k and control bit 1 to toggle the B-side
-    stream past index k, and the others with p = k the C-side one past
-    index t - k.
+    Returns the B-side streams as bit slices (bit j of beta[k]: bit k of
+    lane j's stream, for k below its length), and each lane's count p of
+    control-1 steps as a thermometer code over the first width lanes (bit
+    j of at_least[k]: lane j has p >= k), so that a lane's streams hold
+    p + 1 and steps - p + 1 bits.  The keystream difference is the same
+    for every lane, so the peel records where the stream toggles: at a
+    step where z changes, a one-hot count routes the lanes with p = k and
+    control bit 1 to toggle it past index k.
     """
     steps = len(z) - 1
     half = (1 << width) - 1
-    beta_toggle, lam_toggle = [0] * steps, [0] * steps
+    toggle = [0] * steps
     low, count = 0, [half]  # count[k - low]: the lanes with p = k
     for t, a in enumerate(words):
         moved = [c & a for c in count]
         if z[t] != z[t + 1]:
-            for k, (c, mv) in enumerate(zip(count, moved), low):
-                beta_toggle[k] |= mv
-                lam_toggle[t - k] |= c ^ mv
+            for k, mv in enumerate(moved, low):
+                toggle[k] |= mv
         count = [c ^ mv | up for c, mv, up in zip(count, moved, [0] + moved)]
         if moved[-1]:
             count.append(moved[-1])
@@ -368,11 +355,8 @@ def _peel_lanes(z: list[int], words: Iterator[int],
     at_least = [half] * (low + 1) + [0] * (steps + 1 - low)
     for k in range(high, low, -1):
         at_least[k] = at_least[k + 1] | count[k - low]
-    beta = [s | ((s ^ half) << width)
-            for s in accumulate(beta_toggle[:high], xor, initial=0)]
-    lam = [s | ((s ^ half) << width)
-           for s in accumulate(lam_toggle[:steps - low], xor, initial=half if z[0] else 0)]
-    return beta, lam, at_least
+    beta = [s | ((s ^ half) << width) for s in accumulate(toggle[:high], xor, initial=0)]
+    return beta, at_least
 
 
 def _sweep_lanes(config: AttackConfig, lo: int, width: int,
@@ -384,9 +368,8 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     Returns the guesses that have enough bits on both streams, fit within
     both length caps and pass the linear-consistency test, in lane order,
     each fitted by `berlekamp_massey` on its 2m / 2n prefix.  The B side
-    is tested on all lanes, and the C side only on the guesses that pass
-    it: one by one when at most _LANE_FIT_SURVIVORS do, else on all lanes
-    again.  Both ways accept the same guesses.
+    is tested on all lanes at once, and the C side only for the guesses
+    that pass it, one at a time.
     """
     params = config.params
     l, m, n = params.l, params.m, params.n
@@ -397,7 +380,7 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     # bit i: the control bit of cycle position lo - l + 1 + i, wrapping at
     # 2^l, so lane j reads bit l - 1 + j + t at step t
     bits = de_bruijn_bits(LfsrSpec(l, params.poly_a), lo - l + 1, width + steps + l - 2)
-    beta, lam, at_least = _peel_lanes(
+    beta, at_least = _peel_lanes(
         z, ((bits >> t) & half for t in range(l - 1, l - 1 + steps)), width)
     # p + 1 >= 2m beta bits and steps - p + 1 >= 2n lambda bits
     enough = at_least[2 * m - 1] & ~at_least[steps + 2 - 2 * n]
@@ -406,7 +389,7 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     enough |= enough << width
     c_beta, t_beta = berlekamp_massey_lanes(beta, 2 * m, lanes)
     # counted per guess: the lambda fit follows wherever the beta fit is
-    # within its cap, whichever lanes the C side below actually fits
+    # within its cap
     ok = enough & ~t_beta[m + 1]
     counters.bm_runs += enough.bit_count() + ok.bit_count()
     # linear consistency: where L <= m, c has no term above x^m and must
@@ -416,31 +399,24 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
         alive = at_least[j]
         ok &= ~((alive | (alive << width))
                 & reduce(xor, map(and_, c_beta[:m + 1], beta[j - m:j + 1][::-1])))
-    exact = ok.bit_count() <= _LANE_FIT_SURVIVORS
-    if not exact:
-        c_lam, t_lam = berlekamp_massey_lanes(lam, 2 * n, lanes)
-        ok &= ~t_lam[n + 1]
-        for j in range(2 * n, len(lam)):
-            alive = half & ~at_least[steps + 1 - j]
-            ok &= ~((alive | (alive << width))
-                    & reduce(xor, map(and_, c_lam[:n + 1], lam[j - n:j + 1][::-1])))
+    # the C side of each guess left: its lambda stream, of 2n bits or
+    # more, passes when its linear complexity is at most n, and the fit of
+    # the whole stream is then the fit of its first 2n bits (no other LFSR
+    # of that length generates them)
     survivors = []
+    mask = (1 << steps) - 1
     while ok:
         j = (ok & -ok).bit_length() - 1
         ok &= ok - 1
         i = j % width
-        if exact:
-            # lane j's lambda stream: steps - p + 1 bits, p its control-1 steps
-            p = ((bits >> (l - 1 + i)) & ((1 << steps) - 1)).bit_count()
-            stream = [(s >> j) & 1 for s in lam[:steps + 1 - p]]
-            fit_lam = berlekamp_massey(stream[:2 * n])
-            if fit_lam.linear_complexity > n or fit_lam.extend(len(stream)) != stream:
-                continue
-        else:
-            fit_lam = berlekamp_massey([(s >> j) & 1 for s in lam[:2 * n]])
-        survivors.append(CandidateModel(
-            BitVector(_window_state(bits, l, i), l), j // width,
-            berlekamp_massey([(s >> j) & 1 for s in beta[:2 * m]]), fit_lam))
+        control = (bits >> (l - 1 + i)) & mask
+        beta_j, lam_j = reconstruct_streams(
+            [(control >> t) & 1 for t in range(steps)], z, j // width)
+        fit_lam = berlekamp_massey(lam_j)
+        if fit_lam.linear_complexity <= n:
+            survivors.append(CandidateModel(
+                BitVector(_window_state(bits, l, i), l), j // width,
+                berlekamp_massey(beta_j[:2 * m]), fit_lam))
     counters.verified_candidates += len(survivors)
     return survivors
 

@@ -726,9 +726,7 @@ class TestSweep:
                                      (7, 4, 5), (9, 5, 3)], ids=lmn_id)
     def test_matches_replay_reference(self, lmn, rng, monkeypatch):
         # every (state, beta_0) guess gets the same decision, fits and BM
-        # runs from the sweep and from the replay reference, whichever way
-        # the sweep tests the C side: on all lanes (threshold 0), guess by
-        # guess (threshold above 2^(l+1)) or as it chooses by default; and
+        # runs from the sweep and from the replay reference, and
         # verify_candidate agrees with the reference on its fits
         params = make_params(*lmn)
         l, floor = params.l, 3 * (params.m + params.n)
@@ -736,21 +734,20 @@ class TestSweep:
                   for nbits in (floor, floor + 5, suggested_keystream_length(params))]
         inputs += [[rng.randrange(2) for _ in range(floor + extra)] for extra in (0, 3, 9)]
         # every stream of an all-zero keystream is constant, so every guess
-        # with enough bits passes the B side: more guesses than the
-        # default threshold once 2^(l+1) exceeds it
+        # with enough bits passes the B side and gets the C-side test
         inputs.append([0] * floor)
         # one guess passes the B side and fails only the cap at n
         a_over = rng.randrange(1 << l)
         inputs.append(over_cap_keystream(params, a_over, floor + 5))
         assert replay_reference(params, inputs[-1], a_over, 0)[0] == "complexity"
-        default = attack._LANE_FIT_SURVIVORS
-        swept, seen = [], set()
-        monkeypatch.setattr(attack, "_recover_key",
-                            lambda config, cand, counters: swept.append(cand))
-        lane_fits = record_lane_fits(monkeypatch)
-        all_lanes_by_default = False
+        seen = set()
         for z in inputs:
             config = AttackConfig(params, z)
+            swept = []
+            monkeypatch.setattr(
+                attack, "_recover_key",
+                lambda config, cand, counters: swept.append(cand))
+            _, counters = _attack_chunk(config, 0, 1 << l)
             expected, bm_runs = [], 0
             for a_mask in range(1 << l):
                 a_init = BitVector(a_mask, l)
@@ -767,29 +764,25 @@ class TestSweep:
                     assert verify_candidate(config, relabelled) == (outcome == "accepted")
                     if outcome == "accepted":
                         expected.append(cand)
-            for threshold in (0, default, 1 << (l + 2)):
-                monkeypatch.setattr(attack, "_LANE_FIT_SURVIVORS", threshold)
-                swept.clear()
-                lane_fits.clear()
-                _, counters = _attack_chunk(config, 0, 1 << l)
-                assert sorted(swept, key=lambda c: (c.a_init.mask, c.beta0)) == expected
-                assert counters == AttackCounters(1 << l, bm_runs, 0, len(expected))
-                all_lanes_by_default |= threshold == default and len(lane_fits) == 2
+            assert sorted(swept, key=lambda c: (c.a_init.mask, c.beta0)) == expected
+            assert counters == AttackCounters(1 << l, bm_runs, 0, len(expected))
         assert {"accepted", "rejected", "complexity"} <= seen
-        assert all_lanes_by_default or 2 << l <= default
 
-    def test_c_side_lane_fit_only_past_the_threshold(self, rng, monkeypatch):
-        # at the suggested length about one guess per chunk passes the B
-        # side, so each chunk runs the lane fit once, for the B side only
+    def test_lane_fit_runs_for_the_b_side_only(self, rng, monkeypatch):
+        # each chunk runs the lane fit once, on the B side; the C side is
+        # fitted guess by guess, also at 3(m+n) bits, where about a
+        # hundred guesses pass the B side at (13, 7, 9)
         lane_fits = record_lane_fits(monkeypatch)
         for lmn, chunk, chunks in [((8, 7, 9), attack.CHUNK_LANES, 1), ((8, 7, 9), 64, 8),
                                    ((13, 7, 9), attack.CHUNK_LANES, 1)]:
             params = make_params(*lmn)
-            z = keystream(params, random_valid_key(params, rng), suggested_keystream_length(params))
+            key = random_valid_key(params, rng)
             monkeypatch.setattr(attack, "CHUNK_LANES", chunk)
-            lane_fits.clear()
-            assert run_attack(AttackConfig(params, z)).recovered_keys
-            assert [length for _, length, _ in lane_fits] == [2 * params.m] * chunks
+            for nbits in (3 * (params.m + params.n), suggested_keystream_length(params)):
+                lane_fits.clear()
+                report = run_attack(AttackConfig(params, keystream(params, key, nbits)))
+                assert [length for _, length, _ in lane_fits] == [2 * params.m] * chunks
+            assert report.recovered_keys
 
     @pytest.mark.parametrize("lmn, count", [((8, 7, 5), 4), ((3, 3, 4), 1)], ids=["8-7-5", "3-3-4"])
     def test_chunking_and_workers_do_not_change_the_report(self, lmn, count, rng, monkeypatch):
