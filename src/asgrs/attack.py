@@ -12,32 +12,32 @@ base LFSR is jumped once to that spot and then stepped l clocks per
 table lookup (`registers.de_bruijn_bits`), with the cycle's extra zero
 spliced in, so no worker steps or stores the 2^l-state cycle.  Each
 survivor's control state is the l-bit window of control bits ending at
-its position.  The two decimated streams are peeled out of consecutive
-keystream differences (a step with control bit 1 changes only the
-B-side stream, a step with 0 only the C-side): the difference is the
-same for every lane, and a one-hot count of each lane's control-1 steps
-routes it into bit slice k of its stream.  The beta_0 = 1 lanes sit
-above the beta_0 = 0 lanes and hold the complemented slices.
-A guess is kept only if Berlekamp-Massey fits on the first 2m and 2n
-harvested bits stay within the register lengths and each fitted
-connection polynomial generates every harvested bit of its stream.  This
-linear-consistency test accepts exactly the guesses whose fitted model,
-replayed under the guessed control sequence, reproduces every supplied
-keystream bit: harvested bits satisfy beta_p ^ lambda_q = z_t by
-construction, so the replay matches z at every step if and only if the
-fitted streams equal the harvested ones.  The test is a conjunction, so
-the B side runs first, on all lanes at once, with the connection
-polynomial held coefficient by coefficient as slices and the linear
-complexity as a thermometer code (T_k = the lanes with L >= k), so that
-each branch of the algorithm is a masked update.  At the suggested
-keystream length about one guess per chunk passes it, and only those get
-the C-side test: a fit of each one's 2n lambda bits and a replay of its
-whole lambda stream.  Near 3(m+n) bits, where tens to hundreds pass, the
-C side runs on all lanes like the B side.  So the sweep costs about
-m^2 2^(l+1) lane work plus n^2 per B-consistent guess, against the
-paper's (m^2 + n^2) 2^(l+1).  The surviving lanes' B streams are fitted
-again one by one, and `run_attack` sorts the keys by (control state,
-beta_0).
+its position.  A guess is kept only if Berlekamp-Massey fits on the
+first 2m and 2n harvested bits stay within the register lengths and
+each fitted connection polynomial generates every harvested bit of its
+stream.  This linear-consistency test accepts exactly the guesses whose
+fitted model, replayed under the guessed control sequence, reproduces
+every supplied keystream bit: harvested bits satisfy
+beta_p ^ lambda_q = z_t by construction, so the replay matches z at
+every step if and only if the fitted streams equal the harvested ones.
+The test is a conjunction, so the B side runs first, on all lanes at
+once.  Its stream is peeled out of consecutive keystream differences (a
+step with control bit 1 changes only the B-side stream, a step with 0
+only the C-side): the difference is the same for every lane, and a
+one-hot count of each lane's control-1 steps routes it into bit slice k
+of the stream.  The beta_0 = 1 lanes sit above the beta_0 = 0 lanes and
+hold the complemented slices.  Berlekamp-Massey runs on the slices, with
+the connection polynomial held coefficient by coefficient and the
+linear complexity as a thermometer code (T_k = the lanes with L >= k),
+so that each branch of the algorithm is a masked update.  At the
+suggested keystream length about one guess per chunk passes the B side,
+and at 3(m+n) bits tens to hundreds do.  Only those get the C-side
+test, one at a time: `reconstruct_streams` rebuilds the guess's streams
+from its own control bits, and it passes when its whole lambda stream
+has linear complexity at most n.  So the sweep costs about m^2 2^(l+1)
+lane work plus one stream rebuild and one fit per B-consistent guess,
+against the paper's (m^2 + n^2) 2^(l+1).  `run_attack` sorts the keys
+by (control state, beta_0).
 
 Surviving candidates then have their jump sizes recovered.  The
 undecimated register output b_t = Tr(u a^t), for a root a of the public
