@@ -140,14 +140,6 @@ def over_cap_keystream(params, a_mask, nbits):
     return z
 
 
-def record_lane_fits(monkeypatch):
-    """The arguments of every lane fit the sweep runs from here on."""
-    calls = []
-    monkeypatch.setattr(attack, "berlekamp_massey_lanes",
-                        lambda *args: calls.append(args) or berlekamp_massey_lanes(*args))
-    return calls
-
-
 class TestReconstructStreams:
     def test_direct_substitution(self):
         # one control-1 step with equal keystream bits keeps the B-side bit
@@ -772,7 +764,9 @@ class TestSweep:
         # each chunk runs the lane fit once, on the B side; the C side is
         # fitted guess by guess, also at 3(m+n) bits, where about a
         # hundred guesses pass the B side at (13, 7, 9)
-        lane_fits = record_lane_fits(monkeypatch)
+        lane_fits = []
+        monkeypatch.setattr(attack, "berlekamp_massey_lanes",
+                            lambda *args: lane_fits.append(args) or berlekamp_massey_lanes(*args))
         for lmn, chunk, chunks in [((8, 7, 9), attack.CHUNK_LANES, 1), ((8, 7, 9), 64, 8),
                                    ((13, 7, 9), attack.CHUNK_LANES, 1)]:
             params = make_params(*lmn)
