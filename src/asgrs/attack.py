@@ -80,7 +80,7 @@ from typing import Iterator
 from .analysis import LfsrFit, berlekamp_massey, berlekamp_massey_lanes
 from .field import FieldContext, field_context
 from .gf2 import BitVector
-from .generator import AsgKey, AsgParams, keystream, require_bits, validate_params
+from .generator import AsgKey, AsgParams, keystream, require_bits, require_valid_params
 from .registers import (
     BitSequence,
     DeBruijnRegister,
@@ -132,9 +132,7 @@ class AttackConfig:
     worker_count: int = 1
 
     def __post_init__(self):
-        violations = validate_params(self.params)
-        if violations:
-            raise ValueError("invalid params: " + "; ".join(violations))
+        require_valid_params(self.params)
         minimum = 3 * (self.params.m + self.params.n)
         if len(self.keystream) < minimum:
             raise ValueError(

@@ -11,7 +11,3 @@ class DegenerateStateError(ValueError):
 
 class KeyValidationError(ValueError):
     """Parameters or key violate the generator's constraints."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import UnsupportedParameterError
 from .gf2 import BinaryPolynomial, poly_pow_mod, _poly_divmod
@@ -289,24 +289,13 @@ class FieldContext:
             h = self.mul(h, stride)
         raise ValueError("element outside the subgroup of order q")
 
-    @cached_property
-    def _trace_mask(self) -> int:
-        # bit i holds Tr(x^i); trace of any element then follows by linearity
-        mask = 0
-        for i in range(self.m):
-            acc = 0
-            c = 1 << i  # basis element x^i, already reduced for i < m
-            for _ in range(self.m):
-                acc ^= c
-                c = self.mul(c, c)
-            if acc == 1:
-                mask |= 1 << i
-            elif acc != 0:
-                raise AssertionError("trace landed outside GF(2)")
-        return mask
-
-    def trace_of(self, mask: int) -> int:
-        return (mask & self._trace_mask).bit_count() & 1
+    def trace_of(self, a: int) -> int:
+        """Tr(a) = a + a^2 + ... + a^(2^(m-1)), 0 or 1, by m - 1 squarings."""
+        acc = a
+        for _ in range(self.m - 1):
+            a = self.square(a)
+            acc ^= a
+        return acc
 
 
 @lru_cache(maxsize=64)

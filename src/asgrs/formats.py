@@ -19,7 +19,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .attack import AttackCounters, AttackReport
-from .generator import AsgKey, AsgParams
+from .generator import _BITS, _DIGITS, AsgKey, AsgParams, require_bits
 from .gf2 import BinaryPolynomial, BitVector
 
 BINARY_MAGIC = b"ASGB"
@@ -115,15 +115,19 @@ def read_key(path: str | Path, params: AsgParams) -> AsgKey:
     return key_from_dict(json.loads(Path(path).read_text()), params)
 
 
-# bytes 0 .. 255 to the digit of their low bit, as `b & 1` reads them
-_DIGIT_OF = bytes(b"01"[i & 1] for i in range(256))
-_BIT_OF = bytes.maketrans(b"01", b"\x00\x01")
 # the ASCII characters str.isspace accepts, \x1c-\x1f among them
 _WHITESPACE = bytes(c for c in range(128) if chr(c).isspace())
 
 
 def write_bits(path: str | Path, bits: list[int], fmt: str = "text"):
-    digits = bytes(bits).translate(_DIGIT_OF)
+    """Raises ValueError naming the first entry that is not 0 or 1."""
+    try:
+        raw = bytes(bits)
+    except (TypeError, ValueError):  # an entry that is no int in 0 .. 255, named below
+        raw = b"\x02"
+    if raw.translate(None, b"\x00\x01"):
+        require_bits(bits)
+    digits = raw.translate(_DIGITS)
     if fmt == "text":
         lines = [digits[i:i + 64] for i in range(0, len(digits), 64)]
         Path(path).write_bytes(b"\n".join(lines) + (b"\n" if lines else b""))
@@ -151,13 +155,13 @@ def read_bits(path: str | Path) -> list[int]:
         if count % 8 and payload[-1] >> (count % 8):
             raise ValueError(f"binary bitstream sets padding bits past bit {count}")
         digits = format(int.from_bytes(payload, "little"), f"0{count}b")[::-1][:count]
-        return list(digits.encode().translate(_BIT_OF))
+        return list(digits.encode().translate(_BITS))
     raw.decode("ascii")
     digits = raw.translate(None, _WHITESPACE)
     bad = digits.translate(None, b"01")
     if bad:
         raise ValueError(f"unexpected character {chr(bad[0])!r} in text bitstream")
-    return list(digits.translate(_BIT_OF))
+    return list(digits.translate(_BITS))
 
 
 def report_to_dict(report: AttackReport) -> dict:

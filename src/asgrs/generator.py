@@ -144,10 +144,18 @@ def validate(params: AsgParams, key: AsgKey) -> list[str]:
     return v
 
 
+def require_valid_params(params: AsgParams) -> None:
+    """Raise KeyValidationError listing every violated parameter constraint."""
+    violations = validate_params(params)
+    if violations:
+        raise KeyValidationError("invalid params: " + "; ".join(violations))
+
+
 def _require_valid(params: AsgParams, key: AsgKey):
+    require_valid_params(params)
     violations = validate(params, key)
     if violations:
-        raise KeyValidationError(violations)
+        raise KeyValidationError("invalid key: " + "; ".join(violations))
 
 
 def require_bits(bits: list) -> None:
@@ -169,9 +177,7 @@ def random_key(params: AsgParams, rng: random.Random) -> AsgKey:
     Bruijn cycle); generating states are nonzero; jumps are drawn from
     [1, period - 1] until coprime with their register's period.
     """
-    violations = validate_params(params)
-    if violations:
-        raise KeyValidationError(violations)
+    require_valid_params(params)
 
     def jump(length: int) -> int:
         period = (1 << length) - 1

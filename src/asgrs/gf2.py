@@ -75,9 +75,6 @@ class BitMatrix:
         if any(not 0 <= r < top for r in self.row_masks):
             raise ValueError("row mask has bits beyond cols")
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
 
 def xor_rows(mask: int, rows: tuple[int, ...]) -> int:
     """XOR of rows[i] over the set bits i of mask: the row vector `mask`
@@ -92,7 +89,7 @@ def xor_rows(mask: int, rows: tuple[int, ...]) -> int:
 
 def invert(m: BitMatrix) -> BitMatrix:
     """Inverse of a square matrix; raises ValueError when singular."""
-    if not m.is_square():
+    if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
     rows = list(m.row_masks)

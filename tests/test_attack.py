@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asgrs import attack, registers
+from asgrs import attack, cli, formats, registers
 from asgrs.analysis import LfsrFit, berlekamp_massey, berlekamp_massey_lanes
 from asgrs.attack import (
     AttackConfig,
@@ -24,7 +24,7 @@ from asgrs.attack import (
     suggested_keystream_length,
     verify_candidate,
 )
-from asgrs.errors import UnsupportedParameterError
+from asgrs.errors import KeyValidationError, UnsupportedParameterError
 from asgrs.field import field_context
 from asgrs.generator import AsgKey, keystream, validate
 from asgrs.gf2 import BinaryPolynomial, BitVector, invert, rank
@@ -473,6 +473,11 @@ class TestRunAttack:
         with pytest.raises(ValueError, match="3\\(m\\+n\\)"):
             AttackConfig(P875, [0] * (3 * 12 - 1))
 
+    @pytest.mark.parametrize("entry", [AttackConfig, brute_force_oracle], ids=["config", "oracle"])
+    def test_invalid_params_rejected(self, entry):
+        with pytest.raises(KeyValidationError, match="invalid params: gcd\\(m, n\\) = 2 != 1"):
+            entry(make_params(3, 4, 6), [0, 1] * 15)
+
     def test_non_binary_keystream_rejected(self):
         # 1.0 == 1 but is not an int; the sweep would fail on it with a TypeError
         for entry in (2, 1.0):
@@ -875,6 +880,42 @@ class TestSoundnessAndCompleteness:
             assert all(k in oracle for k in found)
 
         check()
+
+    def test_gate_rejects_a_replay_off_in_its_last_bit(self, rng, tmp_path, monkeypatch):
+        # every filter of the sweep passes; only the replay of the assembled
+        # key, made to differ from the input in its last bit, can refuse it
+        z = keystream(P875, random_valid_key(P875, rng), suggested_keystream_length(P875))
+        config = AttackConfig(P875, z)  # one worker: the patch below reaches the sweep
+        honest = run_attack(config)
+        assert honest.recovered_keys
+
+        def last_bit_flipped(params, key, count):
+            out = keystream(params, key, count)
+            out[-1] ^= 1
+            return out
+
+        monkeypatch.setattr(attack, "keystream", last_bit_flipped)
+        report = run_attack(config)
+        assert report.recovered_keys == []
+        assert report.counters.verified_candidates == honest.counters.verified_candidates > 0
+        pfile, zfile = tmp_path / "p.json", tmp_path / "z.txt"
+        formats.write_params(pfile, P875)
+        formats.write_bits(zfile, z)
+        assert cli.main(["attack", "--params", str(pfile), "--in", str(zfile),
+                         "--out", str(tmp_path / "report.json")]) == 1
+
+    def test_gate_rejects_a_wrong_register_head(self, rng, monkeypatch):
+        z = keystream(P875, random_valid_key(P875, rng), suggested_keystream_length(P875))
+        config = AttackConfig(P875, z)
+        assert run_attack(config).recovered_keys
+        recover = attack._recover_jump
+
+        def head_bit_flipped(ctx, fit, counters):
+            found = recover(ctx, fit, counters)
+            return found and DecimationFit(found.r, BitVector(found.initial_bits.mask ^ 1, ctx.m))
+
+        monkeypatch.setattr(attack, "_recover_jump", head_bit_flipped)
+        assert run_attack(config).recovered_keys == []
 
     @pytest.mark.parametrize("lmn", [(3, 3, 4), (4, 3, 5)], ids=lmn_id)
     def test_random_strings_yield_only_regenerating_keys(self, lmn):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from asgrs.attack import AttackConfig
 from asgrs.cli import main
 from asgrs.complexity import ComplexityInputs
 from asgrs.generator import keystream, reduce_to_classical, validate
+from asgrs.gf2 import BinaryPolynomial
 from asgrs.oracle import brute_force_oracle
 
 from conftest import make_params
@@ -64,6 +66,30 @@ class TestKeygen:
         assert run("keygen", "--params", str(path), "--out", str(out)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: invalid params") and "register B" in err
+        assert not out.exists()
+
+
+class TestInvalidParams:
+    """Every command that reads params reports their violations alike."""
+
+    @pytest.mark.parametrize("command, argv", [
+        ("keygen", []),
+        ("keystream", ["--key", "KEY", "--count", "10"]),
+        ("attack", ["--in", "Z"]),
+        ("oracle", ["--in", "Z"]),
+        ("reduce", ["--key", "KEY"]),
+    ], ids=["keygen", "keystream", "attack", "oracle", "reduce"])
+    def test_non_primitive_poly_b(self, tmp_path, capsys, command, argv):
+        # x^4 + x^3 + x^2 + x + 1 is irreducible, but x has order 5 modulo it
+        params = dataclasses.replace(make_params(3, 4, 5), poly_b=BinaryPolynomial(0x1F))
+        pfile, key, z, out = (tmp_path / name for name in ("p.json", "k.json", "z.txt", "out"))
+        formats.write_params(pfile, params)
+        formats.write_key(key, AsgKey(BitVector(1, 3), BitVector(1, 4), BitVector(1, 5), 1, 1))
+        formats.write_bits(z, [0, 1] * 14)
+        argv = [{"KEY": str(key), "Z": str(z)}.get(a, a) for a in argv]
+        assert run(command, "--params", str(pfile), *argv, "--out", str(out)) == 1
+        assert capsys.readouterr() == (
+            "", "error: invalid params: poly_b (x^4 + x^3 + x^2 + x + 1) is not primitive\n")
         assert not out.exists()
 
 

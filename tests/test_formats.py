@@ -111,6 +111,17 @@ class TestBitstreams:
         with pytest.raises(ValueError):
             formats.write_bits(tmp_path / "x", [1], fmt="base64")
 
+    @pytest.mark.parametrize("fmt", ("text", "binary"))
+    @pytest.mark.parametrize("bits, entry", [
+        ([2], "entry 0 is 2"), ([0, 1, 3], "entry 2 is 3"),
+        ([0, 300], "entry 1 is 300"), ([1.0], "entry 0 is 1.0"),
+    ])
+    def test_non_bits_refused(self, tmp_path, fmt, bits, entry):
+        path = tmp_path / "bits"
+        with pytest.raises(ValueError, match=f"{entry}, not 0 or 1"):
+            formats.write_bits(path, bits, fmt=fmt)
+        assert not path.exists()
+
 
 class TestJsonFiles:
     def test_params_round_trip(self, tmp_path):
