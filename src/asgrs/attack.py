@@ -8,7 +8,7 @@ one de Bruijn cycle that holds every span-l state, so the control bits
 of all lanes at step t are one word of the cycle's control bits shifted
 by t.  A chunk of positions lo .. lo + w - 1 needs only the w + steps
 control bits from lo on, and l - 1 before it: the control register's
-base LFSR is jumped once to that spot and then stepped l clocks per
+base LFSR is jumped once to that spot and then read 64 clocks per
 table lookup (`registers.de_bruijn_bits`), with the cycle's extra zero
 spliced in, so no worker steps or stores the 2^l-state cycle.  Each
 survivor's control state is the l-bit window of control bits ending at

@@ -17,16 +17,16 @@ after p jumps, lambda_q is C's after q jumps, and p and q count the 1s
 and 0s among the control bits before step t.  Both entry points share
 one merge (`_merge`, the inverse of the attack's peeling): a control-1
 step changes z by beta_p ^ beta_{p+1}, a control-0 step by
-lambda_q ^ lambda_{q+1}.  Each sequence is built once as digits, one
-period at most: min(count - 1, 2^l) control bits, and the `need`
-outputs of each stream that they call for, at most 2^L - 1 from a
-register of length L whose feedback f has x^(2^L - 1) = 1 mod f (a
-hand-built model with other feedback gets all `need`).
-`classical_asg_keystream` reads its model's registers, and `keystream`
-reads each stream off its substitute register, the fit
+lambda_q ^ lambda_{q+1}.  Each sequence is built once as an int (bit t
+= bit t of the sequence): the control bits of one merge block, and the
+`need` outputs of each stream that they call for, but one period at
+most: 2^L - 1 from a register of length L whose feedback f has
+x^(2^L - 1) = 1 mod f (a hand-built model with other feedback gets all
+`need`).  `classical_asg_keystream` reads its model's registers, and
+`keystream` reads each stream off its substitute register, the fit
 `reduce_to_classical` makes, so it runs the classical generator over
-the reduced model; both read L outputs per L-clock jump
-(`registers.output_digits`).  A stream too short to repay its fit is
+the reduced model; both read 64 outputs per table lookup
+(`registers.output_word`).  A stream too short to repay its fit is
 stepped one jump per output instead.
 
 The merge works a block of whole control laps at a time, on Python
@@ -60,10 +60,11 @@ from .gf2 import BinaryPolynomial, BitVector, poly_pow_mod
 from .registers import (
     DeBruijnRegister,
     LfsrSpec,
-    de_bruijn_digits,
+    _repeat,
+    de_bruijn_word,
     jumped_states,
     output_bits,
-    output_digits,
+    output_word,
     state_from_outputs,
 )
 
@@ -201,15 +202,18 @@ def random_key(params: AsgParams, rng: random.Random) -> AsgKey:
 _BLOCK_BITS = 1 << 12
 
 # A decimated stream of at most this many outputs is stepped one jump
-# per output: below it, the fit of 2m head bits and the L-clock table of
+# per output: below it, the fit of 2m head bits and the word tables of
 # the substitute register cost more than they save.  With cold tables
-# the two paths cost the same at about 1024 outputs for m = 13 to 16
-# (0.25-0.35 ms each on a 2-CPU host, Python 3.11); with warm ones the
-# fit already wins from about 400.
+# the two paths cost the same at about 1024 to 1280 outputs for m = 13
+# to 16 (0.22-0.45 ms each on a 2-CPU host, Python 3.11); with warm ones
+# the fit already wins from about 600 to 768.
 _SHORT_STREAM = 1024
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
+
+# (an int whose bit t is bit t of a sequence, the period or length held)
+Periodic = tuple[int, int]
 
 
 def _expand_stages(mask: int, width: int) -> tuple[tuple[int, int], ...]:
@@ -250,19 +254,9 @@ def _expand(word: int, stages: tuple[tuple[int, int], ...]) -> int:
     return word
 
 
-def _differences(stream: str, take: int) -> int:
-    """d_p = s_p ^ s_(p+1) of a stream given as one period of digits, the
-    last one wrapping, as an int (bit p = d_p) repeated so that `take`
-    bits from any offset below the period lie inside it."""
-    period = len(stream)
-    s = int(stream[::-1], 2)
-    d = s ^ (s >> 1) ^ ((s & 1) << (period - 1))
-    return int(format(d, f"0{period}b") * (1 + -(-take // period)), 2)
-
-
-def _merge(control: str, b: str, c: str, count: int) -> list[int]:
-    """First `count` >= 1 bits of z_t = beta_p ^ lambda_q from the control
-    period and a period (or all needed outputs) of each stream, as digits.
+def _merge(control: Periodic, b: Periodic, c: Periodic, count: int) -> list[int]:
+    """First `count` >= 1 bits of z_t = beta_p ^ lambda_q from a block of
+    control laps and a period (or all needed outputs) of each stream.
 
     z changes at step t by the next B difference where control bit t is
     1 and by the next C difference where it is 0.  Each block of whole
@@ -271,27 +265,28 @@ def _merge(control: str, b: str, c: str, count: int) -> list[int]:
     stage masks are the same for every block, then takes the prefix XOR
     in log(width) shift-xors and writes its bits out.
     """
-    z = int(b[0]) ^ int(c[0])
+    z = (b[0] ^ c[0]) & 1
     out = [z]
     steps = count - 1
     if not steps:
         return out
-    period = len(control)
-    width = min(-(-_BLOCK_BITS // period) * period, steps)
-    ones = int((control * -(-width // period))[:width][::-1], 2)
+    ones, width = control
     full = (1 << width) - 1
     zeros = full ^ ones
     take_b = ones.bit_count()
     take_c = width - take_b
-    diffs_b, diffs_c = _differences(b, take_b), _differences(c, take_c)
+    # d_p = s_p ^ s_(p+1) of each stream, the last one wrapping, repeated
+    # so that a block's differences from any offset below the period fit
+    diffs_b, diffs_c = (_repeat(s ^ (s >> 1) ^ ((s & 1) << (p - 1)), p, p + take)
+                        for (s, p), take in ((b, take_b), (c, take_c)))
     to_b, to_c = _expand_stages(ones, width), _expand_stages(zeros, width)
     at_b = at_c = 0
     fmt = f"0{width}b"
     for start in range(0, steps, width):
         x = (_expand((diffs_b >> at_b) & ((1 << take_b) - 1), to_b) & ones
              | _expand((diffs_c >> at_c) & ((1 << take_c) - 1), to_c) & zeros)
-        at_b = (at_b + take_b) % len(b)
-        at_c = (at_c + take_c) % len(c)
+        at_b = (at_b + take_b) % b[1]
+        at_c = (at_c + take_c) % c[1]
         shift = 1
         while shift < width:
             x ^= x << shift
@@ -309,15 +304,15 @@ def _jumped(poly: BinaryPolynomial, state: BitVector, jump: int, count: int) -> 
     return bytes(output_bits(islice(jumped_states(spec, state.mask, jump), count), spec.length))
 
 
-def _register(spec: LfsrSpec, state: BitVector, need: int) -> str:
-    """The first `need` outputs of a unit-clocked model register as
-    digits, one period at most.  Feedback with x^(2^L - 1) = 1 mod f has
+def _register(spec: LfsrSpec, state: BitVector, need: int) -> Periodic:
+    """The first `need` outputs of a unit-clocked model register, one
+    period at most.  Feedback with x^(2^L - 1) = 1 mod f has
     T^(2^L - 1) = I, so 2^L - 1 outputs are a period; a hand-built model
     with other feedback is assumed to repeat nowhere, and all `need`
     outputs are built."""
     full = (1 << spec.length) - 1
-    period = full if poly_pow_mod(X, full, spec.feedback).mask == 1 else need
-    return output_digits(spec, state.mask, min(need, period))
+    period = min(need, full if poly_pow_mod(X, full, spec.feedback).mask == 1 else need)
+    return output_word(spec, state.mask, period), period
 
 
 def _fit(poly: BinaryPolynomial, state: BitVector, jump: int) -> LfsrFit:
@@ -326,9 +321,9 @@ def _fit(poly: BinaryPolynomial, state: BitVector, jump: int) -> LfsrFit:
     return berlekamp_massey(_jumped(poly, state, jump, 2 * state.length))
 
 
-def _decimated(poly: BinaryPolynomial, state: BitVector, jump: int, need: int) -> str:
+def _decimated(poly: BinaryPolynomial, state: BitVector, jump: int, need: int) -> Periodic:
     """The first `need` outputs of a primitive register after 0, 1, ...
-    jumps of `jump`, as digits, one period at most.
+    jumps of `jump`, one period at most.
 
     A stream of more than `_SHORT_STREAM` outputs is read off its
     substitute register, the Berlekamp-Massey fit of its 2m head bits.
@@ -339,25 +334,27 @@ def _decimated(poly: BinaryPolynomial, state: BitVector, jump: int, need: int) -
     when the stream is all zero.
     """
     if need <= _SHORT_STREAM:
-        period = (1 << state.length) - 1
-        return _jumped(poly, state, jump, min(need, period)).translate(_DIGITS).decode()
+        period = min(need, (1 << state.length) - 1)
+        return int(_jumped(poly, state, jump, period)[::-1].translate(_DIGITS), 2), period
     fit = _fit(poly, state, jump)
     if not fit.linear_complexity:
-        return "0"
+        return 0, 1
     return _register(LfsrSpec(fit.linear_complexity, fit.connection),
                      state_from_outputs(fit.initial_state), need)
 
 
-def _alternate(control_reg: DeBruijnRegister, stream_b: Callable[[int], str],
-               stream_c: Callable[[int], str], count: int) -> list[int]:
+def _alternate(control_reg: DeBruijnRegister, stream_b: Callable[[int], Periodic],
+               stream_c: Callable[[int], Periodic], count: int) -> list[int]:
     """First `count` >= 1 bits of the generator whose control register
     moves stream b on a 1 and stream c on a 0; stream_x(need) gives the
     first `need` outputs of x, one period at most."""
     base = control_reg.base
-    control = de_bruijn_digits(base, control_reg.state.mask, min(count - 1, 1 << base.length))
-    laps, rest = divmod(count - 1, len(control) or 1)
-    ones = laps * control.count("1") + control.count("1", 0, rest)
-    return _merge(control, stream_b(ones + 1), stream_c(count - ones), count)
+    period = min(count - 1, 1 << base.length) or 1
+    width = min(-(-_BLOCK_BITS // period) * period, count - 1)
+    control = de_bruijn_word(base, control_reg.state.mask, width)
+    blocks, rest = divmod(count - 1, width or 1)
+    ones = blocks * control.bit_count() + (control & ((1 << rest) - 1)).bit_count()
+    return _merge((control, width), stream_b(ones + 1), stream_c(count - ones), count)
 
 
 def keystream(params: AsgParams, key: AsgKey, count: int) -> list[int]:
@@ -384,6 +381,11 @@ class ReducedModel:
     lambda_spec: LfsrSpec
     lambda_state: BitVector
     control: DeBruijnRegister
+
+    def __post_init__(self):
+        if (self.beta_state.length != self.beta_spec.length
+                or self.lambda_state.length != self.lambda_spec.length):
+            raise ValueError("state length does not match register length")
 
 
 def reduce_to_classical(params: AsgParams, key: AsgKey) -> ReducedModel:

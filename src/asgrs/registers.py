@@ -19,13 +19,13 @@ Each register kind has one stepping core, an endless generator of packed
 states (`lfsr_states` clocks a generating register, `jumped_states`
 jumps it k clocks at a time, `de_bruijn_states` steps the control
 register); every other stepping function reads them.  A state holds the
-register's next L outputs, so `output_digits` reads a generating
-register's outputs off its L-clock jumped states, L per lookup: the
-generator reads its streams this way, and `de_bruijn_digits` the
-control register's bits off its base register, splicing in the one
-extra zero of the de Bruijn cycle.  A nonzero state of a primitive
-register of length m recurs after 2^m - 1 clocks, and every span-l
-state of the de Bruijn register after 2^l steps.
+register's next L outputs.  `output_word` reads a generating register's
+outputs as one int, 64 per lookup of tables that pack a half-state's
+next 64 outputs with its part of the state 64 clocks on: the generator
+reads its streams this way, and `de_bruijn_word` the control bits off
+the base register, splicing in the de Bruijn cycle's extra zero.  A
+nonzero state of a primitive register of length m recurs after 2^m - 1
+clocks, and every span-l state of the de Bruijn register after 2^l steps.
 
 A jump of k clocks is the polynomial c = x^k mod f: since f(T) = 0 for
 the one-clock map T, the state after k clocks is the XOR of the states
@@ -37,11 +37,12 @@ two lookups per jump (tables of a byte at L = 16), not a loop over L rows.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import islice, repeat
-from operator import rshift
+from operator import and_, rshift
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateStateError, UnsupportedParameterError
@@ -101,14 +102,31 @@ def jump_rows(feedback_mask: int, length: int, k: int) -> tuple[int, ...]:
                  for j in range(length))
 
 
+def _word_rows(feedback_mask: int, length: int) -> list[int]:
+    """Rows of the map from a window (the state with its cells reversed,
+    bit i = output i) to its outputs 0 .. 63 + L, bit t = output t: row i
+    is u >> (L - 1 - i) less the rows above i, for the outputs u, stepped
+    by s_(t+L) = sum_i f_i s_(t+i), from the window of output L - 1."""
+    low, u = feedback_mask ^ (1 << length), 1 << (length - 1)
+    for t in range(63 + length):
+        u |= ((u >> t & low).bit_count() & 1) << (t + length)
+    rows = [0] * length
+    for i in reversed(range(length)):
+        row = (u >> (length - 1 - i)) & ((1 << (64 + length)) - 1)
+        rows[i] = row ^ xor_rows(row & ((1 << length) - 1) ^ (1 << i), rows)
+    return rows
+
+
 @lru_cache(maxsize=16)
-def _half_tables(feedback_mask: int, length: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """T^k of every state of the low L//2 cells, and of the rest: the
-    entries with row j set are the earlier entries XOR row j of T^k.
-    The cache is bounded: every distinct key brings its own jump sizes."""
+def _half_tables(feedback_mask: int, length: int, k: int | None) -> tuple[tuple[int, ...], ...]:
+    """T^k of every state of the low L//2 cells, and of the rest, or with
+    k None the map of `_word_rows` on windows: the entries with row j set
+    are the earlier entries XOR row j.  The cache is bounded: every
+    distinct key brings its own jump sizes, and every fit its feedback."""
     half = length // 2
     low, high = [0], [0]
-    for j, row in enumerate(jump_rows(feedback_mask, length, k)):
+    rows = _word_rows(feedback_mask, length) if k is None else jump_rows(feedback_mask, length, k)
+    for j, row in enumerate(rows):
         table = low if j < half else high
         table += [t ^ row for t in table]
     return tuple(low), tuple(high)
@@ -197,48 +215,57 @@ def de_bruijn_cycle(base: LfsrSpec) -> array:
     return array("I", islice(de_bruijn_states(base, 0), 1 << base.length))
 
 
-def output_digits(spec: LfsrSpec, state: int, count: int) -> str:
-    """Output bits 0 .. count - 1 of the generating register from `state`,
-    as the digits "0" and "1" in time order.
-
-    The state after k clocks holds outputs k .. k + L - 1, the first in
-    cell L - 1, so its L-digit binary form is those outputs in time order
-    and the outputs come L per `jumped_states` lookup of L clocks.
-    """
+def output_word(spec: LfsrSpec, state: int, count: int) -> int:
+    """Output bits 0 .. count - 1 of the generating register from `state`
+    as one int, bit t = output t, 64 per table lookup."""
     length, count = spec.length, max(count, 0)
-    n = -(-count // length)
-    windows, fmt = islice(jumped_states(spec, state, length), n), f"0{length}b"
-    # 256 windows per inner join keep few short strings alive at once:
-    # one join of all 2^16 / 16 windows at (16,15,16) left the peak RSS
-    # of a `keystream` call of 10^6 bits 0.5 MB higher (40.65 against
-    # 40.17 MB in the benchmark's keystream workload)
-    return "".join(["".join(map(format, islice(windows, 256), repeat(fmt)))
-                    for _ in range(0, n, 256)])[:count]
+    low, high = _half_tables(spec.feedback.mask, length, None)
+    half, mask = length // 2, len(low) - 1
+    window = int(f"{state:0{length}b}"[::-1], 2)
+    words = array("Q")
+    for _ in range(-(-count // 64)):
+        entry = low[window & mask] ^ high[window >> half]
+        words.append(entry & 0xFFFF_FFFF_FFFF_FFFF)
+        window = entry >> 64
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words.tobytes(), "little") & ((1 << count) - 1)
 
 
-def de_bruijn_digits(base: LfsrSpec, state: int, count: int) -> str:
+def _repeat(bits: int, period: int, width: int) -> int:
+    """The `period`-bit int `bits` repeated to `width` bits or more."""
+    while period < width:
+        bits |= bits << period
+        period <<= 1
+    return bits
+
+
+def de_bruijn_word(base: LfsrSpec, state: int, count: int) -> int:
     """Control bits 0 .. count - 1 of the de Bruijn register over `base`
-    from `state`, as the digits "0" and "1" in time order.
+    from `state` as one int, bit t = control bit t.
 
     The register follows its base register except that it passes the
-    all-zero state between state 1 << (span - 1) and state 1, so from a
-    nonzero state its bits are the base register's cell-0 sequence v
-    with a 0 spliced in after each run of span - 1 zeros, v's longest,
-    one per period.  The state after k clocks holds v_(k-span+1) .. v_k,
-    oldest in cell span-1, so v is the base register's cell span - 1
-    output (`output_digits`) from `state`, whose first span - 1 bits
-    are the ones before v_0.  A run that fills them ended before v_0, so
-    the register has already passed the all-zero state, and the search
-    for runs starts one bit in, where every run ending at v_0 or later
-    lies.
+    all-zero state between state 1 << (span - 1) and state 1, so a lap
+    of its 2^span bits, which then repeats, is the base register's cell-0
+    sequence with a 0 spliced in after its one run of span - 1 zeros.
+    The state after k clocks holds v_(k-span+1) .. v_k, oldest in cell
+    span - 1, so v is the base register's cell span - 1 output from
+    `state`, whose first span - 1 bits precede v_0.  A run that fills
+    them ended before v_0, past the all-zero state; a run from
+    v_(i-span+1) to v_(i-1), i >= 1, makes control bit i the zero.
     """
     span, count = base.length, max(count, 0)
     if state == 0:
         # the all-zero state outputs its 0 and moves to state 1
-        return ("0" + de_bruijn_digits(base, 1, count - 1))[:count]
-    v = output_digits(base, state, count + span - 1)
-    run = "0" * (span - 1)
-    return (v[:1] + v[1:].replace(run, run + "0"))[span - 1:span - 1 + count]
+        return de_bruijn_word(base, 1, count - 1) << 1
+    lap = min(count, 1 << span)
+    v = output_word(base, state, lap + span - 1)
+    runs = reduce(and_, (~v >> k for k in range(span - 1)), ~1 & (1 << lap) - 1)
+    bits = v >> (span - 1)
+    if runs:
+        at = (runs & -runs).bit_length() - 1
+        bits = bits & ((1 << at) - 1) | (bits >> at) << (at + 1)
+    return _repeat(bits & ((1 << lap) - 1), lap, count) & ((1 << count) - 1)
 
 
 def de_bruijn_bits(base: LfsrSpec, start: int, count: int) -> int:
@@ -247,14 +274,14 @@ def de_bruijn_bits(base: LfsrSpec, start: int, count: int) -> int:
 
     Cycle state 0 is the all-zero state, and cycle state p >= 1 is the
     base register's state p - 1 clocks past state 1, reached by one jump
-    of x^(p-1) mod f; `de_bruijn_digits` reads on from there.  Nothing of
+    of x^(p-1) mod f; `de_bruijn_word` reads on from there.  Nothing of
     size 2^span is built.
     """
     span = base.length
     start %= 1 << span
     state = start and xor_rows(poly_pow_mod(X, start - 1, base.feedback).mask,
                                tuple(islice(lfsr_states(base, 1), span)))
-    return int(de_bruijn_digits(base, state, count)[::-1] or "0", 2)
+    return de_bruijn_word(base, state, count)
 
 
 def de_bruijn_sequence(reg: DeBruijnRegister, count: int) -> list[int]:

@@ -8,6 +8,7 @@ from asgrs.errors import DegenerateStateError, KeyValidationError
 from asgrs.field import field_context
 from asgrs.generator import (
     _BLOCK_BITS,
+    _SHORT_STREAM,
     AsgKey,
     AsgParams,
     ReducedModel,
@@ -204,6 +205,17 @@ class TestKeystream:
             keystream(params, key, 10)
         assert len(jumps) > bound
         assert _half_tables.cache_info().currsize <= bound
+        # the word tables share the cache: streams longer than
+        # _SHORT_STREAM are read off their substitute registers, one
+        # feedback per decimation
+        feedbacks = set()
+        for _ in range(bound):
+            key = random_valid_key(params, rng)
+            model = reduce_to_classical(params, key)
+            feedbacks.update({model.beta_spec.feedback, model.lambda_spec.feedback})
+            keystream(params, key, 4 * _SHORT_STREAM)
+        assert len(feedbacks) > bound
+        assert _half_tables.cache_info().currsize <= bound
 
     def test_invalid_key_raises(self):
         bad = AsgKey(BitVector(0, 3), BitVector(0, 3), BitVector(1, 4), 1, 1)
@@ -320,6 +332,16 @@ class TestReduction:
                              model.lambda_spec, BitVector(0, 4), model.control)
         with pytest.raises(DegenerateStateError):
             classical_asg_keystream(broken, 10)
+
+    def test_state_length_must_match_register(self, rng):
+        # a state with a cell more or less than its register would index
+        # the register's tables with bits it does not have
+        params = make_params(4, 3, 5)
+        model = reduce_to_classical(params, random_valid_key(params, rng))
+        for beta, lam in ((BitVector(0b1011, 4), model.lambda_state),
+                          (model.beta_state, BitVector(0b1011, 4))):
+            with pytest.raises(ValueError, match="state length does not match register length"):
+                ReducedModel(model.beta_spec, beta, model.lambda_spec, lam, model.control)
 
     def test_collapsing_decimation_rejected(self):
         # non-strict mode lets gcd(r, period) > 1 through generation, but a

@@ -12,18 +12,20 @@ from asgrs.registers import (
     DeBruijnRegister,
     LfsrSpec,
     de_bruijn_cycle,
-    de_bruijn_digits,
     de_bruijn_sequence,
+    de_bruijn_word,
     jump_rows,
     jumped_states,
     lfsr_states,
     lfsr_step,
+    output_bits,
     output_sequence,
+    output_word,
     primitive_polynomial,
     state_from_outputs,
 )
 
-from conftest import _ref_debruijn_step
+from conftest import _ref_debruijn_step, wide_polynomial
 
 SPEC3 = LfsrSpec(3, BinaryPolynomial(0b1011))
 # x^25 + x^3 + 1, primitive, one degree past the primitivity test's cap
@@ -200,17 +202,28 @@ class TestJumpedStates:
             if k % period == 0:
                 assert set(expected) == {expected[0]}
 
-    @pytest.mark.parametrize("length", range(1, 10))
+    @pytest.mark.parametrize("length", range(1, 25))
     def test_matches_unit_clocks_for_any_feedback(self, length):
-        # every k-th state of the unit-clocked register, whatever the
-        # feedback: reducible and singular polynomials included
+        # every k-th state of the unit-clocked register, and its outputs
+        # read 64 per lookup, whatever the feedback: the primitive one
+        # and reducible and singular polynomials; counts around words and
+        # around a period, whose lengths are capped at 2^12 + 1
         rng = random.Random(length)
-        for _ in range(4):
-            spec = LfsrSpec(length, BinaryPolynomial((1 << length) | rng.randrange(1 << length)))
+        top = 1 << min(length, 12)
+        counts = (0, 1, 63, 64, 65, 127, 128, 129, top - 1, top, top + 1)
+        for feedback in [wide_polynomial(length)] + [
+                BinaryPolynomial((1 << length) | rng.randrange(1 << length)) for _ in range(4)]:
+            spec = LfsrSpec(length, feedback)
             state = rng.randrange(1 << length)
-            clocks = list(islice(lfsr_states(spec, state), 40))
+            clocks = list(islice(lfsr_states(spec, state), max(counts)))
             for k in (1, 2, 3, 5):
-                assert list(islice(jumped_states(spec, state, k), len(clocks[::k]))) == clocks[::k]
+                expected = clocks[:40:k]
+                assert list(islice(jumped_states(spec, state, k), len(expected))) == expected
+            outputs = list(output_bits(clocks, length))
+            for count in counts:
+                word = output_word(spec, state, count)
+                assert [(word >> t) & 1 for t in range(count)] == outputs[:count], count
+                assert word >> count == 0
 
 
 MSEQ7 = output_sequence(SPEC3, BitVector.from_bits([0, 0, 1]), 7)
@@ -297,8 +310,9 @@ class TestDeBruijn:
             stepped = de_bruijn_sequence(DeBruijnRegister(base, BitVector(state, span)),
                                          period + 3)
             for count in (0, 1, span, period - 1, period, period + 3):
-                digits = de_bruijn_digits(base, state, count)
-                assert [int(c) for c in digits] == stepped[:count]
+                word = de_bruijn_word(base, state, count)
+                assert [(word >> t) & 1 for t in range(count)] == stepped[:count]
+                assert word >> count == 0
 
     def test_rejects_non_primitive_base(self):
         with pytest.raises(ValueError):
