@@ -25,19 +25,29 @@ once.  Its stream is peeled out of consecutive keystream differences (a
 step with control bit 1 changes only the B-side stream, a step with 0
 only the C-side): the difference is the same for every lane, and a
 one-hot count of each lane's control-1 steps routes it into bit slice k
-of the stream.  The beta_0 = 1 lanes sit above the beta_0 = 0 lanes and
-hold the complemented slices.  Berlekamp-Massey runs on the slices, with
-the connection polynomial held coefficient by coefficient and the
+of the stream.  The count follows a lane only until its stream holds
+2m + b bits, for b the bit length of the chunk's lane count: each bit
+past the first 2m halves a wrong guess's odds of passing, so about one
+chance guess per chunk gets through the capped test, and the peel stops
+once every lane has reached the cap.  The C side needs 2n - 1 control-0
+steps, so each lane's control-1 steps are also counted in full, in its
+window of control bits: lane j's window is lane 0's shifted by j, so the
+counts of all lanes are bit-sliced sums built by doubling.  The beta_0 = 1 lanes sit above the beta_0 = 0 lanes
+and hold the complemented slices.  Berlekamp-Massey runs on the slices,
+with the connection polynomial held coefficient by coefficient and the
 linear complexity as a thermometer code (T_k = the lanes with L >= k),
 so that each branch of the algorithm is a masked update.  At the
 suggested keystream length about one guess per chunk passes the B side,
-and at 3(m+n) bits tens to hundreds do.  Only those get the C-side
-test, one at a time: `reconstruct_streams` rebuilds the guess's streams
-from its own control bits, and it passes when its whole lambda stream
-has linear complexity at most n.  So the sweep costs about m^2 2^(l+1)
-lane work plus one stream rebuild and one fit per B-consistent guess,
-against the paper's (m^2 + n^2) 2^(l+1).  `run_attack` sorts the keys
-by (control state, beta_0).
+and at 3(m+n) bits tens to hundreds do.  Only those get the rest, one
+at a time: `reconstruct_streams` rebuilds the guess's streams from its
+own control bits, and it passes when its whole lambda stream has linear
+complexity at most n and then its whole beta stream, past the cap, at
+most m.  So the sweep costs about m^2 2^(l+1) lane work, with a peel
+that stops after about 3(2m + b) steps however long the keystream is
+(82 at (13, 7, 9) on 97 bits and on 400), plus one stream rebuild and
+one or two fits per B-consistent guess, against the paper's
+(m^2 + n^2) 2^(l+1).  `run_attack` sorts the keys by (control state,
+beta_0).
 
 Surviving candidates then have their jump sizes recovered.  The
 undecimated register output b_t = Tr(u a^t), for a root a of the public
@@ -49,11 +59,12 @@ are found in time polynomial in m, with no table of powers of a: one
 root a^r0 of f by trace splitting (`FieldContext.root`), and r0 as its
 discrete log (`FieldContext.log`, Pohlig-Hellman with baby-step
 giant-step).  Because r is coprime to the period, the decimation
-inverts: b_t = d_(t r') with r' = r^-1 mod 2^m - 1, so the register
-head is the first m outputs of the fitted register jumped r' clocks at
-a time, through the same stepping core as the generator.  One recovery
-takes about 1 ms at m = 14 and 2.5 ms at m = 24 (Python 3.11, 2 CPUs),
-so the sweep's 2^(l+1) guesses are the attack's only exponential cost.
+inverts: b_t = d_(t r') with r' = r^-1 mod 2^m - 1.  The fitted
+register's output d_k is the parity of (x^k mod f) AND its first m
+bits, so the register head b_0 .. b_(m-1) takes one power x^r' mod f
+and m products modulo f, and no jump table.  One recovery takes about
+1 ms at m = 14 and 2.5 ms at m = 24 (Python 3.11, 2 CPUs), so the
+sweep's 2^(l+1) guesses are the attack's only exponential cost.
 
 The jump is only determined up to Frobenius conjugacy:
 Tr(u g^t) = Tr(u^2 (g^2)^t), so d is also the 2r-fold decimation (mod
@@ -73,13 +84,13 @@ import os
 import time
 from dataclasses import dataclass, fields
 from functools import reduce
-from itertools import accumulate, compress, islice
-from operator import and_, itemgetter, not_, xor
+from itertools import accumulate, compress, zip_longest
+from operator import and_, itemgetter, not_, or_, xor
 from typing import Iterator
 
 from .analysis import LfsrFit, berlekamp_massey, berlekamp_massey_lanes
-from .field import FieldContext, field_context
-from .gf2 import BitVector
+from .field import X, FieldContext, field_context
+from .gf2 import BitVector, _poly_mulmod, poly_pow_mod
 from .generator import AsgKey, AsgParams, keystream, require_bits, require_valid_params
 from .registers import (
     BitSequence,
@@ -87,8 +98,6 @@ from .registers import (
     LfsrSpec,
     de_bruijn_bits,
     de_bruijn_sequence,
-    jumped_states,
-    output_bits,
     state_from_outputs,
 )
 
@@ -243,7 +252,7 @@ def _recover_jump(ctx: FieldContext, fit: LfsrFit,
     log r0 of any root.  So there is none when f does not split into
     distinct linear factors over the field, or when the root found has
     a log sharing a factor with 2^m - 1.  The head is b_t = d_(t r^-1)
-    for t < m: the fitted register jumped by r^-1 mod 2^m - 1.
+    for t < m, with r^-1 taken mod 2^m - 1.
     """
     m = ctx.m
     if fit.linear_complexity != m:
@@ -259,9 +268,15 @@ def _recover_jump(ctx: FieldContext, fit: LfsrFit,
     r = min((r << j) % period for j in range(m))
     if counters:
         counters.trace_solves += 1
-    states = jumped_states(LfsrSpec(m, fit.connection),
-                           state_from_outputs(fit.initial_state).mask, pow(r, -1, period))
-    return DecimationFit(r, BitVector.from_bits(list(islice(output_bits(states, m), m))))
+    # d_k is the parity of (x^k mod f) & (d_0 .. d_(m-1)), so the head
+    # reads the powers of x^(r^-1) mod f
+    f = fit.connection.mask
+    jump = poly_pow_mod(X, pow(r, -1, period), fit.connection).mask
+    power, head = 1, 0
+    for t in range(m):
+        head |= ((power & fit.initial_state.mask).bit_count() & 1) << t
+        power = _poly_mulmod(power, jump, f)
+    return DecimationFit(r, BitVector(head, m))
 
 
 @dataclass(frozen=True)
@@ -318,26 +333,27 @@ def _window_state(bits: int, l: int, j: int) -> int:
     return int(format((bits >> j) & ((1 << l) - 1), f"0{l}b")[::-1], 2)
 
 
-def _peel_lanes(z: list[int], words: Iterator[int],
-                width: int) -> tuple[list[int], list[int]]:
-    """The B side of `reconstruct_streams` on 2 * width lanes at once: the
-    control words drive lanes 0 .. width - 1 with beta_0 = 0, and lanes
-    width + j hold the complemented stream of lane j, which is the one
-    for beta_0 = 1.
+def _peel_lanes(z: list[int], words: Iterator[int], width: int,
+                cap: int) -> tuple[list[int], list[int]]:
+    """The B side of `reconstruct_streams` on 2 * width lanes at once, up
+    to `cap` bits a lane: the control words drive lanes 0 .. width - 1
+    with beta_0 = 0, and lanes width + j hold the complemented stream of
+    lane j, which is the one for beta_0 = 1.
 
     Returns the B-side streams as bit slices (bit j of beta[k]: bit k of
-    lane j's stream, for k below its length), and each lane's count p of
-    control-1 steps as a thermometer code over the first width lanes (bit
-    j of at_least[k]: lane j has p >= k), so that a lane's streams hold
-    p + 1 and steps - p + 1 bits.  The keystream difference is the same
-    for every lane, so the peel records where the stream toggles: at a
-    step where z changes, a one-hot count routes the lanes with p = k and
-    control bit 1 to toggle it past index k.
+    lane j's stream, for k below its length and below cap), and each
+    lane's count p of control-1 steps, capped at cap - 1, as a
+    thermometer code over the first width lanes (bit j of at_least[k]:
+    lane j has p >= k, for k < cap), so that a lane below the cap holds
+    p + 1 B-side bits.  The keystream difference is the same for every lane, so
+    the peel records where the stream toggles: at a step where z changes,
+    a one-hot count routes the lanes with p = k and control bit 1 to
+    toggle it past index k.  A lane whose stream reaches cap bits leaves
+    the count, and the peel stops when none is left.
     """
-    steps = len(z) - 1
     half = (1 << width) - 1
-    toggle = [0] * steps
-    low, count = 0, [half]  # count[k - low]: the lanes with p = k
+    toggle = [0] * (cap - 1)
+    low, count, capped = 0, [half], 0  # count[k - low]: the lanes with p = k
     for t, a in enumerate(words):
         moved = [c & a for c in count]
         if z[t] != z[t + 1]:
@@ -345,16 +361,60 @@ def _peel_lanes(z: list[int], words: Iterator[int],
                 toggle[k] |= mv
         count = [c ^ mv | up for c, mv, up in zip(count, moved, [0] + moved)]
         if moved[-1]:
-            count.append(moved[-1])
+            if low + len(count) < cap - 1:
+                count.append(moved[-1])
+            else:
+                capped |= moved[-1]
+                if capped == half:
+                    break
         if not count[0]:
             del count[0]
             low += 1
-    high = low + len(count) - 1
-    at_least = [half] * (low + 1) + [0] * (steps + 1 - low)
-    for k in range(high, low, -1):
-        at_least[k] = at_least[k + 1] | count[k - low]
+    high = cap - 1 if capped else low + len(count) - 1
+    count += [0] * (cap - 1 - low - len(count)) + [capped]
+    at_least = [half] * low + list(accumulate(reversed(count), or_))[::-1]
     beta = [s | ((s ^ half) << width) for s in accumulate(toggle[:high], xor, initial=0)]
     return beta, at_least
+
+
+def _add_slices(a: list[int], b: list[int]) -> list[int]:
+    """The sum of two bit-sliced counts, least significant slice first."""
+    out, carry = [], 0
+    for x, y in zip_longest(a, b, fillvalue=0):
+        out.append(x ^ y ^ carry)
+        carry = x & y | carry & (x ^ y)
+    return out + [carry] if carry else out
+
+
+def _windows_at_least(bits: int, span: int, threshold: int, width: int) -> int:
+    """Bit j, j < width, set where bits j .. j + span - 1 of `bits` hold
+    at least `threshold` ones.
+
+    Each lane's window is the one of lane 0 shifted by j, so the counts
+    of all windows are built by doubling: with counts over 2^e-bit
+    windows as bit slices, the 2^(e+1)-bit ones are the sum of two of
+    them, the second shifted 2^e lanes down, and the span-bit ones the
+    sum over the binary digits of span.  Then the slices are compared
+    with the threshold from the top digit down.
+    """
+    total, done, power, e = [], 0, [bits], 0
+    while True:
+        if span >> e & 1:
+            total = _add_slices(total, [s >> done for s in power])
+            done += 1 << e
+        if not span >> (e + 1):
+            break
+        power = _add_slices(power, [s >> (1 << e) for s in power])
+        e += 1
+    total += [0] * (threshold.bit_length() - len(total))
+    above, equal = 0, -1
+    for i in reversed(range(len(total))):
+        if threshold >> i & 1:
+            equal &= total[i]
+        else:
+            above |= equal & total[i]
+            equal &= ~total[i]
+    return (above | equal) & ((1 << width) - 1)
 
 
 def _sweep_lanes(config: AttackConfig, lo: int, width: int,
@@ -365,9 +425,10 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
 
     Returns the guesses that have enough bits on both streams, fit within
     both length caps and pass the linear-consistency test, in lane order,
-    each fitted by `berlekamp_massey` on its 2m / 2n prefix.  The B side
-    is tested on all lanes at once, and the C side only for the guesses
-    that pass it, one at a time.
+    each fitted by `berlekamp_massey` on its whole streams, which is the
+    fit of its 2m / 2n prefix.  The B side is tested on all lanes at once
+    up to the peel's cap, and the C side, then the B side past the cap,
+    only for the guesses that pass it, one at a time.
     """
     params = config.params
     l, m, n = params.l, params.m, params.n
@@ -378,10 +439,15 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     # bit i: the control bit of cycle position lo - l + 1 + i, wrapping at
     # 2^l, so lane j reads bit l - 1 + j + t at step t
     bits = de_bruijn_bits(LfsrSpec(l, params.poly_a), lo - l + 1, width + steps + l - 2)
+    # one lane in a chunk passes the first 2m bits by chance with odds
+    # about 1 / lanes, and each bit past them halves them
+    cap = 2 * m + (2 * width).bit_length()
     beta, at_least = _peel_lanes(
-        z, ((bits >> t) & half for t in range(l - 1, l - 1 + steps)), width)
-    # p + 1 >= 2m beta bits and steps - p + 1 >= 2n lambda bits
-    enough = at_least[2 * m - 1] & ~at_least[steps + 2 - 2 * n]
+        z, ((bits >> t) & half for t in range(l - 1, l - 1 + steps)), width, cap)
+    # p + 1 >= 2m beta bits, and steps - p + 1 >= 2n lambda bits: lane j
+    # has at most steps + 1 - 2n ones among control bits j .. j + steps - 1
+    enough = at_least[2 * m - 1] & ~_windows_at_least(
+        bits >> (l - 1), steps, steps + 2 - 2 * n, width)
     if not enough:
         return []
     enough |= enough << width
@@ -391,7 +457,7 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     ok = enough & ~t_beta[m + 1]
     counters.bm_runs += enough.bit_count() + ok.bit_count()
     # linear consistency: where L <= m, c has no term above x^m and must
-    # annihilate every window of each lane's whole stream; the fit
+    # annihilate every window of each lane's stream up to the cap; the fit
     # already covers the windows inside the 2m-bit prefix
     for j in range(2 * m, len(beta)):
         alive = at_least[j]
@@ -411,10 +477,13 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
         beta_j, lam_j = reconstruct_streams(
             [(control >> t) & 1 for t in range(steps)], z, j // width)
         fit_lam = berlekamp_massey(lam_j)
-        if fit_lam.linear_complexity <= n:
+        if fit_lam.linear_complexity > n:
+            continue
+        # the B side past the cap: likewise, its whole stream within m
+        fit_beta = berlekamp_massey(beta_j)
+        if fit_beta.linear_complexity <= m:
             survivors.append(CandidateModel(
-                BitVector(_window_state(bits, l, i), l), j // width,
-                berlekamp_massey(beta_j[:2 * m]), fit_lam))
+                BitVector(_window_state(bits, l, i), l), j // width, fit_beta, fit_lam))
     counters.verified_candidates += len(survivors)
     return survivors
 

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import os
 import random
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +16,11 @@ from asgrs.attack import (
     CandidateModel,
     DecimationFit,
     _attack_chunk,
+    _peel_lanes,
     _recover_jump,
     _sweep_lanes,
     _window_state,
+    _windows_at_least,
     reconstruct_streams,
     recover_decimation,
     run_attack,
@@ -124,6 +127,25 @@ def replay_reference(params, z, a_mask, beta0):
             q += 1
         ok = ok and beta_hat[p] ^ lam_hat[q] == z[t + 1]
     return ("accepted" if ok else "rejected"), tuple(fits), 2
+
+
+def reference_sweep(params, z):
+    """Every guess through the replay reference, in (control state,
+    beta_0) order, as (outcome, candidate or None without fits), with the
+    accepted candidates and the counters a sweep of all of them reports."""
+    guesses, bm_runs = [], 0
+    for a_mask in range(1 << params.l):
+        for beta0 in (0, 1):
+            outcome, fits, runs = replay_reference(params, z, a_mask, beta0)
+            bm_runs += runs
+            guesses.append((outcome, fits and CandidateModel(
+                BitVector(a_mask, params.l), beta0, *fits)))
+    accepted = [cand for outcome, cand in guesses if outcome == "accepted"]
+    return guesses, (accepted, AttackCounters(1 << params.l, bm_runs, 0, len(accepted)))
+
+
+def by_guess(cands):
+    return sorted(cands, key=lambda c: (c.a_init.mask, c.beta0))
 
 
 def over_cap_keystream(params, a_mask, nbits):
@@ -745,25 +767,59 @@ class TestSweep:
                 attack, "_recover_key",
                 lambda config, cand, counters: swept.append(cand))
             _, counters = _attack_chunk(config, 0, 1 << l)
-            expected, bm_runs = [], 0
-            for a_mask in range(1 << l):
-                a_init = BitVector(a_mask, l)
-                for beta0 in (0, 1):
-                    outcome, fits, runs = replay_reference(params, z, a_mask, beta0)
-                    seen.add(outcome)
-                    bm_runs += runs
-                    if fits is None:
-                        continue
-                    cand = CandidateModel(a_init, beta0, *fits)
-                    assert verify_candidate(config, cand) == (outcome == "accepted")
-                    # like the replay, verification ignores the beta_0 label
-                    relabelled = dataclasses.replace(cand, beta0=1 - beta0)
-                    assert verify_candidate(config, relabelled) == (outcome == "accepted")
-                    if outcome == "accepted":
-                        expected.append(cand)
-            assert sorted(swept, key=lambda c: (c.a_init.mask, c.beta0)) == expected
-            assert counters == AttackCounters(1 << l, bm_runs, 0, len(expected))
+            guesses, expected = reference_sweep(params, z)
+            for outcome, cand in guesses:
+                seen.add(outcome)
+                if cand is None:
+                    continue
+                assert verify_candidate(config, cand) == (outcome == "accepted")
+                # like the replay, verification ignores the beta_0 label
+                relabelled = dataclasses.replace(cand, beta0=1 - cand.beta0)
+                assert verify_candidate(config, relabelled) == (outcome == "accepted")
+            assert (by_guess(swept), counters) == expected
         assert {"accepted", "rejected", "complexity"} <= seen
+
+    @pytest.mark.parametrize("chunk", [attack.CHUNK_LANES, 64], ids=["one-chunk", "64-lane"])
+    def test_matches_replay_reference_at_the_lane_cap(self, chunk, rng, monkeypatch):
+        # the lanes' B streams are peeled up to the cap, 2m + bit_length of
+        # the lanes in a chunk, and a guess that passes the lane test with a
+        # longer stream gets the rest checked on its own: the true guess's
+        # stream ends one bit short of the cap, at it and one past it, and
+        # on a last input it fails only at a flipped bit past the cap.
+        # 64-lane chunks start inside the cycle, the one chunk before it
+        params = P875
+        width = min(chunk // 2, 1 << params.l)
+        cap = 2 * params.m + (2 * width).bit_length()
+        key = random_valid_key(params, rng)
+        tr = reference_trace(params, key, 8 * cap)
+        ones = list(accumulate(tr.control_bits))
+        # the shortest keystream on which the true B stream holds k bits
+        # ends with a control-1 step
+        nbits = {k: ones.index(k - 1) + 2 for k in (cap - 1, cap, cap + 1, cap + 3)}
+        inputs = [tr.keystream[:nbits[k]] for k in (cap - 1, cap, cap + 1)]
+        z = tr.keystream[:nbits[cap + 3]]
+        inputs.append(z[:-1] + [z[-1] ^ 1])
+        a_mask, beta0 = key.state_a.mask, tr.beta_stream[0]
+        assert replay_reference(params, inputs[-1], a_mask, beta0)[0] == "rejected"
+        caps, tested = [], []
+        peel, reconstruct = attack._peel_lanes, attack.reconstruct_streams
+        monkeypatch.setattr(attack, "_peel_lanes",
+                            lambda *args: caps.append(args[-1]) or peel(*args))
+        monkeypatch.setattr(attack, "reconstruct_streams",
+                            lambda *args: tested.append(args[::2]) or reconstruct(*args))
+        for z in inputs:
+            assert len(z) >= 3 * (params.m + params.n)
+            config = AttackConfig(params, z)
+            counters, swept = AttackCounters(), []
+            caps.clear()
+            for lo in range(0, 1 << params.l, width):
+                swept += _sweep_lanes(config, lo, width, counters)
+            assert set(caps) == {cap}
+            accepted, expected = reference_sweep(params, z)[1]
+            assert (by_guess(swept), counters) == (accepted, expected)
+            assert any(c.a_init.mask == a_mask for c in accepted) == (z is not inputs[-1])
+        # the flipped guess passed the lane test and failed on its own
+        assert (tr.control_bits[:len(z) - 1], beta0) in tested
 
     def test_lane_fit_runs_for_the_b_side_only(self, rng, monkeypatch):
         # each chunk runs the lane fit once, on the B side; the C side is
@@ -811,6 +867,46 @@ class TestSweep:
             assert states == sorted(states)
             reordered |= sorted(states, key=positions.get) != states
         assert reordered or lmn != (8, 7, 5)
+
+
+class TestPeelLanes:
+    def test_matches_reconstruct_streams_up_to_the_cap(self, rng):
+        # each lane's B stream and control-1 count as `reconstruct_streams`
+        # has them, cut at cap bits; with few steps no lane reaches the cap,
+        # with many every lane does and the peel stops early
+        for _ in range(60):
+            width, cap = rng.choice([1, 5, 64, 70]), rng.randrange(4, 20)
+            steps = rng.choice([1, cap - 2, cap, 2 * cap, 5 * cap])
+            z = [rng.randrange(2) for _ in range(steps + 1)]
+            words = [rng.getrandbits(width) for _ in range(steps)]
+            beta, at_least = _peel_lanes(z, iter(words), width, cap)
+            streams = [reconstruct_streams([(w >> j) & 1 for w in words], z, 0)[0]
+                       for j in range(width)]
+            assert len(at_least) == cap
+            assert len(beta) == min(max(map(len, streams)), cap)
+            for j, stream in enumerate(streams):
+                kept = min(len(stream), cap)
+                assert [(s >> j) & 1 for s in beta[:kept]] == stream[:kept]
+                assert [(s >> (width + j)) & 1 for s in beta[:kept]] == [
+                    1 - b for b in stream[:kept]]
+                assert [(t >> j) & 1 for t in at_least] == [k < kept for k in range(cap)]
+
+
+class TestWindowsAtLeast:
+    def test_matches_per_lane_popcount(self, rng):
+        # the sweep's thresholds, span + 1 - 2n for the C side's 2n bits,
+        # one off them, and the counts of some lanes, so that lanes sit
+        # exactly on them
+        for span in range(1, 131):
+            width = rng.choice([1, 3, 64, 65, 200])
+            bits = rng.getrandbits(width + span - 1)
+            counts = [((bits >> j) & ((1 << span) - 1)).bit_count() for j in range(width)]
+            thresholds = {max(span + 2 - 2 * n + d, 0) for n in (3, 5, 9, 16) for d in (-1, 0, 1)}
+            thresholds |= {max(counts[j] + d, 0) for j in (0, width // 2, width - 1)
+                           for d in (-1, 0, 1)}
+            for threshold in thresholds | {0, span, span + 1}:
+                expected = sum(1 << j for j, c in enumerate(counts) if c >= threshold)
+                assert _windows_at_least(bits, span, threshold, width) == expected
 
 
 class TestChunkControl:
