@@ -439,8 +439,9 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     # bit i: the control bit of cycle position lo - l + 1 + i, wrapping at
     # 2^l, so lane j reads bit l - 1 + j + t at step t
     bits = de_bruijn_bits(LfsrSpec(l, params.poly_a), lo - l + 1, width + steps + l - 2)
-    # one lane in a chunk passes the first 2m bits by chance with odds
-    # about 1 / lanes, and each bit past them halves them
+    # each beta bit past the first 2m halves a wrong guess's odds of
+    # passing, so with bit_length(lanes) of them about one chance guess per
+    # chunk passes the lane test
     cap = 2 * m + (2 * width).bit_length()
     beta, at_least = _peel_lanes(
         z, ((bits >> t) & half for t in range(l - 1, l - 1 + steps)), width, cap)
