@@ -84,7 +84,7 @@ import os
 import time
 from dataclasses import dataclass, fields
 from functools import reduce
-from itertools import accumulate, compress, zip_longest
+from itertools import accumulate, chain, compress, islice, repeat, zip_longest
 from operator import and_, itemgetter, not_, or_, xor
 from typing import Iterator
 
@@ -114,7 +114,8 @@ class AttackCounters:
     only for guesses that also pass the B-side consistency test, so
     ``bm_runs`` is not the number of fits it performs.  ``trace_solves``
     counts jump solves, one per jump found: at most one per
-    `recover_decimation` call.
+    `_recover_jump` call, of which `_recover_key` makes at most two per
+    verified candidate (the C side only once the B side has a jump).
     """
 
     a_states_tried: int = 0
@@ -340,40 +341,37 @@ def _peel_lanes(z: list[int], words: Iterator[int], width: int,
     with beta_0 = 0, and lanes width + j hold the complemented stream of
     lane j, which is the one for beta_0 = 1.
 
-    Returns the B-side streams as bit slices (bit j of beta[k]: bit k of
-    lane j's stream, for k below its length and below cap), and each
-    lane's count p of control-1 steps, capped at cap - 1, as a
+    Returns cap bit slices of the B-side streams (bit j of beta[k]: bit k
+    of lane j's stream while k is below its length, its last bit after),
+    and each lane's count p of control-1 steps, capped at cap - 1, as a
     thermometer code over the first width lanes (bit j of at_least[k]:
-    lane j has p >= k, for k < cap), so that a lane below the cap holds
-    p + 1 B-side bits.  The keystream difference is the same for every lane, so
-    the peel records where the stream toggles: at a step where z changes,
-    a one-hot count routes the lanes with p = k and control bit 1 to
-    toggle it past index k.  A lane whose stream reaches cap bits leaves
-    the count, and the peel stops when none is left.
+    lane j has p >= k), so that a lane holds p + 1 B-side bits.  The
+    keystream difference is the same for every lane, so the peel records
+    where the stream toggles: at a step where z changes, a one-hot count
+    routes the lanes with p = k and control bit 1 to toggle it past index
+    k.  A lane whose stream reaches cap bits leaves the count, the peel
+    stops once the count is empty, and lane j has p >= k unless the count
+    still holds it below k.
     """
     half = (1 << width) - 1
     toggle = [0] * (cap - 1)
-    low, count, capped = 0, [half], 0  # count[k - low]: the lanes with p = k
+    low, count = 0, [half]  # count[k - low]: the lanes with p = k < cap - 1
     for t, a in enumerate(words):
         moved = [c & a for c in count]
         if z[t] != z[t + 1]:
             for k, mv in enumerate(moved, low):
                 toggle[k] |= mv
         count = [c ^ mv | up for c, mv, up in zip(count, moved, [0] + moved)]
-        if moved[-1]:
-            if low + len(count) < cap - 1:
-                count.append(moved[-1])
-            else:
-                capped |= moved[-1]
-                if capped == half:
-                    break
+        if moved[-1] and low + len(count) < cap - 1:
+            count.append(moved[-1])
         if not count[0]:
             del count[0]
             low += 1
-    high = cap - 1 if capped else low + len(count) - 1
-    count += [0] * (cap - 1 - low - len(count)) + [capped]
-    at_least = [half] * low + list(accumulate(reversed(count), or_))[::-1]
-    beta = [s | ((s ^ half) << width) for s in accumulate(toggle[:high], xor, initial=0)]
+            if not count:
+                break
+    below = accumulate(chain([0] * low, count, repeat(0)), or_, initial=0)
+    at_least = [half ^ b for b in islice(below, cap)]
+    beta = [s | ((s ^ half) << width) for s in accumulate(toggle, xor, initial=0)]
     return beta, at_least
 
 
@@ -449,8 +447,6 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     # has at most steps + 1 - 2n ones among control bits j .. j + steps - 1
     enough = at_least[2 * m - 1] & ~_windows_at_least(
         bits >> (l - 1), steps, steps + 2 - 2 * n, width)
-    if not enough:
-        return []
     enough |= enough << width
     c_beta, t_beta = berlekamp_massey_lanes(beta, 2 * m, lanes)
     # counted per guess: the lambda fit follows wherever the beta fit is
@@ -460,7 +456,7 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     # linear consistency: where L <= m, c has no term above x^m and must
     # annihilate every window of each lane's stream up to the cap; the fit
     # already covers the windows inside the 2m-bit prefix
-    for j in range(2 * m, len(beta)):
+    for j in range(2 * m, cap):
         alive = at_least[j]
         ok &= ~((alive | (alive << width))
                 & reduce(xor, map(and_, c_beta[:m + 1], beta[j - m:j + 1][::-1])))

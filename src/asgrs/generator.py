@@ -121,7 +121,8 @@ def validate(params: AsgParams, key: AsgKey) -> list[str]:
     """Every violated constraint on (params, key); violations are data.
 
     Jump sizes are judged modulo the generating sequence periods, since
-    a jump of r and of r mod (2^m - 1) move the register identically.
+    a jump of r and of r mod (2^m - 1) move the register identically;
+    each must be an int (not a bool) and non-negative, a count of clocks.
     """
     v = validate_params(params)
     for name, state, length in (
@@ -137,11 +138,12 @@ def validate(params: AsgParams, key: AsgKey) -> list[str]:
         v.append("state_c is all-zero")
     for name, jump, length in (("r", key.r, params.m), ("s", key.s, params.n)):
         period = (1 << length) - 1
-        reduced = jump % period
-        if reduced == 0:
+        if isinstance(jump, bool) or not isinstance(jump, int) or jump < 0:
+            v.append(f"{name} = {jump!r} is not a non-negative int")
+        elif jump % period == 0:
             v.append(f"{name} = {jump} is 0 mod {period}")
-        elif params.strict and math.gcd(reduced, period) != 1:
-            v.append(f"gcd({name} = {jump}, {period}) = {math.gcd(reduced, period)} != 1")
+        elif params.strict and math.gcd(jump, period) != 1:
+            v.append(f"gcd({name} = {jump}, {period}) = {math.gcd(jump, period)} != 1")
     return v
 
 
@@ -398,22 +400,18 @@ def reduce_to_classical(params: AsgParams, key: AsgKey) -> ReducedModel:
     state.  Likewise for lambda with (poly_c, s).
     """
     _require_valid(params, key)
-    beta_spec, beta_state = _decimated_register(params.poly_b, key.state_b, key.r)
-    lambda_spec, lambda_state = _decimated_register(params.poly_c, key.state_c, key.s)
+    parts = []
+    for poly, state, jump in ((params.poly_b, key.state_b, key.r),
+                              (params.poly_c, key.state_c, key.s)):
+        fit = _fit(poly, state, jump)
+        if fit.linear_complexity != state.length:
+            # only possible when gcd(jump, period) > 1, i.e. non-strict keys
+            raise DegenerateStateError(
+                f"decimation by {jump} collapses the register: linear complexity "
+                f"{fit.linear_complexity} < {state.length}")
+        parts += [LfsrSpec(state.length, fit.connection), state_from_outputs(fit.initial_state)]
     control = DeBruijnRegister(LfsrSpec(params.l, params.poly_a), key.state_a)
-    return ReducedModel(beta_spec, beta_state, lambda_spec, lambda_state, control)
-
-
-def _decimated_register(poly: BinaryPolynomial, state: BitVector,
-                        jump: int) -> tuple[LfsrSpec, BitVector]:
-    m = state.length
-    fit = _fit(poly, state, jump)
-    if fit.linear_complexity != m:
-        # only possible when gcd(jump, period) > 1, i.e. non-strict keys
-        raise DegenerateStateError(
-            f"decimation by {jump} collapses the register: linear complexity "
-            f"{fit.linear_complexity} < {m}")
-    return LfsrSpec(m, fit.connection), state_from_outputs(fit.initial_state)
+    return ReducedModel(*parts, control)
 
 
 def classical_asg_keystream(model: ReducedModel, count: int) -> list[int]:

@@ -361,6 +361,8 @@ class TestMalformedInput:
          "'poly_a'"),
         ({"l": 25, "m": 3, "n": 5, "poly_a": "0x2000009", "poly_b": "0xb", "poly_c": "0x25"},
          "invalid params: poly_a degree 25 is above the supported maximum 24"),
+        ({"l": 3, "m": 3, "n": 4, "poly_a": "0xb", "poly_b": "0x13", "poly_c": "0x13"},
+         "invalid params: poly_b degree 4 != 3"),
     ])
     def test_bad_params_file(self, tmp_path, capsys, doc, message):
         pfile = tmp_path / "p.json"

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import sys
 import tracemalloc
 
@@ -99,6 +101,28 @@ class TestValidate:
                            primitive_polynomial(3), BinaryPolynomial(0x25))
         assert validate_params(params) == [
             "poly_a degree 25 is above the supported maximum 24"]
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
+    @pytest.mark.parametrize("change, violation", [
+        ({"r": -1}, "r = -1 is not a non-negative int"),
+        ({"s": -1}, "s = -1 is not a non-negative int"),
+        ({"r": 1.0}, "r = 1.0 is not a non-negative int"),
+        ({"s": 1.0}, "s = 1.0 is not a non-negative int"),
+        ({"r": True}, "r = True is not a non-negative int"),
+        ({"s": True}, "s = True is not a non-negative int"),
+        ({"state_b": BitVector(1, 4)}, "state_b has 4 cells, expected 3"),
+    ], ids=["r-negative", "s-negative", "r-float", "s-float", "r-bool", "s-bool",
+            "state_b-cells"])
+    def test_bad_key_refused_before_generation(self, change, violation, strict):
+        # a negative or float jump is no count of clocks: before it was
+        # refused, -1 reached poly_pow_mod and 1.0 math.gcd or the jump
+        # tables, each failing with its own error
+        params = make_params(3, 3, 4, strict=strict)
+        key = dataclasses.replace(fixed_key(), **change)
+        assert validate(params, key) == [violation]
+        for entry in (lambda: keystream(params, key, 64), lambda: reduce_to_classical(params, key)):
+            with pytest.raises(KeyValidationError, match=re.escape(f"invalid key: {violation}")):
+                entry()
 
     @pytest.mark.parametrize("lmn, register", [((3, 1, 2), "B"), ((3, 2, 1), "C")],
                              ids=["m1", "n1"])

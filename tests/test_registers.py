@@ -76,8 +76,12 @@ class TestLfsrStep:
         assert lfsr_step(SPEC3, state, 5) == lfsr_step(SPEC3, lfsr_step(SPEC3, state, 2), 3)
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            lfsr_step(SPEC3, BitVector(0, 4), 1)
+        # every entry that takes a state checks it against the register
+        for entry in (lambda state: lfsr_step(SPEC3, state, 1),
+                      lambda state: output_sequence(SPEC3, state, 5),
+                      lambda state: DeBruijnRegister(SPEC3, state)):
+            with pytest.raises(ValueError, match="state length does not match register length"):
+                entry(BitVector(1, 4))
 
     def test_matches_matrix_power(self):
         rng = random.Random(99)
@@ -331,3 +335,7 @@ class TestSpecValidation:
     def test_stock_polynomials(self):
         for degree in range(1, 17):
             assert primitive_polynomial(degree).degree == degree
+        for degree in (0, 17):
+            with pytest.raises(UnsupportedParameterError,
+                               match=f"no stock primitive polynomial of degree {degree}"):
+                primitive_polynomial(degree)
