@@ -114,9 +114,8 @@ class TestValidate:
     ], ids=["r-negative", "s-negative", "r-float", "s-float", "r-bool", "s-bool",
             "state_b-cells"])
     def test_bad_key_refused_before_generation(self, change, violation, strict):
-        # a negative or float jump is no count of clocks: before it was
-        # refused, -1 reached poly_pow_mod and 1.0 math.gcd or the jump
-        # tables, each failing with its own error
+        # a jump is a count of clocks, so a negative, float or bool one is
+        # a key violation like a bad state, reported before any stepping
         params = make_params(3, 3, 4, strict=strict)
         key = dataclasses.replace(fixed_key(), **change)
         assert validate(params, key) == [violation]
