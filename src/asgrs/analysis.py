@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, xor
 
-from .gf2 import BinaryPolynomial, BitVector
+from .gf2 import BinaryPolynomial, BitVector, reverse_bits
 from .registers import BitSequence, LfsrSpec, output_sequence, state_from_outputs
 
 
@@ -62,12 +62,8 @@ def berlekamp_massey(seq: BitSequence) -> LfsrFit:
             x += 1
     # Massey's c has coefficient i on the bit i steps back; reversing it over
     # L+1 slots gives the characteristic polynomial, monic of degree L.
-    f = 0
-    for i in range(L + 1):
-        if (c >> i) & 1:
-            f |= 1 << (L - i)
     head = BitVector.from_bits(list(seq[:L]))
-    return LfsrFit(L, BinaryPolynomial(f), head)
+    return LfsrFit(L, BinaryPolynomial(reverse_bits(c, L + 1)), head)
 
 
 def berlekamp_massey_lanes(seq: list[int], length: int,

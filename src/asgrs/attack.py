@@ -90,8 +90,8 @@ from typing import Iterator
 
 from .analysis import LfsrFit, berlekamp_massey, berlekamp_massey_lanes
 from .field import X, FieldContext, field_context
-from .gf2 import BitVector, _poly_mulmod, poly_pow_mod
-from .generator import AsgKey, AsgParams, keystream, require_bits, require_valid_params
+from .gf2 import BitVector, _poly_mulmod, poly_pow_mod, reverse_bits
+from .generator import AsgKey, AsgParams, keystream, require_bits, require_valid
 from .registers import (
     BitSequence,
     DeBruijnRegister,
@@ -142,7 +142,7 @@ class AttackConfig:
     worker_count: int = 1
 
     def __post_init__(self):
-        require_valid_params(self.params)
+        require_valid(self.params)
         minimum = 3 * (self.params.m + self.params.n)
         if len(self.keystream) < minimum:
             raise ValueError(
@@ -331,7 +331,7 @@ CHUNK_LANES = 1 << 16
 def _window_state(bits: int, l: int, j: int) -> int:
     """The control state at position lo + j of a chunk: the l control
     bits ending there, the newest in cell 0."""
-    return int(format((bits >> j) & ((1 << l) - 1), f"0{l}b")[::-1], 2)
+    return reverse_bits(bits >> j, l)
 
 
 def _peel_lanes(z: list[int], words: Iterator[int], width: int,

@@ -93,8 +93,16 @@ class AsgKey:
     s: int
 
 
-def validate_params(params: AsgParams) -> list[str]:
-    """Every violated parameter constraint, as data (empty list = ok)."""
+def validate(params: AsgParams, key: AsgKey | None = None) -> list[str]:
+    """Every violated constraint on the params, or else on the key; the
+    violations are data (empty list = ok), returned and not raised.
+
+    A key is only judged against valid params: while the params have a
+    violation, the list holds theirs alone.  Jump sizes are judged modulo
+    the generating sequence periods, since a jump of r and of
+    r mod (2^m - 1) move the register identically; each must be an int
+    (not a bool) and non-negative, a count of clocks.
+    """
     v = []
     for name, degree, poly in (
         ("poly_a", params.l, params.poly_a),
@@ -114,17 +122,8 @@ def validate_params(params: AsgParams) -> list[str]:
             v.append(f"register {name} has length {length}; it needs at least 2 cells")
     if params.strict and math.gcd(params.m, params.n) != 1:
         v.append(f"gcd(m, n) = {math.gcd(params.m, params.n)} != 1")
-    return v
-
-
-def validate(params: AsgParams, key: AsgKey) -> list[str]:
-    """Every violated constraint on (params, key); violations are data.
-
-    Jump sizes are judged modulo the generating sequence periods, since
-    a jump of r and of r mod (2^m - 1) move the register identically;
-    each must be an int (not a bool) and non-negative, a count of clocks.
-    """
-    v = validate_params(params)
+    if v or key is None:
+        return v
     for name, state, length in (
         ("state_a", key.state_a, params.l),
         ("state_b", key.state_b, params.m),
@@ -147,18 +146,13 @@ def validate(params: AsgParams, key: AsgKey) -> list[str]:
     return v
 
 
-def require_valid_params(params: AsgParams) -> None:
-    """Raise KeyValidationError listing every violated parameter constraint."""
-    violations = validate_params(params)
-    if violations:
-        raise KeyValidationError("invalid params: " + "; ".join(violations))
-
-
-def _require_valid(params: AsgParams, key: AsgKey):
-    require_valid_params(params)
+def require_valid(params: AsgParams, key: AsgKey | None = None) -> None:
+    """Raise KeyValidationError listing the violations `validate` finds:
+    "invalid params: ..." while the params have any, else "invalid key: ..."."""
     violations = validate(params, key)
     if violations:
-        raise KeyValidationError("invalid key: " + "; ".join(violations))
+        what = "params" if key is None or validate(params) else "key"
+        raise KeyValidationError(f"invalid {what}: " + "; ".join(violations))
 
 
 def require_bits(bits: list) -> None:
@@ -180,7 +174,7 @@ def random_key(params: AsgParams, rng: random.Random) -> AsgKey:
     Bruijn cycle); generating states are nonzero; jumps are drawn from
     [1, period - 1] until coprime with their register's period.
     """
-    require_valid_params(params)
+    require_valid(params)
 
     def jump(length: int) -> int:
         period = (1 << length) - 1
@@ -361,7 +355,7 @@ def _alternate(control_reg: DeBruijnRegister, stream_b: Callable[[int], Periodic
 
 def keystream(params: AsgParams, key: AsgKey, count: int) -> list[int]:
     """First `count` keystream bits; raises KeyValidationError on a bad key."""
-    _require_valid(params, key)
+    require_valid(params, key)
     if count <= 0:
         return []
     return _alternate(DeBruijnRegister(LfsrSpec(params.l, params.poly_a), key.state_a),
@@ -399,7 +393,7 @@ def reduce_to_classical(params: AsgParams, key: AsgKey) -> ReducedModel:
     fix a register of length L), and the first m bits are the initial
     state.  Likewise for lambda with (poly_c, s).
     """
-    _require_valid(params, key)
+    require_valid(params, key)
     parts = []
     for poly, state, jump in ((params.poly_b, key.state_b, key.r),
                               (params.poly_c, key.state_c, key.s)):

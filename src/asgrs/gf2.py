@@ -87,6 +87,12 @@ def xor_rows(mask: int, rows: tuple[int, ...]) -> int:
     return acc
 
 
+def reverse_bits(mask: int, width: int) -> int:
+    """Bits 0 .. width - 1 of `mask` in reverse order: bit i moves to bit
+    width - 1 - i, and bits at width and above are dropped."""
+    return int(format(mask & ((1 << width) - 1), f"0{width}b")[::-1], 2)
+
+
 def invert(m: BitMatrix) -> BitMatrix:
     """Inverse of a square matrix; raises ValueError when singular."""
     if m.rows != m.cols:

@@ -36,7 +36,7 @@ from itertools import accumulate, compress, cycle, islice, repeat
 from operator import xor
 
 from .errors import UnsupportedParameterError
-from .generator import AsgKey, AsgParams, require_bits, require_valid_params
+from .generator import AsgKey, AsgParams, require_bits, require_valid
 from .gf2 import BitVector
 from .registers import BitSequence, LfsrSpec, de_bruijn_cycle, lfsr_states, output_bits
 
@@ -67,7 +67,7 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
     0-bit windows, so every half is kept with first bit 0 and every pair
     of halves is a key.
     """
-    require_valid_params(params)
+    require_valid(params)
     l, m, n = params.l, params.m, params.n
     jumps_r, jumps_s = _jumps(m, params.strict), _jumps(n, params.strict)
     work = (1 << (l + m + n)) * len(jumps_r) * len(jumps_s)

@@ -47,7 +47,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateStateError, UnsupportedParameterError
 from .field import X, is_primitive
-from .gf2 import BinaryPolynomial, BitVector, poly_pow_mod, xor_rows
+from .gf2 import BinaryPolynomial, BitVector, poly_pow_mod, reverse_bits, xor_rows
 
 # Sequences of bits are plain lists/tuples of 0/1 ints throughout the package.
 BitSequence = Sequence[int]
@@ -74,12 +74,7 @@ class LfsrSpec:
     @cached_property
     def taps_mask(self) -> int:
         # taps bit k = f_{length-1-k}: new cell 0 = parity(state & taps)
-        low = self.feedback.mask ^ (1 << self.length)
-        out = 0
-        for i in range(self.length):
-            if (low >> i) & 1:
-                out |= 1 << (self.length - 1 - i)
-        return out
+        return reverse_bits(self.feedback.mask, self.length)
 
 
 def lfsr_states(spec: LfsrSpec, state: int) -> Iterator[int]:
@@ -221,7 +216,7 @@ def output_word(spec: LfsrSpec, state: int, count: int) -> int:
     length, count = spec.length, max(count, 0)
     low, high = _half_tables(spec.feedback.mask, length, None)
     half, mask = length // 2, len(low) - 1
-    window = int(f"{state:0{length}b}"[::-1], 2)
+    window = reverse_bits(state, length)
     words = array("Q")
     for _ in range(-(-count // 64)):
         entry = low[window & mask] ^ high[window >> half]

@@ -16,13 +16,7 @@ from asgrs.attack import (
     recover_decimation,
     run_attack,
 )
-from asgrs.complexity import (
-    ComplexityInputs,
-    estimate_table1,
-    estimate_table2,
-    reference_values_table1,
-    reference_values_table2,
-)
+from asgrs.complexity import ComplexityInputs, estimate_table1, estimate_table2
 from asgrs.field import field_context
 from asgrs.generator import classical_asg_keystream, keystream, reduce_to_classical
 from asgrs.gf2 import rank
@@ -208,10 +202,11 @@ def test_criterion_9_complexity_tables():
     t1 = estimate_table1(inputs)
     t2 = estimate_table2(inputs)
     ok = True
-    for row, ref in zip(t1, reference_values_table1()):
+    # the published figures at l = m = n = 64
+    for row, ref in zip(t1, [135, 118.8, 83, 76, 71.8, 70, 70, 54.7, 78]):
         ok &= abs(row.complexity_log2 - ref) <= 0.5 and not row.flagged
     matched = flagged = 0
-    for row, ref in zip(t2, reference_values_table2()):
+    for row, ref in zip(t2, [566, 261, 209, 202, 196, 196, 167.5, 153.5, 82]):
         if row.flagged:
             flagged += 1
             ok &= abs(row.complexity_log2 - ref) > 0.5  # genuinely inconsistent

@@ -175,6 +175,10 @@ class TestReconstructStreams:
         beta, lam = reconstruct_streams([], [1], beta0=1)
         assert beta == [1] and lam == [0]
 
+    def test_empty_keystream_has_empty_streams(self):
+        # no z_0, so not even beta_0 is fixed
+        assert reconstruct_streams([], [], beta0=1) == ([], [])
+
     def test_all_ones_control_never_extends_lambda(self):
         z = [0, 1, 1, 0, 1, 0, 0, 1]
         beta, lam = reconstruct_streams([1] * 7, z, beta0=0)

@@ -8,11 +8,12 @@ from asgrs.complexity import (
     attack_complexity,
     estimate_table1,
     estimate_table2,
-    reference_values_table1,
-    reference_values_table2,
 )
 
 C64 = ComplexityInputs(64, 64, 64)
+# the published figures at l = m = n = 64, in table order
+TABLE1_REFS = [135, 118.8, 83, 76, 71.8, 70, 70, 54.7, 78]
+TABLE2_REFS = [566, 261, 209, 202, 196, 196, 167.5, 153.5, 82]
 
 
 class TestInputs:
@@ -30,10 +31,8 @@ class TestInputs:
 class TestTable1:
     def test_reference_point_all_rows(self):
         rows = estimate_table1(C64)
-        refs = reference_values_table1()
-        assert refs == [135, 118.8, 83, 76, 71.8, 70, 70, 54.7, 78]
         assert len(rows) == 9
-        for row, ref in zip(rows, refs):
+        for row, ref in zip(rows, TABLE1_REFS):
             assert abs(row.complexity_log2 - ref) <= 0.5, row.attack_name
             assert not row.flagged
 
@@ -48,9 +47,8 @@ class TestTable1:
 class TestTable2:
     def test_consistent_rows(self):
         rows = estimate_table2(C64)
-        refs = reference_values_table2()
         assert len(rows) == 9
-        consistent = [(row, ref) for row, ref in zip(rows, refs) if not row.flagged]
+        consistent = [(row, ref) for row, ref in zip(rows, TABLE2_REFS) if not row.flagged]
         assert sorted(ref for _, ref in consistent) == [82, 196, 196, 202, 209, 261]
         for row, ref in consistent:
             assert abs(row.complexity_log2 - ref) <= 0.5, row.attack_name
@@ -58,13 +56,21 @@ class TestTable2:
     def test_flagged_rows_disagree_with_reference(self):
         # the flag must mean exactly "formula cannot reproduce the published
         # number": check both directions at the reference point
-        for row, ref in zip(estimate_table2(C64), reference_values_table2()):
+        for row, ref in zip(estimate_table2(C64), TABLE2_REFS):
             assert row.flagged == (abs(row.complexity_log2 - ref) > 0.5)
 
     def test_flagged_names(self):
         flagged = {r.attack_name for r in estimate_table2(C64) if r.flagged}
         assert flagged == {"Clock Control Guessing", "Khazaei Reduced Complexity",
                            "Johansson Reduced Complexity"}
+
+    @pytest.mark.parametrize("lmn", [(13, 7, 9), (2, 2, 2)])
+    def test_flags_belong_to_the_published_row(self, lmn):
+        # a flag compares a formula with its figure at l = m = n = 64, so
+        # it is the same at any register lengths
+        flags = [r.flagged for r in estimate_table2(ComplexityInputs(*lmn))]
+        assert flags == [r.flagged for r in estimate_table2(C64)]
+        assert [r.flagged for r in estimate_table1(ComplexityInputs(*lmn))] == [False] * 9
 
 
 class TestAttackComplexity:

@@ -38,6 +38,12 @@ class TestMulPow:
     def test_pow_zero(self):
         assert GF8.pow(0b101, 0) == 1
 
+    def test_negative_exponent_and_zero_modulus_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            GF8.pow(A8, -1)
+        with pytest.raises(ValueError, match="zero modulus"):
+            field_context(BinaryPolynomial(0))
+
 
 class TestTrace:
     def test_zero(self):
@@ -130,6 +136,10 @@ class TestPrimitivity:
 
     def test_reducible(self):
         assert not is_primitive(BinaryPolynomial(0b101))  # (x+1)^2
+
+    def test_constants_are_not_primitive(self):
+        assert not is_primitive(BinaryPolynomial(1))
+        assert not is_primitive(BinaryPolynomial(0))
 
     def test_irreducible_but_not_primitive(self):
         # the minimal polynomial of alpha^3 in GF(16), whose order is 5, not 15

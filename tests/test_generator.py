@@ -21,7 +21,6 @@ from asgrs.generator import (
     random_key,
     reduce_to_classical,
     validate,
-    validate_params,
 )
 from asgrs.gf2 import BinaryPolynomial, BitVector
 from asgrs.registers import (
@@ -69,9 +68,9 @@ class TestValidate:
 
     def test_gcd_mn_violation(self):
         params = make_params(3, 4, 6)
-        assert any("gcd(m, n)" in v for v in validate_params(params))
+        assert any("gcd(m, n)" in v for v in validate(params))
         relaxed = make_params(3, 4, 6, strict=False)
-        assert validate_params(relaxed) == []
+        assert validate(relaxed) == []
 
     def test_zero_states_flagged(self):
         key = AsgKey(BitVector(0, 3), BitVector(0, 3), BitVector(0, 4), 1, 1)
@@ -95,11 +94,11 @@ class TestValidate:
         from asgrs.generator import AsgParams
         params = AsgParams(3, 3, 4, primitive_polynomial(3),
                            BinaryPolynomial(0b1111), primitive_polynomial(4))
-        assert any("not primitive" in v for v in validate_params(params))
+        assert any("not primitive" in v for v in validate(params))
         # x^25 + x^3 + 1 is primitive, but above the degree the test takes
         params = AsgParams(25, 3, 5, BinaryPolynomial(0x2000009),
                            primitive_polynomial(3), BinaryPolynomial(0x25))
-        assert validate_params(params) == [
+        assert validate(params) == [
             "poly_a degree 25 is above the supported maximum 24"]
 
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "non-strict"])
@@ -123,16 +122,36 @@ class TestValidate:
             with pytest.raises(KeyValidationError, match=re.escape(f"invalid key: {violation}")):
                 entry()
 
+    @pytest.mark.parametrize("params", [
+        AsgParams(3, 0, 4, primitive_polynomial(3), BinaryPolynomial(1), primitive_polynomial(4)),
+        AsgParams(3, 3, 0, primitive_polynomial(3), primitive_polynomial(3), BinaryPolynomial(1)),
+        make_params(3, 1, 2),
+        AsgParams(3, 3, 4, primitive_polynomial(3), primitive_polynomial(4), primitive_polynomial(4)),
+        AsgParams(3, 3, 4, primitive_polynomial(3), BinaryPolynomial(0b1111), primitive_polynomial(4)),
+    ], ids=["B0", "C0", "B1", "degree", "non-primitive"])
+    def test_key_not_judged_against_invalid_params(self, params):
+        # a key means nothing against invalid params, so only theirs are
+        # listed; a 0-cell register's period 2^0 - 1 = 0 reduces no jump
+        violations = validate(params)
+        assert violations
+        text = re.escape("invalid params: " + "; ".join(violations))
+        for key in (fixed_key(), AsgKey(BitVector(0, 1), BitVector(0, 0), BitVector(0, 0), 0, 2.5)):
+            assert validate(params, key) == violations
+            for entry in (lambda: keystream(params, key, 8),
+                          lambda: reduce_to_classical(params, key)):
+                with pytest.raises(KeyValidationError, match=text):
+                    entry()
+
     @pytest.mark.parametrize("lmn, register", [((3, 1, 2), "B"), ((3, 2, 1), "C")],
                              ids=["m1", "n1"])
     def test_one_cell_register_rejected(self, lmn, register, rng):
         # period 2^1 - 1 = 1: every jump is 0 modulo it
         params = make_params(*lmn)
-        violations = validate_params(params)
+        violations = validate(params)
         assert any(f"register {register}" in v for v in violations)
         with pytest.raises(KeyValidationError):
             random_key(params, rng)
-        assert validate_params(make_params(1, 2, 3)) == []
+        assert validate(make_params(1, 2, 3)) == []
 
 
 class TestRandomKey:

@@ -8,7 +8,9 @@ from asgrs.gf2 import (
     _poly_divmod,
     _poly_mulmod,
     invert,
+    poly_pow_mod,
     rank,
+    reverse_bits,
     xor_rows,
 )
 
@@ -44,6 +46,37 @@ class TestBitVector:
             BitVector(0b100, 2)
 
 
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: BitVector(0, -1), ValueError, "negative length"),
+    (lambda: BitMatrix(2, 2, (0b01,)), ValueError, "row count mismatch"),
+    (lambda: BitMatrix(1, 2, (0b100,)), ValueError, "bits beyond cols"),
+    (lambda: invert(BitMatrix(1, 2, (0b01,))), ValueError, "non-square"),
+    (lambda: BinaryPolynomial(-1), ValueError, "negative coefficient mask"),
+    (lambda: poly_pow_mod(BinaryPolynomial(0b10), 3, BinaryPolynomial(0)),
+     ZeroDivisionError, "zero polynomial"),
+    (lambda: poly_pow_mod(BinaryPolynomial(0b10), -1, BinaryPolynomial(0b1011)),
+     ValueError, "negative exponent"),
+], ids=["vector-length", "matrix-rows", "matrix-cols", "invert-non-square",
+        "polynomial-mask", "pow-zero-modulus", "pow-negative-exponent"])
+def test_malformed_input_refused(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+class TestReverseBits:
+    def test_keeps_leading_zeros(self):
+        assert reverse_bits(1, 5) == 16
+        assert reverse_bits(0b110, 3) == 0b011
+
+    def test_drops_bits_at_width_and_above(self):
+        assert reverse_bits(0b1_0001, 4) == 0b1000
+
+    @pytest.mark.parametrize("width", range(1, 25))
+    def test_twice_is_identity(self, width, rng):
+        for mask in (0, 1, (1 << width) - 1, rng.randrange(1 << width)):
+            assert reverse_bits(reverse_bits(mask, width), width) == mask
+
+
 class TestMatMul:
     def test_inverse_product(self):
         inv = invert(COMPANION_X3)
@@ -73,6 +106,11 @@ class TestPolynomials:
     def test_zero_degree_marker(self):
         assert BinaryPolynomial(0).degree is None
         assert BinaryPolynomial(1).degree == 0
+        assert str(BinaryPolynomial(0)) == "0"
+
+    def test_pow_modulo_one_is_zero(self):
+        # every polynomial is 0 modulo the constant 1
+        assert poly_pow_mod(BinaryPolynomial(0b10), 3, BinaryPolynomial(1)) == BinaryPolynomial(0)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):

@@ -75,6 +75,10 @@ class TestLfsrStep:
         state = BitVector.from_bits([0, 1, 1])
         assert lfsr_step(SPEC3, state, 5) == lfsr_step(SPEC3, lfsr_step(SPEC3, state, 2), 3)
 
+    def test_negative_clocks_rejected(self):
+        with pytest.raises(ValueError, match="cannot clock a register backwards"):
+            lfsr_step(SPEC3, BitVector(1, 3), -1)
+
     def test_length_mismatch(self):
         # every entry that takes a state checks it against the register
         for entry in (lambda state: lfsr_step(SPEC3, state, 1),
@@ -331,6 +335,8 @@ class TestSpecValidation:
     def test_degree_must_match_length(self):
         with pytest.raises(ValueError):
             LfsrSpec(4, BinaryPolynomial(0b1011))
+        with pytest.raises(ValueError, match="register length must be positive"):
+            LfsrSpec(0, BinaryPolynomial(1))
 
     def test_stock_polynomials(self):
         for degree in range(1, 17):
