@@ -63,8 +63,9 @@ inverts: b_t = d_(t r') with r' = r^-1 mod 2^m - 1.  The fitted
 register's output d_k is the parity of (x^k mod f) AND its first m
 bits, so the register head b_0 .. b_(m-1) takes one power x^r' mod f
 and m products modulo f, and no jump table.  One recovery takes about
-1 ms at m = 14 and 2.5 ms at m = 24 (Python 3.11, 2 CPUs), so the
-sweep's 2^(l+1) guesses are the attack's only exponential cost.
+0.4 ms at m = 14 and 1.3 ms at m = 24 once the field context is built
+(Python 3.11, 2 CPUs), so the sweep's 2^(l+1) guesses are the attack's
+only exponential cost.
 
 The jump is only determined up to Frobenius conjugacy:
 Tr(u g^t) = Tr(u^2 (g^2)^t), so d is also the 2r-fold decimation (mod
@@ -89,7 +90,7 @@ from operator import and_, itemgetter, not_, or_, xor
 from typing import Iterator
 
 from .analysis import LfsrFit, berlekamp_massey, berlekamp_massey_lanes
-from .field import X, FieldContext, field_context
+from .field import FieldContext, field_context
 from .gf2 import BitVector, _poly_mulmod, poly_pow_mod, reverse_bits
 from .generator import AsgKey, AsgParams, keystream, require_bits, require_valid
 from .registers import (
@@ -272,7 +273,7 @@ def _recover_jump(ctx: FieldContext, fit: LfsrFit,
     # d_k is the parity of (x^k mod f) & (d_0 .. d_(m-1)), so the head
     # reads the powers of x^(r^-1) mod f
     f = fit.connection.mask
-    jump = poly_pow_mod(X, pow(r, -1, period), fit.connection).mask
+    jump = poly_pow_mod(pow(r, -1, period), fit.connection).mask
     power, head = 1, 0
     for t in range(m):
         head |= ((power & fit.initial_state.mask).bit_count() & 1) << t

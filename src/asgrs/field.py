@@ -2,6 +2,13 @@
 
 Elements are represented in the polynomial basis {1, x, ..., x^(m-1)}
 modulo the context's primitive polynomial, packed as integer masks.
+Scalar products and squares reduce by one of two methods, chosen per
+modulus when the context is built: a fold of the bits from x^m down by
+x^m = modulus - x^m, which takes few passes when the modulus has a low
+tail (x^23 + x^5 + 1), or clearing them one at a time from the top,
+cheaper when it has a high tail term (x^14 + x^10 + x^6 + x + 1).
+Powers of alpha = x come from `gf2.poly_pow_mod`, and `pow` raises other
+elements by those products and squares.
 
 Two methods serve jump recovery, both in time polynomial in m.  `root`
 finds a root of a binary polynomial by trace splitting (Berlekamp,
@@ -9,7 +16,7 @@ finds a root of a binary polynomial by trace splitting (Berlekamp,
 of 2m bits per coefficient.  `log` takes the discrete log base alpha by
 Pohlig-Hellman (1978) over the factors of 2^m - 1, with baby-step
 giant-step for each prime: below MAX_DEGREE the largest prime is
-2^19 - 1, about 725 steps.
+2^19 - 1, 512 baby steps and on average as many giant steps.
 """
 
 from __future__ import annotations
@@ -19,11 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import UnsupportedParameterError
-from .gf2 import BinaryPolynomial, poly_pow_mod, _poly_divmod
+from .gf2 import BinaryPolynomial, poly_pow_mod
 
 MAX_DEGREE = 24
-
-X = BinaryPolynomial(0b10)
 
 
 def _factor(n: int) -> list[tuple[int, int]]:
@@ -71,9 +76,9 @@ def is_primitive(p: BinaryPolynomial) -> bool:
     if not p.coefficient(0):
         return False  # divisible by x
     order = (1 << d) - 1
-    if poly_pow_mod(X, order, p).mask != 1:
+    if poly_pow_mod(order, p).mask != 1:
         return False
-    return all(poly_pow_mod(X, order // q, p).mask != 1 for q, _ in _order_factors(d))
+    return all(poly_pow_mod(order // q, p).mask != 1 for q, _ in _order_factors(d))
 
 
 @dataclass(frozen=True)
@@ -98,15 +103,23 @@ class FieldContext:
         w = 2 * m
         ones = ((1 << (m + 1) * w) - 1) // ((1 << w) - 1)
         tail = self.modulus.mask ^ (1 << m)
+        exponents = [e for e in range(m) if tail >> e & 1]
         object.__setattr__(self, "_packing", (
-            w, ones * ((1 << m) - 1), ones * ((1 << m - 1) - 1),
-            [e for e in range(m) if tail >> e & 1]))
+            w, ones * ((1 << m) - 1), ones * ((1 << m - 1) - 1), exponents))
+        # A scalar product or square has up to m - 1 bits from x^m up.
+        # Folding them down by x^m = modulus - x^m takes one shifted XOR
+        # per tail term a pass, and a tail whose top term is t leaves
+        # ceil((m - 1) / (m - t)) passes; clearing them serially from the
+        # top takes one per set bit, about (m - 1) / 2.  Scalar `mul` and
+        # `square` take the cheaper for this modulus.
+        passes = -(-(m - 1) // (m + 1 - tail.bit_length()))
+        object.__setattr__(self, "_reduce", self._fold if 2 * passes * len(exponents) <= m - 1
+                           else self._serial)
 
     def _scale(self, v: int, c: int) -> int:
-        """c times every slot of v, reduced: one shifted copy of v per bit
-        of c, then the bits from x^m up of every slot fold down at once by
-        x^m = modulus - x^m.  Each slot of v must be reduced, or, with
-        c = 1, below x^(2m - 1)."""
+        """c times every slot of packed v, reduced: one shifted copy of v
+        per bit of c, then the bits from x^m up of every slot fold down at
+        once by x^m = modulus - x^m.  Each slot of v must be reduced."""
         acc = 0
         while c:
             low = c & -c
@@ -122,11 +135,35 @@ class FieldContext:
             top = (acc >> m) & high
         return acc
 
-    mul = _scale
+    def _fold(self, acc: int) -> int:
+        m, tail = self.m, self._packing[3]
+        top = acc >> m
+        while top:
+            acc ^= top << m
+            for e in tail:
+                acc ^= top << e
+            top = acc >> m
+        return acc
+
+    def _serial(self, acc: int) -> int:
+        m, f = self.m, self.modulus.mask
+        while acc >> m:
+            acc ^= f << acc.bit_length() - 1 - m
+        return acc
+
+    def mul(self, a: int, b: int) -> int:
+        """a times b: one shifted copy of a per bit of b, then this
+        modulus's reduction."""
+        acc = 0
+        while b:
+            low = b & -b
+            acc ^= a * low
+            b ^= low
+        return self._reduce(acc)
 
     def square(self, a: int) -> int:
         # squaring over GF(2) spreads the bits: base-4 digits 0 and 1
-        return self._scale(int(format(a, "b"), 4), 1)
+        return self._reduce(int(format(a, "b"), 4))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -137,12 +174,17 @@ class FieldContext:
         for bit in format(e, "b")[1:]:
             r = self.square(r)
             if bit == "1":
-                r = self._scale(r, a)
+                r = self.mul(r, a)
         return r
+
+    def _require_element(self, a: int) -> None:
+        if not 0 <= a < 1 << self.m:
+            raise ValueError(f"{a} is not an element of GF(2^{self.m})")
 
     def inverse(self, a: int) -> int:
         """a^-1 for nonzero a, by the extended Euclidean algorithm over
         GF(2)[x]: g = u a and h = v a modulo the modulus throughout."""
+        self._require_element(a)
         if not a:
             raise ZeroDivisionError("zero has no inverse")
         g, h, u, v = a, self.modulus.mask, 1, 0
@@ -214,7 +256,7 @@ class FieldContext:
             if s >> d & 1:
                 s ^= fm
                 sp ^= h
-        r = y = _poly_divmod(X.mask, fm)[1]
+        r = y = poly_pow_mod(1, f).mask
         sp = int(("0" * (w - 1)).join(format(r, "b")), 2)  # R_0 = y mod f, spread
         squares = []  # R_0 .. R_(m-1), spread
         for _ in range(m):
@@ -258,17 +300,19 @@ class FieldContext:
         giant-step among the powers of g^(q^(e-1)), of order q; the
         residues are then joined by the Chinese remainder theorem.
         """
+        self._require_element(a)
         if not a:
             raise ValueError("zero has no logarithm")
         n = (1 << self.m) - 1
         k, modulus = 0, 1
         for q, e in _order_factors(self.m):
             qe = q ** e
-            g, h = self.pow(X.mask, n // qe), self.pow(a, n // qe)
-            gamma = self.pow(g, qe // q)
+            h = self.pow(a, n // qe)
+            gamma = poly_pow_mod(n // q, self.modulus).mask  # g^(q^(e-1))
             x = self._subgroup_log(gamma, self.pow(h, qe // q), q)
             for i in range(1, e):
-                rest = self.mul(h, self.pow(g, qe - x))
+                # h g^(q^e - x), with g^(q^e - x) = alpha^((n / q^e)(q^e - x))
+                rest = self.mul(h, poly_pow_mod(n // qe * (qe - x), self.modulus).mask)
                 x += self._subgroup_log(gamma, self.pow(rest, qe // q ** (i + 1)), q) * q ** i
             k += modulus * ((x - k) * pow(modulus, -1, qe) % qe)
             modulus *= qe
@@ -276,17 +320,19 @@ class FieldContext:
 
     def _subgroup_log(self, gamma: int, h: int, q: int) -> int:
         """The j < q with gamma^j = h, for gamma of prime order q, by
-        baby-step giant-step."""
-        steps = math.isqrt(q - 1) + 1
-        baby, g = {}, 1
+        baby-step giant-step.  With b baby steps, the giant steps find j
+        after q / 2b of them on average, so b = sqrt(q / 2) takes the
+        fewest products."""
+        steps = math.isqrt(q // 2) + 1
+        mul, baby, g = self.mul, {}, 1
         for j in range(steps):
             baby[g] = j
-            g = self.mul(g, gamma)
+            g = mul(g, gamma)
         stride = self.inverse(g)
-        for i in range(steps):
+        for i in range(-(-q // steps)):
             if h in baby:
                 return i * steps + baby[h]
-            h = self.mul(h, stride)
+            h = mul(h, stride)
         raise ValueError("element outside the subgroup of order q")
 
     def trace_of(self, a: int) -> int:

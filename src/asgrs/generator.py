@@ -55,7 +55,7 @@ from typing import Callable
 
 from .analysis import LfsrFit, berlekamp_massey
 from .errors import DegenerateStateError, KeyValidationError
-from .field import MAX_DEGREE, X, is_primitive
+from .field import MAX_DEGREE, is_primitive
 from .gf2 import BinaryPolynomial, BitVector, poly_pow_mod
 from .registers import (
     DeBruijnRegister,
@@ -307,7 +307,7 @@ def _register(spec: LfsrSpec, state: BitVector, need: int) -> Periodic:
     with other feedback is assumed to repeat nowhere, and all `need`
     outputs are built."""
     full = (1 << spec.length) - 1
-    period = min(need, full if poly_pow_mod(X, full, spec.feedback).mask == 1 else need)
+    period = min(need, full if poly_pow_mod(full, spec.feedback).mask == 1 else need)
     return output_word(spec, state.mask, period), period
 
 

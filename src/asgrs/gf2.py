@@ -8,9 +8,12 @@ speed in the exhaustive search loops elsewhere in the package.
 State vectors are row vectors and multiply matrices on the right:
 ``xor_rows(v, rows)`` is v times the matrix with row masks ``rows``.  A
 register's k-clock jump is such a matrix, built from x^k mod f (see
-``registers.jump_rows``); ``poly_pow_mod`` holds the square-and-multiply
-loop modulo any binary polynomial.  ``field.FieldContext.pow`` keeps its
-own, over the field's faster packed arithmetic, for the discrete log.
+``registers.jump_rows``).  Every power the package takes modulo a binary
+polynomial is a power of x, so ``poly_pow_mod`` computes x^e mod f and
+nothing more general: the primitivity test, jump rows, de Bruijn starts,
+model register periods and the powers of alpha in ``field`` and
+``attack`` all come from it.  ``field.FieldContext.pow`` raises other
+field elements, on the field's own multiply and square.
 """
 
 from __future__ import annotations
@@ -137,18 +140,6 @@ def _degree(mask: int) -> int:
     return mask.bit_length() - 1
 
 
-def _poly_divmod(a: int, b: int) -> tuple[int, int]:
-    if b == 0:
-        raise ZeroDivisionError("division by the zero polynomial")
-    db = _degree(b)
-    q = 0
-    while a and _degree(a) >= db:
-        shift = _degree(a) - db
-        q |= 1 << shift
-        a ^= b << shift
-    return q, a
-
-
 def _poly_mulmod(a: int, b: int, mod: int) -> int:
     # operands already reduced below mod's degree
     dm = _degree(mod)
@@ -201,20 +192,34 @@ class BinaryPolynomial:
         return f"BinaryPolynomial(0x{self.mask:x})"
 
 
-def poly_pow_mod(base: BinaryPolynomial, e: int, mod: BinaryPolynomial) -> BinaryPolynomial:
-    """base^e reduced modulo mod."""
+def poly_pow_mod(e: int, mod: BinaryPolynomial) -> BinaryPolynomial:
+    """x^e reduced modulo mod.
+
+    The longest head of the exponent's bits whose value k is below
+    deg mod gives the start, x^k with nothing to reduce; each further bit
+    squares (over GF(2) that spreads the bits:
+    base-4 digits 0 and 1) and, on a 1, multiplies by x (a shift and one
+    conditional XOR).  Reduction clears the bits from x^(deg mod) up one
+    at a time, from the top.
+    """
     if mod.is_zero:
         raise ZeroDivisionError("reduction by the zero polynomial")
     if e < 0:
         raise ValueError("negative exponent")
-    if mod.mask == 1:
+    f = mod.mask
+    d = _degree(f)
+    if not d:
         return BinaryPolynomial(0)
-    b = _poly_divmod(base.mask, mod.mask)[1]
-    r = 1
-    while e:
-        if e & 1:
-            r = _poly_mulmod(r, b, mod.mask)
-        e >>= 1
-        if e:
-            b = _poly_mulmod(b, b, mod.mask)
+    s = max(e.bit_length() - (d - 1).bit_length(), 0)
+    if e >> s >= d:
+        s += 1
+    r, bits = 1 << (e >> s), format(e, "b")
+    for bit in bits[len(bits) - s:]:
+        r = int(format(r, "b"), 4)
+        while r >> d:
+            r ^= f << r.bit_length() - 1 - d
+        if bit == "1":
+            r <<= 1
+            if r >> d:
+                r ^= f
     return BinaryPolynomial(r)

@@ -46,7 +46,7 @@ from operator import and_, rshift
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DegenerateStateError, UnsupportedParameterError
-from .field import X, is_primitive
+from .field import is_primitive
 from .gf2 import BinaryPolynomial, BitVector, poly_pow_mod, reverse_bits, xor_rows
 
 # Sequences of bits are plain lists/tuples of 0/1 ints throughout the package.
@@ -92,7 +92,7 @@ def jump_rows(feedback_mask: int, length: int, k: int) -> tuple[int, ...]:
     `length` successors picked by the terms of x^k mod f.
     """
     spec = LfsrSpec(length, BinaryPolynomial(feedback_mask))
-    c = poly_pow_mod(X, k, spec.feedback).mask
+    c = poly_pow_mod(k, spec.feedback).mask
     return tuple(xor_rows(c, tuple(islice(lfsr_states(spec, 1 << j), length)))
                  for j in range(length))
 
@@ -274,7 +274,7 @@ def de_bruijn_bits(base: LfsrSpec, start: int, count: int) -> int:
     """
     span = base.length
     start %= 1 << span
-    state = start and xor_rows(poly_pow_mod(X, start - 1, base.feedback).mask,
+    state = start and xor_rows(poly_pow_mod(start - 1, base.feedback).mask,
                                tuple(islice(lfsr_states(base, 1), span)))
     return de_bruijn_word(base, state, count)
 

@@ -10,8 +10,8 @@ import pytest
 
 from asgrs import AsgKey, AsgParams, BitMatrix, BitVector
 from asgrs.attack import DecimationFit
-from asgrs.field import X, is_primitive
-from asgrs.gf2 import BinaryPolynomial, _poly_divmod
+from asgrs.field import is_primitive
+from asgrs.gf2 import BinaryPolynomial, _poly_mulmod
 from asgrs.registers import (
     PRIMITIVE_POLYNOMIALS,
     LfsrSpec,
@@ -25,18 +25,23 @@ from asgrs.registers import (
 
 
 @lru_cache(maxsize=None)
-def wide_polynomial(degree):
-    """The stock primitive polynomial up to degree 16; above, the first
-    primitive trinomial x^d + x^k + 1 by ascending k, else the first
-    primitive pentanomial by ascending taps, largest tap first."""
-    if degree in PRIMITIVE_POLYNOMIALS:
-        return primitive_polynomial(degree)
+def sparse_primitive(degree):
+    """The first primitive trinomial x^d + x^k + 1 by ascending k, else
+    the first primitive pentanomial by ascending taps, largest tap first."""
     for taps in [(k,) for k in range(1, degree)] + sorted(
             combinations(range(1, degree), 3), key=lambda t: t[::-1]):
         p = BinaryPolynomial(1 << degree | 1 | sum(1 << k for k in taps))
         if is_primitive(p):
             return p
     raise ValueError(f"no primitive trinomial or pentanomial of degree {degree}")
+
+
+def wide_polynomial(degree):
+    """The stock primitive polynomial up to degree 16; above, the first
+    sparse one (`sparse_primitive`)."""
+    if degree in PRIMITIVE_POLYNOMIALS:
+        return primitive_polynomial(degree)
+    return sparse_primitive(degree)
 
 
 def make_params(l, m, n, strict=True):
@@ -223,7 +228,40 @@ def reference_oracle(params, target):
 
 def alpha(ctx):
     """The class of x, the primitive element of the context."""
-    return _poly_divmod(X.mask, ctx.modulus.mask)[1]
+    return poly_divmod(0b10, ctx.modulus.mask)[1]
+
+
+def poly_divmod(a, b):
+    """Quotient and remainder of binary polynomials, coefficient masks,
+    by long division."""
+    if b == 0:
+        raise ZeroDivisionError("division by the zero polynomial")
+    db = b.bit_length()
+    q = 0
+    while a.bit_length() >= db:
+        shift = a.bit_length() - db
+        q |= 1 << shift
+        a ^= b << shift
+    return q, a
+
+
+def reference_pow_mod(a, e, mod):
+    """a^e reduced modulo mod, all coefficient masks, by bit-serial
+    square-and-multiply: the reference for `gf2.poly_pow_mod`, which
+    takes only powers of x, and for `FieldContext.pow`."""
+    if e < 0:
+        raise ValueError("negative exponent")
+    if mod == 1:
+        return 0
+    b = poly_divmod(a, mod)[1]
+    r = 1
+    while e:
+        if e & 1:
+            r = _poly_mulmod(r, b, mod)
+        e >>= 1
+        if e:
+            b = _poly_mulmod(b, b, mod)
+    return r
 
 
 def minimal_polynomial(ctx, a):

@@ -4,10 +4,11 @@ import pytest
 
 from asgrs.errors import UnsupportedParameterError
 from asgrs.field import FieldContext, field_context, is_primitive
-from asgrs.gf2 import BinaryPolynomial, _poly_mulmod, poly_pow_mod
+from asgrs.gf2 import BinaryPolynomial, _poly_mulmod, reverse_bits
 from asgrs.registers import primitive_polynomial
 
-from conftest import alpha, minimal_polynomial, wide_polynomial
+from conftest import (alpha, minimal_polynomial, reference_pow_mod, sparse_primitive,
+                      wide_polynomial)
 
 GF8 = field_context(BinaryPolynomial(0b1011))  # x^3 + x + 1
 A8 = alpha(GF8)
@@ -197,7 +198,31 @@ class TestArithmetic:
             assert ctx.mul(a, b) == _poly_mulmod(a, b, mod)
             assert ctx.square(a) == _poly_mulmod(a, a, mod)
             e = rng.randrange(3 << m)
-            assert ctx.pow(a, e) == poly_pow_mod(BinaryPolynomial(a), e, ctx.modulus).mask
+            assert ctx.pow(a, e) == reference_pow_mod(a, e, mod)
+
+    @staticmethod
+    def moduli(m):
+        """Primitive moduli of degree m with low and high tails: the sparse
+        one, its reciprocal (also primitive) and the stock or wide one."""
+        low = sparse_primitive(m)
+        return {low, BinaryPolynomial(reverse_bits(low.mask, m + 1)), wide_polynomial(m)}
+
+    @pytest.mark.parametrize("m", range(2, 25))
+    def test_scalar_mul_and_square_under_either_reduction(self, m, rng):
+        for p in self.moduli(m):
+            ctx, mod = field_context(p), p.mask
+            top = (1 << m) - 1
+            pairs = [(top, top), (top, 1), (1 << m - 1, 1 << m - 1)]
+            pairs += [(rng.randrange(1 << m), rng.randrange(1 << m)) for _ in range(100)]
+            for a, b in pairs:
+                assert ctx.mul(a, b) == _poly_mulmod(a, b, mod)
+                assert ctx.square(a) == _poly_mulmod(a, a, mod)
+
+    def test_both_reductions_are_exercised(self):
+        # the choice is per modulus: a fold where its passes are few and
+        # cheap, serial reduction from the top elsewhere
+        chosen = {field_context(p)._reduce.__func__ for m in range(2, 25) for p in self.moduli(m)}
+        assert chosen == {FieldContext._fold, FieldContext._serial}
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_inverse_exhaustive(self, m):
@@ -232,8 +257,22 @@ class TestLog:
                 assert ctx.log(ctx.pow(alpha(ctx), k)) == k
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero has no logarithm"):
             GF8.log(0)
+
+
+# none of these is an element: inverse once looped forever on the
+# modulus, x times it and -1 and returned a value for 2^m and 2^m + 1, and
+# log looped on -1 and blamed the subgroup for the others
+@pytest.mark.parametrize("a", [0b10011, 0b100110, 0b10000, 0b10001, -1],
+                         ids=["modulus", "x-modulus", "two-to-the-m", "two-to-the-m-plus-1",
+                              "negative"])
+def test_non_elements_refused(a):
+    ctx = field_context(primitive_polynomial(4))
+    with pytest.raises(ValueError, match="not an element of GF"):
+        ctx.inverse(a)
+    with pytest.raises(ValueError, match="not an element of GF"):
+        ctx.log(a)
 
 
 class TestRoot:
