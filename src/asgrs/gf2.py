@@ -11,9 +11,10 @@ register's k-clock jump is such a matrix, built from x^k mod f (see
 ``registers.jump_rows``).  Every power the package takes modulo a binary
 polynomial is a power of x, so ``poly_pow_mod`` computes x^e mod f and
 nothing more general: the primitivity test, jump rows, de Bruijn starts,
-model register periods and the powers of alpha in ``field`` and
-``attack`` all come from it.  ``field.FieldContext.pow`` raises other
-field elements, on the field's own multiply and square.
+model register periods, the register head in jump recovery and the
+powers of alpha in the discrete log all come from it.
+``field.FieldContext.pow`` raises other field elements, on the field's
+own multiply and square.
 """
 
 from __future__ import annotations
@@ -196,11 +197,11 @@ def poly_pow_mod(e: int, mod: BinaryPolynomial) -> BinaryPolynomial:
     """x^e reduced modulo mod.
 
     The longest head of the exponent's bits whose value k is below
-    deg mod gives the start, x^k with nothing to reduce; each further bit
-    squares (over GF(2) that spreads the bits:
-    base-4 digits 0 and 1) and, on a 1, multiplies by x (a shift and one
-    conditional XOR).  Reduction clears the bits from x^(deg mod) up one
-    at a time, from the top.
+    deg mod gives the start, x^k with nothing to reduce.  Each further
+    bit squares (over GF(2) that spreads the bits: base-4 digits 0 and 1)
+    and, on a 1, multiplies by x (a shift and one conditional XOR).
+    Reduction clears the bits from x^(deg mod) up one at a time, from
+    the top.
     """
     if mod.is_zero:
         raise ZeroDivisionError("reduction by the zero polynomial")
