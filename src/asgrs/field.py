@@ -110,8 +110,8 @@ class FieldContext:
         # Folding them down by x^m = modulus - x^m takes one shifted XOR
         # per tail term a pass, and a tail whose top term is t leaves
         # ceil((m - 1) / (m - t)) passes; clearing them serially from the
-        # top takes one per set bit, about (m - 1) / 2.  Scalar `mul` and
-        # `square` take the cheaper for this modulus.
+        # top takes one per set bit, about (m - 1) / 2.  Scalar products
+        # and squares take the cheaper for this modulus.
         passes = -(-(m - 1) // (m + 1 - tail.bit_length()))
         object.__setattr__(self, "_reduce", self._fold if 2 * passes * len(exponents) <= m - 1
                            else self._serial)
@@ -151,9 +151,14 @@ class FieldContext:
             acc ^= f << acc.bit_length() - 1 - m
         return acc
 
-    def mul(self, a: int, b: int) -> int:
-        """a times b: one shifted copy of a per bit of b, then this
-        modulus's reduction."""
+    def _require_element(self, a: int) -> None:
+        if not 0 <= a < 1 << self.m:
+            raise ValueError(f"{a} is not an element of GF(2^{self.m})")
+
+    # The public methods check their operands; their loops, and those of
+    # `root`, call these unchecked products on elements.
+
+    def _mul(self, a: int, b: int) -> int:
         acc = 0
         while b:
             low = b & -b
@@ -161,25 +166,29 @@ class FieldContext:
             b ^= low
         return self._reduce(acc)
 
-    def square(self, a: int) -> int:
+    def _square(self, a: int) -> int:
         # squaring over GF(2) spreads the bits: base-4 digits 0 and 1
         return self._reduce(int(format(a, "b"), 4))
 
+    def mul(self, a: int, b: int) -> int:
+        """a times b: one shifted copy of a per bit of b, then this
+        modulus's reduction."""
+        self._require_element(a)
+        self._require_element(b)
+        return self._mul(a, b)
+
     def pow(self, a: int, e: int) -> int:
+        self._require_element(a)
         if e < 0:
             raise ValueError("negative exponent")
         if not e:
             return 1
         r = a
         for bit in format(e, "b")[1:]:
-            r = self.square(r)
+            r = self._square(r)
             if bit == "1":
-                r = self.mul(r, a)
+                r = self._mul(r, a)
         return r
-
-    def _require_element(self, a: int) -> None:
-        if not 0 <= a < 1 << self.m:
-            raise ValueError(f"{a} is not an element of GF(2^{self.m})")
 
     def inverse(self, a: int) -> int:
         """a^-1 for nonzero a, by the extended Euclidean algorithm over
@@ -282,7 +291,7 @@ class FieldContext:
             t, c = 0, delta
             for s in squares:
                 t ^= s * c
-                c = self.square(c)
+                c = self._square(c)
             g = self._gcd(h, self._divmod(t, h)[1])
             dg = (g.bit_length() - 1) // w
             if 0 < dg < dh:
@@ -312,7 +321,7 @@ class FieldContext:
             x = self._subgroup_log(gamma, self.pow(h, qe // q), q)
             for i in range(1, e):
                 # h g^(q^e - x), with g^(q^e - x) = alpha^((n / q^e)(q^e - x))
-                rest = self.mul(h, poly_pow_mod(n // qe * (qe - x), self.modulus).mask)
+                rest = self._mul(h, poly_pow_mod(n // qe * (qe - x), self.modulus).mask)
                 x += self._subgroup_log(gamma, self.pow(rest, qe // q ** (i + 1)), q) * q ** i
             k += modulus * ((x - k) * pow(modulus, -1, qe) % qe)
             modulus *= qe
@@ -324,7 +333,7 @@ class FieldContext:
         after q / 2b of them on average, so b = sqrt(q / 2) takes the
         fewest products."""
         steps = math.isqrt(q // 2) + 1
-        mul, baby, g = self.mul, {}, 1
+        mul, baby, g = self._mul, {}, 1
         for j in range(steps):
             baby[g] = j
             g = mul(g, gamma)
@@ -337,9 +346,10 @@ class FieldContext:
 
     def trace_of(self, a: int) -> int:
         """Tr(a) = a + a^2 + ... + a^(2^(m-1)), 0 or 1, by m - 1 squarings."""
+        self._require_element(a)
         acc = a
         for _ in range(self.m - 1):
-            a = self.square(a)
+            a = self._square(a)
             acc ^= a
         return acc
 

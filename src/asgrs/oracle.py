@@ -22,18 +22,22 @@ Q the 0s) off the differences of z, each with bit 0 set to 0; it keeps
 the halves whose stream begins with the peeled one or its complement,
 which gives beta_0 or lambda_0, and pairs each kept B half with the kept
 C halves of lambda_0 = z_0 ^ beta_0.  The streams are len(z)-bit windows
-of the output cycles: |R|*(2^m-1) + |S|*(2^n-1) of them, built once per
-call, and as many masked compares per phase.  The work cap still counts
-all 2^l * |R|*(2^m-1) * |S|*(2^n-1) candidates.  R and S are the jumps
-that `validate` admits: with strict params those coprime to the
+of the output cycles, W = |R|*(2^m-1) + |S|*(2^n-1) of them, built and
+sorted once per call.  Packed with stream bit 0 on top, the windows that
+begin with a given prefix are one run of the sorted list, so each phase
+finds its kept halves by four binary searches: W log W compares once,
+then 2^l * (log W + len(z)) plus the halves kept.  The work cap still
+counts all 2^l * |R|*(2^m-1) * |S|*(2^n-1) candidates.  R and S are the
+jumps that `validate` admits: with strict params those coprime to the
 register's period, otherwise every jump that is nonzero modulo it.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import accumulate, compress, cycle, islice, repeat
-from operator import xor
+from operator import not_, xor
 
 from .errors import UnsupportedParameterError
 from .generator import AsgKey, AsgParams, require_bits, require_valid
@@ -58,9 +62,9 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
     2^m-1] and lambda_k = c[(k*s + off_c) mod 2^n-1], and B and C halves
     are kept and paired per phase by conditions (i)-(iii) of the module
     docstring, which hold exactly when z_t = beta_{p_t} ^ lambda_{q_t}
-    for every t < len(z).  That costs |R|*(2^m-1) + |S|*(2^n-1) windows
-    once and as many masked compares per phase.  Keys come in the order
-    (phase along the de Bruijn cycle, r, B state, s, C state), B and C
+    for every t < len(z).  That costs |R|*(2^m-1) + |S|*(2^n-1) windows,
+    sorted once, and four binary searches per phase.  Keys come in the
+    order (phase along the de Bruijn cycle, r, B state, s, C state), B and C
     states in cycle order from state 1.  The work cap counts
     2^(l+m+n) * |R| * |S| candidates; past ORACLE_KEY_CAP matching keys
     the search stops with an error.  The empty target has no z_0 and
@@ -81,12 +85,14 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
     sides = (_windows(LfsrSpec(n, params.poly_c), jumps_s, len(z)),  # C: control bit 0
              _windows(LfsrSpec(m, params.poly_b), jumps_r, len(z)))  # B: control bit 1
     a_states = de_bruijn_cycle(LfsrSpec(l, params.poly_a))
+    controls = [state & 1 for state in a_states]
+    diffs = list(map(xor, z, z[1:]))
     first = z[0] if z else 0
     out: list[AsgKey] = []
     for phase, state in enumerate(a_states):
-        steps = list(zip(map(xor, z, z[1:]), islice(cycle(a_states), phase, None)))
-        c_halves, b_halves = (_kept(*side, [d for d, a in steps if a & 1 == control])
-                              for control, side in enumerate(sides))
+        ones = list(islice(cycle(controls), phase, phase + len(diffs)))
+        c_halves = _kept(*sides[0], len(z), list(compress(diffs, map(not_, ones))))
+        b_halves = _kept(*sides[1], len(z), list(compress(diffs, ones)))
         state_a = BitVector(state, l)
         for beta0, r, state_b in b_halves:
             out += [AsgKey(state_a, state_b, state_c, r, s)
@@ -100,43 +106,55 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
 Half = tuple[int, int, BitVector]  # (first stream bit, jump, generating state)
 
 
-def _windows(spec: LfsrSpec, jumps: list[int], width: int) -> tuple[list[int], list[Half]]:
+def _windows(spec: LfsrSpec, jumps: list[int],
+             width: int) -> tuple[list[int], list[int], list[Half]]:
     """The halves of the register, jumps outermost and states from state 1
-    in cycle order, and the `width`-bit window of each: bit k is the output
-    bit (the top cell) of the state k*j clocks on.
+    in cycle order, and the `width`-bit window of each, sorted: bit k from
+    the top is the output bit (the top cell) of the state k*j clocks on.
+    Returns the sorted windows, the index of the half of each, and the
+    halves.
 
     The states k*j clocks apart walk one coset of <j> in Z/(2^length - 1),
     the only coset unless params are not strict.  The output bits of each
-    walk are packed once into an int that runs `width` bits past its end,
-    so the window of its k-th state is one shift by k and mask.
+    walk are packed once, first bit on top, into an int that runs `width`
+    bits past its end, so the window of its k-th state is one shift and
+    mask, the shift counted from the top.
     """
     period = (1 << spec.length) - 1
     states = list(islice(lfsr_states(spec, 1), period))
     digits = "".join(map(str, output_bits(states, spec.length)))
     vectors = [BitVector(st, spec.length) for st in states]
     mask = (1 << width) - 1
+    top = max(width - 1, 0)  # the shift to the first stream bit; 0-bit windows hold 0
     windows, halves = [], []
     for j in jumps:
         row = [0] * period
         for coset in range(math.gcd(j, period)):
             walk = [i % period for i in range(coset, coset + math.lcm(j, period), j)]
             orbit = "".join(map(digits.__getitem__, islice(cycle(walk), len(walk) + width)))
-            packed = int(orbit[::-1], 2)
-            for k, i in enumerate(walk):
-                row[i] = packed >> k & mask
+            packed = int(orbit, 2)
+            for shift, i in zip(range(len(walk), 0, -1), walk):
+                row[i] = packed >> shift & mask
         windows += row
-        halves += zip(map((1).__and__, row), repeat(j), vectors)
-    return windows, halves
+        halves += zip([w >> top for w in row], repeat(j), vectors)
+    order = sorted(range(len(windows)), key=windows.__getitem__)
+    return [windows[i] for i in order], order, halves
 
 
-def _kept(windows: list[int], halves: list[Half], diffs: list[int]) -> list[Half]:
-    """The halves whose stream's successive differences begin with `diffs`.
+def _kept(windows: list[int], order: list[int], halves: list[Half], width: int,
+          diffs: list[int]) -> list[Half]:
+    """The halves whose stream's successive differences begin with `diffs`,
+    in the order of `halves`.
 
     Bit k of the peeled stream is the stream's bit k xor its bit 0, so a
-    kept stream begins with the peeled one or with its complement.
+    kept stream begins with the peeled one or with its complement.  The
+    windows that begin with a prefix p of `bits` bits are those in
+    [p, p + 1) shifted up by width - bits, one run of the sorted windows.
     """
-    peeled = int("".join(map(str, accumulate(diffs, xor, initial=0)))[::-1], 2)
-    mask = (1 << (len(diffs) + 1)) - 1
-    return list(compress(halves, map({peeled, peeled ^ mask}.__contains__,
-                                     map(mask.__and__, windows))))
-
+    bits = min(len(diffs) + 1, width)  # the empty target has 0-bit windows
+    peeled = int("".join(map(str, accumulate(diffs, xor, initial=0))), 2)
+    shift = width - bits
+    hits: list[int] = []
+    for p in {peeled, peeled ^ (1 << bits) - 1}:
+        hits += order[bisect_left(windows, p << shift):bisect_left(windows, p + 1 << shift)]
+    return [halves[i] for i in sorted(hits)]

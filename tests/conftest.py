@@ -3,7 +3,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, islice
+from itertools import accumulate, combinations, compress, cycle, islice, repeat
 from operator import xor
 
 import pytest
@@ -219,6 +219,68 @@ def reference_oracle(params, target):
                                 BitVector(b_states[off_b], m),
                                 BitVector(c_states[off_c], n),
                                 r, s_))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The peel-and-compare oracle as a linear scan: per phase, every window of
+# every half is masked and compared with the peeled streams.  It lists the
+# package oracle's keys in its order, and is fast enough at strict (5,4,7),
+# where reference_oracle is not.
+
+
+def _scan_windows(spec, jumps, width):
+    """The halves (first stream bit, jump, state) of the register, jumps
+    outermost and states from state 1 in cycle order, and their
+    `width`-bit windows with stream bit k at bit k."""
+    period = (1 << spec.length) - 1
+    states = list(islice(lfsr_states(spec, 1), period))
+    digits = "".join(map(str, output_bits(states, spec.length)))
+    vectors = [BitVector(st, spec.length) for st in states]
+    mask = (1 << width) - 1
+    windows, halves = [], []
+    for j in jumps:
+        row = [0] * period
+        for coset in range(math.gcd(j, period)):
+            walk = [i % period for i in range(coset, coset + math.lcm(j, period), j)]
+            orbit = "".join(map(digits.__getitem__, islice(cycle(walk), len(walk) + width)))
+            packed = int(orbit[::-1], 2)
+            for k, i in enumerate(walk):
+                row[i] = packed >> k & mask
+        windows += row
+        halves += zip(map((1).__and__, row), repeat(j), vectors)
+    return windows, halves
+
+
+def _scan_kept(windows, halves, diffs):
+    """The halves whose stream's successive differences begin with `diffs`:
+    the stream begins with the peeled one or its complement."""
+    peeled = int("".join(map(str, accumulate(diffs, xor, initial=0)))[::-1], 2)
+    mask = (1 << (len(diffs) + 1)) - 1
+    return list(compress(halves, map({peeled, peeled ^ mask}.__contains__,
+                                     map(mask.__and__, windows))))
+
+
+def scan_oracle(params, target):
+    l, m, n = params.l, params.m, params.n
+
+    def jumps(length):
+        period = (1 << length) - 1
+        return [j for j in range(1, period) if not params.strict or math.gcd(j, period) == 1]
+
+    z = list(target)
+    sides = (_scan_windows(LfsrSpec(n, params.poly_c), jumps(n), len(z)),  # control bit 0
+             _scan_windows(LfsrSpec(m, params.poly_b), jumps(m), len(z)))  # control bit 1
+    a_states = de_bruijn_cycle(LfsrSpec(l, params.poly_a))
+    first = z[0] if z else 0
+    out = []
+    for phase, state in enumerate(a_states):
+        steps = list(zip(map(xor, z, z[1:]), islice(cycle(a_states), phase, None)))
+        c_halves, b_halves = (_scan_kept(*side, [d for d, a in steps if a & 1 == control])
+                              for control, side in enumerate(sides))
+        out += [AsgKey(BitVector(state, l), state_b, state_c, r, s)
+                for beta0, r, state_b in b_halves
+                for lambda0, s, state_c in c_halves if lambda0 == first ^ beta0]
     return out
 
 

@@ -45,7 +45,7 @@ from asgrs.registers import (
 
 from conftest import (_ref_debruijn_step, alpha, make_params, minimal_polynomial,
                       random_valid_key, reference_jump, reference_oracle, reference_trace,
-                      trace_system_matrix, wide_polynomial)
+                      scan_oracle, trace_system_matrix, wide_polynomial)
 
 P334 = make_params(3, 3, 4)
 P875 = make_params(8, 7, 5)
@@ -739,6 +739,43 @@ class TestBruteForceOracle:
             inputs += [[], [1]]
         for z in inputs:
             assert brute_force_oracle(params, z) == reference_oracle(params, z)
+
+    def test_matches_scan_at_strict_547(self, rng):
+        # same keys in the same order as the linear scan over all 8 * 15 +
+        # 126 * 127 windows per phase: on true keystreams of 69 bits and of
+        # 300, past twice C's period of 127 so that windows wrap, each also
+        # with its last bit flipped, on random strings and on the constant
+        # ones, whose peeled streams are all 0 and their complements all 1
+        params = make_params(5, 4, 7)
+        key = random_valid_key(params, rng)
+        inputs = [[0] * 69, [1] * 69]
+        for nbits in (69, 300):
+            z = keystream(params, key, nbits)
+            assert key in brute_force_oracle(params, z)
+            inputs += [z, z[:-1] + [1 - z[-1]], [rng.randrange(2) for _ in range(nbits)]]
+        for z in inputs:
+            assert brute_force_oracle(params, z) == scan_oracle(params, z)
+
+    @pytest.mark.parametrize("params", [make_params(2, 3, 5), P334, make_params(4, 3, 5)],
+                             ids=["2-3-5", "3-3-4", "4-3-5"])
+    def test_matches_scan_at_the_edges(self, params, rng):
+        # on l + 1 bits one phase has l control 1s: its C side peels a 1-bit
+        # stream (Q = 0) and its B side one as long as the window, so that
+        # nothing is shifted off; another phase has l 0s and the reverse.
+        # The constant targets peel all-0 streams, whose all-1 complement
+        # runs up to 2^len(z).  The 0- and 1-bit targets have P = Q = 0.
+        l = params.l
+        controls = [st & 1 for st in de_bruijn_cycle(LfsrSpec(l, params.poly_a))]
+        runs = {sum(controls[(phase + t) % (1 << l)] for t in range(l))
+                for phase in range(1 << l)}
+        assert {0, l} <= runs
+        key = random_valid_key(params, rng)
+        inputs = [[0] * (l + 1), [1] * (l + 1), keystream(params, key, l + 1),
+                  [rng.randrange(2) for _ in range(l + 1)]]
+        if params is P334:  # the other shapes have more than 2 * ORACLE_KEY_CAP keys
+            inputs += [[], [0], [1]]
+        for z in inputs:
+            assert brute_force_oracle(params, z) == scan_oracle(params, z)
 
 
 class TestSweep:

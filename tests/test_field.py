@@ -1,4 +1,6 @@
 import math
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -196,7 +198,7 @@ class TestArithmetic:
         for _ in range(200):
             a, b = rng.randrange(1 << m), rng.randrange(1 << m)
             assert ctx.mul(a, b) == _poly_mulmod(a, b, mod)
-            assert ctx.square(a) == _poly_mulmod(a, a, mod)
+            assert ctx._square(a) == _poly_mulmod(a, a, mod)
             e = rng.randrange(3 << m)
             assert ctx.pow(a, e) == reference_pow_mod(a, e, mod)
 
@@ -216,7 +218,7 @@ class TestArithmetic:
             pairs += [(rng.randrange(1 << m), rng.randrange(1 << m)) for _ in range(100)]
             for a, b in pairs:
                 assert ctx.mul(a, b) == _poly_mulmod(a, b, mod)
-                assert ctx.square(a) == _poly_mulmod(a, a, mod)
+                assert ctx._square(a) == _poly_mulmod(a, a, mod)
 
     def test_both_reductions_are_exercised(self):
         # the choice is per modulus: a fold where its passes are few and
@@ -273,6 +275,35 @@ def test_non_elements_refused(a):
         ctx.inverse(a)
     with pytest.raises(ValueError, match="not an element of GF"):
         ctx.log(a)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the body once `seconds` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# mul(3, -1) once looped forever, pow and trace_of of -1 raised "negative
+# shift count", and pow(2^m, 1) returned 2^m unreduced
+@pytest.mark.parametrize("a", [0b10011, 0b100110, 0b10000, 0b10001, -1],
+                         ids=["modulus", "x-modulus", "two-to-the-m", "two-to-the-m-plus-1",
+                              "negative"])
+def test_non_elements_refused_by_products(a):
+    ctx = field_context(primitive_polynomial(4))
+    calls = [lambda: ctx.mul(3, a), lambda: ctx.mul(a, 3), lambda: ctx.pow(a, 1),
+             lambda: ctx.pow(a, 3), lambda: ctx.trace_of(a)]
+    with time_limit(5):
+        for call in calls:
+            with pytest.raises(ValueError, match="not an element of GF"):
+                call()
 
 
 class TestRoot:
