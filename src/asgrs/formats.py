@@ -29,6 +29,15 @@ def _hex(mask: int) -> str:
     return f"0x{mask:x}"
 
 
+def _read_json(path: str | Path, what: str):
+    """The JSON document in the file.  Text that is no JSON, and JSON
+    nested past the recursion limit, raise ValueError naming `what`."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (RecursionError, ValueError) as e:
+        raise ValueError(f"{what} is not valid JSON: {e}") from None
+
+
 def _object(doc, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must hold a JSON object, not {type(doc).__name__}")
@@ -74,7 +83,7 @@ def write_params(path: str | Path, params: AsgParams):
 
 
 def read_params(path: str | Path, strict: bool = True) -> AsgParams:
-    doc = _object(json.loads(Path(path).read_text()), "params file")
+    doc = _object(_read_json(path, "params file"), "params file")
     return AsgParams(
         l=_number(doc, "l", 10),
         m=_number(doc, "m", 10),
@@ -112,7 +121,7 @@ def write_key(path: str | Path, key: AsgKey):
 
 
 def read_key(path: str | Path, params: AsgParams) -> AsgKey:
-    return key_from_dict(json.loads(Path(path).read_text()), params)
+    return key_from_dict(_read_json(path, "key file"), params)
 
 
 # the ASCII characters str.isspace accepts, \x1c-\x1f among them
@@ -177,7 +186,7 @@ def write_report(path: str | Path | None, report: AttackReport):
 
 
 def read_report(path: str | Path, params: AsgParams) -> AttackReport:
-    doc = _object(json.loads(Path(path).read_text()), "report file")
+    doc = _object(_read_json(path, "report file"), "report file")
     keys = _field(doc, "recovered_keys")
     if not isinstance(keys, list):
         raise ValueError(f"field 'recovered_keys' must hold a JSON list, not {type(keys).__name__}")

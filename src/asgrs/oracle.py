@@ -22,21 +22,27 @@ Q the 0s) off the differences of z, each with bit 0 set to 0; it keeps
 the halves whose stream begins with the peeled one or its complement,
 which gives beta_0 or lambda_0, and pairs each kept B half with the kept
 C halves of lambda_0 = z_0 ^ beta_0.  The streams are len(z)-bit windows
-of the output cycles, W = |R|*(2^m-1) + |S|*(2^n-1) of them, built and
-sorted once per call.  Packed with stream bit 0 on top, the windows that
-begin with a given prefix are one run of the sorted list, so each phase
-finds its kept halves by four binary searches: W log W compares once,
-then 2^l * (log W + len(z)) plus the halves kept.  The work cap still
-counts all 2^l * |R|*(2^m-1) * |S|*(2^n-1) candidates.  R and S are the
-jumps that `validate` admits: with strict params those coprime to the
-register's period, otherwise every jump that is nonzero modulo it.
+of the output cycles.  A cycle b with primitive feedback has odd period
+P, and decimating it by 2 shifts it: b_(2t) = b_(t+tau) for every t
+(Golomb; Lidl-Niederreiter, Finite Fields, ch. 8).  So the window of
+jump 2j at position i is that of jump j at position i/2 + tau mod P,
+and as the jumps are closed under doubling mod P, only the least jump of
+each doubling class gets windows: |classes|*P per side, W in all, built
+and sorted once per call.  Packed with stream bit 0 on top, the windows
+that begin with a given prefix are one run of the sorted list, so each
+phase finds its kept halves by four binary searches and maps each hit
+to every member of its class: W log W compares once, then 2^l * (log W +
+len(z)) plus the halves kept.  The work cap still counts all 2^l *
+|R|*(2^m-1) * |S|*(2^n-1) candidates.  R and S are the jumps that
+`validate` admits: with strict params those coprime to the register's
+period, otherwise every jump that is nonzero modulo it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import accumulate, compress, cycle, islice, repeat
+from itertools import accumulate, compress, cycle, islice
 from operator import not_, xor
 
 from .errors import UnsupportedParameterError
@@ -62,10 +68,11 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
     2^m-1] and lambda_k = c[(k*s + off_c) mod 2^n-1], and B and C halves
     are kept and paired per phase by conditions (i)-(iii) of the module
     docstring, which hold exactly when z_t = beta_{p_t} ^ lambda_{q_t}
-    for every t < len(z).  That costs |R|*(2^m-1) + |S|*(2^n-1) windows,
-    sorted once, and four binary searches per phase.  Keys come in the
-    order (phase along the de Bruijn cycle, r, B state, s, C state), B and C
-    states in cycle order from state 1.  The work cap counts
+    for every t < len(z).  By the shift identity of the module docstring
+    that costs |classes|*P windows per side, sorted once, and four binary
+    searches per phase.  Keys come in the order (phase along the de Bruijn
+    cycle, r, B state, s, C state), B and C states in cycle order from
+    state 1.  The work cap counts
     2^(l+m+n) * |R| * |S| candidates; past ORACLE_KEY_CAP matching keys
     the search stops with an error.  The empty target has no z_0 and
     0-bit windows, so every half is kept with first bit 0 and every pair
@@ -104,57 +111,73 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
 
 
 Half = tuple[int, int, BitVector]  # (first stream bit, jump, generating state)
+Member = tuple[int, int, int]  # (jump j * 2^a, 2^a mod P, tau * (2^(a+1) - 2) mod P)
 
 
-def _windows(spec: LfsrSpec, jumps: list[int],
-             width: int) -> tuple[list[int], list[int], list[Half]]:
-    """The halves of the register, jumps outermost and states from state 1
-    in cycle order, and the `width`-bit window of each, sorted: bit k from
-    the top is the output bit (the top cell) of the state k*j clocks on.
-    Returns the sorted windows, the index of the half of each, and the
-    halves.
+def _windows(spec: LfsrSpec, jumps: list[int], width: int
+             ) -> tuple[list[int], list[int], list[list[Member]], list[BitVector]]:
+    """The sorted `width`-bit windows of the least jump of each doubling
+    class of `jumps`, the label class * P + position of each, the members
+    of each class, and the states from state 1 in cycle order.  Bit k from
+    the top of the window of jump j at position i is the output bit (the
+    top cell) of the state k*j clocks on from position i.
 
-    The states k*j clocks apart walk one coset of <j> in Z/(2^length - 1),
-    the only coset unless params are not strict.  The output bits of each
-    walk are packed once, first bit on top, into an int that runs `width`
-    bits past its end, so the window of its k-th state is one shift and
-    mask, the shift counted from the top.
+    b_(2t) for t < P is b's even positions, then its odd ones, so tau is
+    where that string starts in b, checked over the whole period.  Member
+    j * 2^a has the leader's window at position i at position
+    2^a * i - tau * (2^(a+1) - 2).  The states k*j clocks apart walk one
+    coset of <j> in Z/P, the only coset unless params are not strict.
+    The output bits of each walk are packed once, first bit on top, into
+    an int that runs width - 1 bits past its end, so the window of its
+    k-th state is one shift and mask, the shift counted from the top.
     """
     period = (1 << spec.length) - 1
     states = list(islice(lfsr_states(spec, 1), period))
     digits = "".join(map(str, output_bits(states, spec.length)))
-    vectors = [BitVector(st, spec.length) for st in states]
+    tau = (digits * 2).find(digits[::2] + digits[1::2])
+    if tau < 0:
+        raise ValueError(f"the output cycle of {spec.feedback} is no m-sequence")
     mask = (1 << width) - 1
-    top = max(width - 1, 0)  # the shift to the first stream bit; 0-bit windows hold 0
-    windows, halves = [], []
+    windows, classes, seen = [], [], set()
     for j in jumps:
+        if j in seen:
+            continue
+        size = next(a for a in range(1, spec.length + 1) if (j << a) % period == j)
+        classes.append([((j << a) % period, (1 << a) % period, tau * ((2 << a) - 2) % period)
+                        for a in range(size)])
+        seen.update(member for member, _, _ in classes[-1])
         row = [0] * period
         for coset in range(math.gcd(j, period)):
             walk = [i % period for i in range(coset, coset + math.lcm(j, period), j)]
-            orbit = "".join(map(digits.__getitem__, islice(cycle(walk), len(walk) + width)))
+            orbit = "".join(map(digits.__getitem__, islice(cycle(walk), len(walk) + width - 1)))
             packed = int(orbit, 2)
-            for shift, i in zip(range(len(walk), 0, -1), walk):
+            for shift, i in zip(range(len(walk) - 1, -1, -1), walk):
                 row[i] = packed >> shift & mask
         windows += row
-        halves += zip([w >> top for w in row], repeat(j), vectors)
-    order = sorted(range(len(windows)), key=windows.__getitem__)
-    return [windows[i] for i in order], order, halves
+    labels = sorted(range(len(windows)), key=windows.__getitem__)
+    return ([windows[i] for i in labels], labels, classes,
+            [BitVector(st, spec.length) for st in states])
 
 
-def _kept(windows: list[int], order: list[int], halves: list[Half], width: int,
-          diffs: list[int]) -> list[Half]:
+def _kept(windows: list[int], labels: list[int], classes: list[list[Member]],
+          vectors: list[BitVector], width: int, diffs: list[int]) -> list[Half]:
     """The halves whose stream's successive differences begin with `diffs`,
-    in the order of `halves`.
+    jumps outermost and states in cycle order.
 
     Bit k of the peeled stream is the stream's bit k xor its bit 0, so a
     kept stream begins with the peeled one or with its complement.  The
     windows that begin with a prefix p of `bits` bits are those in
-    [p, p + 1) shifted up by width - bits, one run of the sorted windows.
+    [p, p + 1) shifted up by width - bits, one run of the sorted windows,
+    and each is also the window of every member of its class.
     """
+    period = len(vectors)
     bits = min(len(diffs) + 1, width)  # the empty target has 0-bit windows
     peeled = int("".join(map(str, accumulate(diffs, xor, initial=0))), 2)
     shift = width - bits
-    hits: list[int] = []
+    hits: list[tuple[int, int, int]] = []
     for p in {peeled, peeled ^ (1 << bits) - 1}:
-        hits += order[bisect_left(windows, p << shift):bisect_left(windows, p + 1 << shift)]
-    return [halves[i] for i in sorted(hits)]
+        first = p >> max(bits - 1, 0)  # stream bit 0, which 0-bit windows read as 0
+        for label in labels[bisect_left(windows, p << shift):bisect_left(windows, p + 1 << shift)]:
+            c, i = divmod(label, period)
+            hits += [(j, (mult * i - off) % period, first) for j, mult, off in classes[c]]
+    return [(first, j, vectors[i]) for j, i, first in sorted(hits)]

@@ -8,7 +8,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asgrs import attack, cli, formats, registers
+from asgrs import attack, cli, formats, oracle, registers
 from asgrs.analysis import LfsrFit, berlekamp_massey, berlekamp_massey_lanes
 from asgrs.attack import (
     AttackConfig,
@@ -56,6 +56,10 @@ KEY_R3 = AsgKey(BitVector(5, 3), BitVector(9, 4), BitVector(3, 3), 3, 2)
 # both register periods are 15, and r = 3 and s = 5 share a factor with it
 P244_LOOSE = make_params(2, 4, 4, strict=False)
 KEY_R3_S5 = AsgKey(BitVector(1, 2), BitVector(9, 4), BitVector(3, 4), 3, 5)
+# B's period 63 = 3^2 * 7: r = 21 and r = 9 share factors with it
+P365_LOOSE = make_params(3, 6, 5, strict=False)
+KEY_R21 = AsgKey(BitVector(5, 3), BitVector(0x2d, 6), BitVector(0x13, 5), 21, 3)
+KEY_R9 = AsgKey(BitVector(2, 3), BitVector(0x11, 6), BitVector(0x7, 5), 9, 3)
 
 
 def lmn_id(lmn):
@@ -776,6 +780,31 @@ class TestBruteForceOracle:
             inputs += [[], [0], [1]]
         for z in inputs:
             assert brute_force_oracle(params, z) == scan_oracle(params, z)
+
+
+    @pytest.mark.parametrize("params, key", [(P365_LOOSE, KEY_R21), (P365_LOOSE, KEY_R9),
+                                             (P244_LOOSE, KEY_R3_S5)],
+                             ids=["3-6-5-r21", "3-6-5-r9", "2-4-4-s5"])
+    def test_matches_scan_on_short_doubling_classes(self, params, key, rng):
+        # without strict, a doubling class of jumps can be shorter than the
+        # register: at m = 6, r = 21 lies in {21, 42} and r = 9 in {9, 18,
+        # 36}, and j = 9 walks 9 cosets of 7 states; at n = 4, s = 5 lies
+        # in {5, 10}.  Same keys in the same order as the linear scan on a
+        # true keystream of 40 bits and one past twice the longer period,
+        # so that windows wrap, each also with its last bit flipped, on
+        # random strings and on the constant ones
+        for nbits in (40, 2 * ((1 << max(params.m, params.n)) - 1) + 3):
+            z = keystream(params, key, nbits)
+            assert key in brute_force_oracle(params, z)
+            for z in (z, z[:-1] + [1 - z[-1]], [rng.randrange(2) for _ in range(nbits)],
+                      [0] * nbits, [1] * nbits):
+                assert brute_force_oracle(params, z) == scan_oracle(params, z)
+
+    def test_windows_need_an_m_sequence(self):
+        # x^4 + x^3 + x^2 + x + 1 is irreducible but not primitive: its
+        # output has period 5, and decimating it by 2 shifts it by no tau
+        with pytest.raises(ValueError, match="is no m-sequence"):
+            oracle._windows(LfsrSpec(4, BinaryPolynomial(0b11111)), [1, 2, 4, 8], 4)
 
 
 class TestSweep:

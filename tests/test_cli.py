@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import asgrs
 from asgrs import AsgKey, BitVector, formats
 from asgrs.analysis import measure_period
 from asgrs.attack import AttackConfig
@@ -398,6 +403,24 @@ class TestMalformedInput:
         assert run("analyze", "--in", str(bfile)) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+
+    @pytest.mark.parametrize("argv, what", [
+        (("keygen", "--params", "{nested}", "--out", "{dir}/k.json"), "params file"),
+        (("keystream", "--params", "{params}", "--key", "{nested}", "--count", "8",
+          "--out", "{dir}/z.txt"), "key file"),
+    ], ids=["keygen-params", "keystream-key"])
+    def test_deeply_nested_json(self, tmp_path, params_file, argv, what):
+        # 2000 nested lists pass Python's recursion limit inside json.loads;
+        # a fresh interpreter shows what a user sees on stderr
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 2000 + "]" * 2000)
+        argv = [a.format(dir=tmp_path, params=params_file, nested=nested) for a in argv]
+        env = {**os.environ, "PYTHONPATH": str(Path(asgrs.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "asgrs.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith(f"error: {what} is not valid JSON: ")
+        assert "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("argv", [
         ("analyze", "--in", "{dir}"),

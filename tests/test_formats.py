@@ -171,3 +171,16 @@ class TestJsonFiles:
         (tmp_path / "r.json").write_text(json.dumps(edit(formats.report_to_dict(report))))
         with pytest.raises(ValueError, match=message):
             formats.read_report(tmp_path / "r.json", make_params(3, 3, 4))
+
+    @pytest.mark.parametrize("reader, what", [
+        (formats.read_params, "params file"),
+        (lambda path: formats.read_key(path, make_params(3, 3, 4)), "key file"),
+        (lambda path: formats.read_report(path, make_params(3, 3, 4)), "report file"),
+    ], ids=["params", "key", "report"])
+    @pytest.mark.parametrize("text", ["[" * 2000 + "]" * 2000, '{"l": 3', ""],
+                             ids=["nested", "truncated", "empty"])
+    def test_unreadable_json_names_the_file(self, tmp_path, reader, what, text):
+        # 2000 nested lists pass Python's recursion limit inside json.loads
+        (tmp_path / "doc.json").write_text(text)
+        with pytest.raises(ValueError, match=f"^{what} is not valid JSON: "):
+            reader(tmp_path / "doc.json")
