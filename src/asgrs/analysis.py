@@ -77,6 +77,15 @@ def berlekamp_massey_lanes(seq: list[int], length: int,
     `berlekamp_massey` becomes a masked update: where the discrepancy is
     1, c ^= D for D = b x^x, and where also 2L <= n, L becomes n + 1 - L
     (T'_k = not T_{n+2-k}) and D the old c times x; elsewhere D = D x.
+
+    Only part of the thermometer can move.  With h = n // 2, the lanes
+    that grow have L <= h, so their T_k is 0 for k > h, and their new
+    L' = n + 1 - L is at least n + 1 - h.  So T'_k = T_k | grow for
+    k <= n + 1 - h, and above that, where T_k of a growing lane is 0,
+    T'_k = T_k | (grow and not T_{n+2-k}); T_k for k > n + 1 does not
+    change.  Every slice stays a non-negative int inside `lanes`: bits
+    are cleared as x ^ (x & y), never with ~, whose negative result
+    makes CPython's bitwise ops several times slower at lane width.
     """
     c = [lanes] + [0] * length
     shifted = [0, lanes] + [0] * (length - 1)  # D, degree <= n + 1 at step n
@@ -86,12 +95,14 @@ def berlekamp_massey_lanes(seq: list[int], length: int,
         d = reduce(xor, map(and_, c[:n + 1], seq[n::-1]))
         top = min(n + 2, length + 1)
         if d:
-            grow = d & ~T[n // 2 + 1]
+            h = n // 2
+            grow = d ^ (d & T[h + 1])
             old = c[:top]
             c[:top] = [ci ^ (di & d) for ci, di in zip(old, shifted)]
             if grow:
-                T[1:n + 2] = [tk ^ ((tk ^ ~T[n + 2 - k]) & grow)
-                              for k, tk in enumerate(T[1:n + 2], 1)]
+                T[n + 2 - h:n + 2] = [tk | (grow ^ (grow & tj))
+                                      for tk, tj in zip(T[n + 2 - h:n + 2], T[h:0:-1])]
+                T[1:n + 2 - h] = [tk | grow for tk in T[1:n + 2 - h]]
                 shifted[:top] = [di ^ ((ci ^ di) & grow) for ci, di in zip(old, shifted)]
         shifted = [0] + shifted[:length]
     return c, T

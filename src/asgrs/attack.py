@@ -32,12 +32,13 @@ chance guess per chunk gets through the capped test, and the peel stops
 once every lane has reached the cap.  The C side needs 2n - 1 control-0
 steps, so each lane's control-1 steps are also counted in full, in its
 window of control bits: lane j's window is lane 0's shifted by j, so the
-counts of all lanes are bit-sliced sums built by doubling.  The beta_0 = 1 lanes sit above the beta_0 = 0 lanes
-and hold the complemented slices.  Berlekamp-Massey runs on the slices,
-with the connection polynomial held coefficient by coefficient and the
-linear complexity as a thermometer code (T_k = the lanes with L >= k),
-so that each branch of the algorithm is a masked update.  At the
-suggested keystream length about one guess per chunk passes the B side,
+counts of all lanes are bit-sliced sums built by doubling.  The
+beta_0 = 1 lanes sit above the beta_0 = 0 lanes and hold the
+complemented slices.  Berlekamp-Massey runs on the slices, with the
+connection polynomial held coefficient by coefficient and the linear
+complexity as a thermometer code (T_k = the lanes with L >= k), so that
+each branch of the algorithm is a masked update.  At the suggested
+keystream length about one guess per chunk passes the B side,
 and at 3(m+n) bits tens to hundreds do.  Only those get the rest, one
 at a time: `reconstruct_streams` rebuilds the guess's streams from its
 own control bits, and it passes when its whole lambda stream has linear
@@ -340,7 +341,8 @@ def _peel_lanes(z: list[int], words: Iterator[int], width: int,
     """The B side of `reconstruct_streams` on 2 * width lanes at once, up
     to `cap` bits a lane: the control words drive lanes 0 .. width - 1
     with beta_0 = 0, and lanes width + j hold the complemented stream of
-    lane j, which is the one for beta_0 = 1.
+    lane j, which is the one for beta_0 = 1.  Bits of a word from width
+    up are ignored: they only ever meet the count, which holds none.
 
     Returns cap bit slices of the B-side streams (bit j of beta[k]: bit k
     of lane j's stream while k is below its length, its last bit after),
@@ -406,14 +408,14 @@ def _windows_at_least(bits: int, span: int, threshold: int, width: int) -> int:
         power = _add_slices(power, [s >> (1 << e) for s in power])
         e += 1
     total += [0] * (threshold.bit_length() - len(total))
-    above, equal = 0, -1
+    above, equal = 0, (1 << width) - 1
     for i in reversed(range(len(total))):
         if threshold >> i & 1:
             equal &= total[i]
         else:
             above |= equal & total[i]
-            equal &= ~total[i]
-    return (above | equal) & ((1 << width) - 1)
+            equal ^= equal & total[i]
+    return above | equal
 
 
 def _sweep_lanes(config: AttackConfig, lo: int, width: int,
@@ -433,7 +435,7 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     l, m, n = params.l, params.m, params.n
     z = config.keystream
     steps = len(z) - 1
-    half, lanes = (1 << width) - 1, (1 << 2 * width) - 1
+    lanes = (1 << 2 * width) - 1
     counters.a_states_tried += width
     # bit i: the control bit of cycle position lo - l + 1 + i, wrapping at
     # 2^l, so lane j reads bit l - 1 + j + t at step t
@@ -443,24 +445,24 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     # chunk passes the lane test
     cap = 2 * m + (2 * width).bit_length()
     beta, at_least = _peel_lanes(
-        z, ((bits >> t) & half for t in range(l - 1, l - 1 + steps)), width, cap)
+        z, (bits >> t for t in range(l - 1, l - 1 + steps)), width, cap)
     # p + 1 >= 2m beta bits, and steps - p + 1 >= 2n lambda bits: lane j
     # has at most steps + 1 - 2n ones among control bits j .. j + steps - 1
-    enough = at_least[2 * m - 1] & ~_windows_at_least(
-        bits >> (l - 1), steps, steps + 2 - 2 * n, width)
+    enough = at_least[2 * m - 1]
+    enough ^= enough & _windows_at_least(bits >> (l - 1), steps, steps + 2 - 2 * n, width)
     enough |= enough << width
     c_beta, t_beta = berlekamp_massey_lanes(beta, 2 * m, lanes)
     # counted per guess: the lambda fit follows wherever the beta fit is
     # within its cap
-    ok = enough & ~t_beta[m + 1]
+    ok = enough ^ (enough & t_beta[m + 1])
     counters.bm_runs += enough.bit_count() + ok.bit_count()
     # linear consistency: where L <= m, c has no term above x^m and must
     # annihilate every window of each lane's stream up to the cap; the fit
     # already covers the windows inside the 2m-bit prefix
     for j in range(2 * m, cap):
         alive = at_least[j]
-        ok &= ~((alive | (alive << width))
-                & reduce(xor, map(and_, c_beta[:m + 1], beta[j - m:j + 1][::-1])))
+        ok ^= ok & (alive | (alive << width)) & reduce(
+            xor, map(and_, c_beta[:m + 1], beta[j - m:j + 1][::-1]))
     # the C side of each guess left: its lambda stream, of 2n bits or
     # more, passes when its linear complexity is at most n, and the fit of
     # the whole stream is then the fit of its first 2n bits (no other LFSR
@@ -468,7 +470,7 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
     survivors = []
     mask = (1 << steps) - 1
     while ok:
-        j = (ok & -ok).bit_length() - 1
+        j = (ok ^ (ok - 1)).bit_length() - 1
         ok &= ok - 1
         i = j % width
         control = (bits >> (l - 1 + i)) & mask

@@ -14,6 +14,7 @@ two interchangeable forms:
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -193,7 +194,8 @@ def read_report(path: str | Path, params: AsgParams) -> AttackReport:
     c = _object(_field(doc, "counters"), "field 'counters'")
     counters = AttackCounters(**{f.name: _number(c, f.name, 10) for f in fields(AttackCounters)})
     wall = _field(doc, "wall_time_seconds")
-    if isinstance(wall, bool) or not isinstance(wall, (int, float)) or wall < 0:
+    # NaN fails every comparison, so the range test refuses it too
+    if isinstance(wall, bool) or not isinstance(wall, (int, float)) or not 0 <= wall < math.inf:
         raise ValueError(f"field 'wall_time_seconds' must be a non-negative number, not {wall!r}")
     return AttackReport([key_from_dict(d, params) for d in keys], counters, wall)
 

@@ -237,7 +237,7 @@ def _expand_stages(mask: int, width: int) -> tuple[tuple[int, int], ...]:
         if moved:
             stages.append((shift, moved))
         mask = (mask ^ moved) | (moved >> shift)
-        zeros_right &= ~odd
+        zeros_right ^= zeros_right & odd
         shift <<= 1
     return tuple(reversed(stages))
 
@@ -288,7 +288,7 @@ def _merge(control: Periodic, b: Periodic, c: Periodic, count: int) -> list[int]
             x ^= x << shift
             shift <<= 1
         if z:
-            x = ~x
+            x ^= full
         out += format(x & full, fmt)[::-1][:steps - start].encode().translate(_BITS)
         z = out[-1]
     return out

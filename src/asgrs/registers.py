@@ -255,10 +255,12 @@ def de_bruijn_word(base: LfsrSpec, state: int, count: int) -> int:
         return de_bruijn_word(base, 1, count - 1) << 1
     lap = min(count, 1 << span)
     v = output_word(base, state, lap + span - 1)
-    runs = reduce(and_, (~v >> k for k in range(span - 1)), ~1 & (1 << lap) - 1)
+    zeros = v ^ ((1 << (lap + span - 1)) - 1)
+    # the zero may be spliced in at bits 1 .. lap - 1, none when lap is 0
+    runs = reduce(and_, (zeros >> k for k in range(span - 1)), max((1 << lap) - 2, 0))
     bits = v >> (span - 1)
     if runs:
-        at = (runs & -runs).bit_length() - 1
+        at = (runs ^ (runs - 1)).bit_length() - 1
         bits = bits & ((1 << at) - 1) | (bits >> at) << (at + 1)
     return _repeat(bits & ((1 << lap) - 1), lap, count) & ((1 << count) - 1)
 

@@ -979,6 +979,48 @@ class TestWindowsAtLeast:
                 assert _windows_at_least(bits, span, threshold, width) == expected
 
 
+class TestLaneSlices:
+    # every slice is a non-negative int inside its lane mask: bitwise ops
+    # on negative ints cost several times more at lane width
+    @staticmethod
+    def _inside(slices, mask):
+        return all(isinstance(s, int) and 0 <= s <= mask for s in slices)
+
+    def test_berlekamp_massey_lanes(self, rng):
+        # random streams and ones of low linear complexity, so that L takes
+        # values on both sides of n // 2 at every step and both halves of
+        # the thermometer update move; lengths up to 2m at m = 24
+        for width in (1, 63, 64, 65, 200):
+            mask = (1 << width) - 1
+            for length in (1, 2, 3, 14, 28, 47, 48):
+                seqs = [berlekamp_massey([rng.randrange(2) for _ in range(2 * L)]).extend(length)
+                        for L in (rng.randrange(length // 2 + 2) for _ in range(width // 2))]
+                seqs += [[rng.randrange(2) for _ in range(length)]
+                         for _ in range(width - len(seqs))]
+                slices = [sum(s[k] << j for j, s in enumerate(seqs)) for k in range(length)]
+                c, T = berlekamp_massey_lanes(slices, length, mask)
+                assert self._inside(c, mask) and self._inside(T, mask)
+                for j, s in enumerate(seqs):
+                    L = berlekamp_massey(s).linear_complexity
+                    assert [(tk >> j) & 1 for tk in T] == [int(k <= L) for k in range(len(T))]
+
+    def test_peel_and_window_counts(self, rng):
+        # control words wider than the lanes they drive: their high bits
+        # must neither change the peel nor leak into its slices
+        for width in (1, 63, 64, 65, 200):
+            half, lanes = (1 << width) - 1, (1 << 2 * width) - 1
+            for steps in (1, 20, 60):
+                cap = rng.randrange(4, 24)
+                z = [rng.randrange(2) for _ in range(steps + 1)]
+                bits = rng.getrandbits(width + steps + 8)
+                words = [bits >> t for t in range(steps)]
+                beta, at_least = _peel_lanes(z, iter(words), width, cap)
+                assert (beta, at_least) == _peel_lanes(z, (w & half for w in words), width, cap)
+                assert self._inside(beta, lanes) and self._inside(at_least, half)
+                for threshold in (0, steps // 2, steps, steps + 1):
+                    assert self._inside([_windows_at_least(bits, steps, threshold, width)], half)
+
+
 class TestChunkControl:
     def test_words_and_windows_match_de_bruijn_cycle(self):
         # chunks that start at position 0, end at position 2^l - 1, sit

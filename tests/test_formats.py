@@ -164,8 +164,12 @@ class TestJsonFiles:
         (lambda doc: {**doc, "counters": {**doc["counters"], "bm_runs": "lots"}}, "'bm_runs'"),
         (lambda doc: {**doc, "recovered_keys": {}}, "'recovered_keys'"),
         (lambda doc: {**doc, "wall_time_seconds": "soon"}, "'wall_time_seconds'"),
+        *[(lambda doc, wall=wall: {**doc, "wall_time_seconds": wall},
+           "'wall_time_seconds' must be a non-negative number")
+          for wall in (-0.5, float("nan"), float("inf"), float("-inf"))],
     ], ids=["list", "no-counters", "counters-list", "string-counter", "keys-object",
-            "string-wall-time"])
+            "string-wall-time", "negative-wall-time", "nan-wall-time", "infinite-wall-time",
+            "minus-infinite-wall-time"])
     def test_malformed_report_names_the_field(self, tmp_path, edit, message):
         report = AttackReport([], AttackCounters(8, 20, 5, 2), 0.25)
         (tmp_path / "r.json").write_text(json.dumps(edit(formats.report_to_dict(report))))

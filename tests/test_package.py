@@ -27,6 +27,19 @@ def test_package_imports_only_the_standard_library():
     assert not outside
 
 
+def test_no_bitwise_not_in_the_package():
+    # ~x of a non-negative int is negative, and at the sweep's lane width
+    # CPython's bitwise ops on a negative int cost 3 to 4.5 times the same
+    # ops on a non-negative one: clear bits with x ^ (x & y), and
+    # complement against an explicit mask
+    found = [(path.name, node.lineno)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert)]
+    assert not found, (f"~ at {found}: bitwise ops on a negative int cost 3-4.5x "
+                       "those on a non-negative one at lane width")
+
+
 def test_readme_quick_start_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
