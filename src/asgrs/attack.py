@@ -93,7 +93,7 @@ from typing import Iterator
 from .analysis import LfsrFit, berlekamp_massey, berlekamp_massey_lanes
 from .field import FieldContext, field_context
 from .gf2 import BitVector, _poly_mulmod, poly_pow_mod, reverse_bits
-from .generator import AsgKey, AsgParams, keystream, require_bits, require_valid
+from .generator import _BITS, AsgKey, AsgParams, keystream, require_bits, require_valid
 from .registers import (
     BitSequence,
     DeBruijnRegister,
@@ -473,9 +473,10 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
         j = (ok ^ (ok - 1)).bit_length() - 1
         ok &= ok - 1
         i = j % width
-        control = (bits >> (l - 1 + i)) & mask
+        # its control bits, bit t first, read once
+        control = format((bits >> (l - 1 + i)) & mask, f"0{steps}b")[::-1]
         beta_j, lam_j = reconstruct_streams(
-            [(control >> t) & 1 for t in range(steps)], z, j // width)
+            list(control.encode().translate(_BITS)), z, j // width)
         fit_lam = berlekamp_massey(lam_j)
         if fit_lam.linear_complexity > n:
             continue

@@ -30,12 +30,18 @@ and as the jumps are closed under doubling mod P, only the least jump of
 each doubling class gets windows: |classes|*P per side, W in all, built
 and sorted once per call.  Packed with stream bit 0 on top, the windows
 that begin with a given prefix are one run of the sorted list, so each
-phase finds its kept halves by four binary searches and maps each hit
-to every member of its class: W log W compares once, then 2^l * (log W +
-len(z)) plus the halves kept.  The work cap still counts all 2^l *
-|R|*(2^m-1) * |S|*(2^n-1) candidates.  R and S are the jumps that
-`validate` admits: with strict params those coprime to the register's
-period, otherwise every jump that is nonzero modulo it.
+phase finds its kept halves by binary search, two for the B side and,
+only when B keeps a half, two for the C side, and maps each hit to
+every member of its class: W log W compares once, then 2^l * (log W +
+len(z)) plus the halves kept.  Each kept half pairs with at least one
+other, so counting the phase's keys from its runs before any half is
+built bounds the halves by ORACLE_KEY_CAP.  Two caps are checked before
+anything is built: ORACLE_WINDOW_CAP on W * (len(z) + 2^10) and
+ORACLE_PHASE_CAP on 2^l * (len(z) + 2^6), each of W and 2^l weighed by
+the bits it costs.  W counts the classes in closed form, so a refusal
+builds no jump list.  R and S are the jumps that `validate` admits: with
+strict params those coprime to the register's period, otherwise every
+jump that is nonzero modulo it.
 """
 
 from __future__ import annotations
@@ -44,13 +50,19 @@ import math
 from bisect import bisect_left
 from itertools import accumulate, compress, cycle, islice
 from operator import not_, xor
+from typing import Iterable, NamedTuple
 
 from .errors import UnsupportedParameterError
-from .generator import AsgKey, AsgParams, require_bits, require_valid
+from .field import _order_factors
+from .generator import _DIGITS, AsgKey, AsgParams, require_bits, require_valid
 from .gf2 import BitVector
 from .registers import BitSequence, LfsrSpec, de_bruijn_cycle, lfsr_states, output_bits
 
-ORACLE_WORK_CAP = 1 << 26
+# Sized for about 10 s and 256 MB on a 2-CPU host with Python 3.11: a window
+# weighs its len(z) bits and about 2^10 more in its int and list slots, and a
+# phase its peel of len(z) bits and about 2^6 more in fixed calls
+ORACLE_WINDOW_CAP = 1 << 30
+ORACLE_PHASE_CAP = 1 << 27
 ORACLE_KEY_CAP = 1 << 16  # a target this ambiguous pins no key, and lists cost memory
 
 
@@ -58,6 +70,17 @@ def _jumps(length: int, strict: bool) -> list[int]:
     """The jump sizes in [1, 2^length - 2] that `validate` admits."""
     period = (1 << length) - 1
     return [j for j in range(1, period) if not strict or math.gcd(j, period) == 1]
+
+
+def _class_count(length: int, strict: bool) -> int:
+    """The doubling classes of the jumps in `_jumps`, by Burnside's lemma
+    over the products by 2^a, a < L = `length`, modulo P = 2^L - 1: 2^a
+    fixes the j with j * (2^a - 1) = 0 mod P, 2^gcd(a, L) - 2 of the
+    nonzero ones and, for 0 < a, no unit, so the units fall in classes
+    of L."""
+    if strict:
+        return math.prod((q - 1) * q ** (e - 1) for q, e in _order_factors(length)) // length
+    return sum((1 << math.gcd(a, length)) - 2 for a in range(length)) // length
 
 
 def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
@@ -69,58 +92,103 @@ def brute_force_oracle(params: AsgParams, target: BitSequence) -> list[AsgKey]:
     are kept and paired per phase by conditions (i)-(iii) of the module
     docstring, which hold exactly when z_t = beta_{p_t} ^ lambda_{q_t}
     for every t < len(z).  By the shift identity of the module docstring
-    that costs |classes|*P windows per side, sorted once, and four binary
-    searches per phase.  Keys come in the order (phase along the de Bruijn
-    cycle, r, B state, s, C state), B and C states in cycle order from
-    state 1.  The work cap counts
-    2^(l+m+n) * |R| * |S| candidates; past ORACLE_KEY_CAP matching keys
-    the search stops with an error.  The empty target has no z_0 and
+    that costs |classes|*P windows per side, sorted once, and up to four
+    binary searches per phase.  Keys come in the order (phase along the
+    de Bruijn cycle, r, B state, s, C state), B and C states in cycle
+    order from state 1.  Params and targets over the window or phase cap
+    are refused before anything is built, and a phase whose keys would
+    take the list past ORACLE_KEY_CAP stops the search with an error
+    before they are built.  The empty target has no z_0 and
     0-bit windows, so every half is kept with first bit 0 and every pair
     of halves is a key.
     """
     require_valid(params)
     l, m, n = params.l, params.m, params.n
-    jumps_r, jumps_s = _jumps(m, params.strict), _jumps(n, params.strict)
-    work = (1 << (l + m + n)) * len(jumps_r) * len(jumps_s)
-    if work > ORACLE_WORK_CAP:
-        raise UnsupportedParameterError(
-            f"oracle work 2^{math.log2(work):.1f} exceeds the cap of "
-            f"2^{int(math.log2(ORACLE_WORK_CAP))}")
     z = list(target)
     require_bits(z)
+    windows = sum(_class_count(length, params.strict) * ((1 << length) - 1) for length in (m, n))
+    for name, count, unit, overhead, cap in (
+            ("window", windows, "windows", 1 << 10, ORACLE_WINDOW_CAP),
+            ("phase", 1 << l, "phases", 1 << 6, ORACLE_PHASE_CAP)):
+        if count * (len(z) + overhead) > cap:
+            raise UnsupportedParameterError(
+                f"oracle {name} cap: {count} {unit} of {len(z)} bits weigh "
+                f"2^{math.log2(count * (len(z) + overhead)):.2f}, above 2^{cap.bit_length() - 1}")
+    jumps_r, jumps_s = _jumps(m, params.strict), _jumps(n, params.strict)
 
-    sides = (_windows(LfsrSpec(n, params.poly_c), jumps_s, len(z)),  # C: control bit 0
-             _windows(LfsrSpec(m, params.poly_b), jumps_r, len(z)))  # B: control bit 1
+    c_side = _windows(LfsrSpec(n, params.poly_c), jumps_s, len(z))  # control bit 0
+    b_side = _windows(LfsrSpec(m, params.poly_b), jumps_r, len(z))  # control bit 1
     a_states = de_bruijn_cycle(LfsrSpec(l, params.poly_a))
-    controls = [state & 1 for state in a_states]
     diffs = list(map(xor, z, z[1:]))
+    # the control bits of one lap and len(z) - 1 past it, so that each
+    # phase's are one slice
+    controls = list(islice(cycle([state & 1 for state in a_states]),
+                           len(a_states) + len(diffs)))
     first = z[0] if z else 0
     out: list[AsgKey] = []
     for phase, state in enumerate(a_states):
-        ones = list(islice(cycle(controls), phase, phase + len(diffs)))
-        c_halves = _kept(*sides[0], len(z), list(compress(diffs, map(not_, ones))))
-        b_halves = _kept(*sides[1], len(z), list(compress(diffs, ones)))
+        ones = controls[phase:phase + len(diffs)]
+        b_runs = _runs(b_side, len(z), compress(diffs, ones))
+        if not b_runs:
+            continue  # a key needs both halves
+        c_runs = _runs(c_side, len(z), compress(diffs, map(not_, ones)))
+        # beta_0 ^ lambda_0 = z_0 pairs the B run of each first bit with
+        # at most one C run
+        b_runs = {beta0: run for beta0, run in b_runs.items() if first ^ beta0 in c_runs}
+        c_runs = {first ^ beta0: c_runs[first ^ beta0] for beta0 in b_runs}
+        count = sum(b_side.count(run) * c_side.count(c_runs[first ^ beta0])
+                    for beta0, run in b_runs.items())
+        if len(out) + count > ORACLE_KEY_CAP:
+            raise UnsupportedParameterError(
+                f"more than {ORACLE_KEY_CAP} keys match the {len(z)}-bit target")
+        c_halves = c_side.halves(c_runs)
         state_a = BitVector(state, l)
-        for beta0, r, state_b in b_halves:
-            out += [AsgKey(state_a, state_b, state_c, r, s)
-                    for lambda0, s, state_c in c_halves if lambda0 == first ^ beta0]
-            if len(out) > ORACLE_KEY_CAP:
-                raise UnsupportedParameterError(
-                    f"more than {ORACLE_KEY_CAP} keys match the {len(z)}-bit target")
+        out += [AsgKey(state_a, state_b, state_c, r, s)
+                for beta0, r, state_b in b_side.halves(b_runs)
+                for lambda0, s, state_c in c_halves if lambda0 == first ^ beta0]
     return out
 
 
 Half = tuple[int, int, BitVector]  # (first stream bit, jump, generating state)
 Member = tuple[int, int, int]  # (jump j * 2^a, 2^a mod P, tau * (2^(a+1) - 2) mod P)
+Run = tuple[int, int]  # [lo, hi) of the sorted windows
 
 
-def _windows(spec: LfsrSpec, jumps: list[int], width: int
-             ) -> tuple[list[int], list[int], list[list[Member]], list[BitVector]]:
+class _Side(NamedTuple):
+    """The sorted windows of one register, the label class * P + position
+    of each, the members of each class, and the states from state 1 in
+    cycle order."""
+
+    windows: list[int]
+    labels: list[int]
+    classes: list[list[Member]]
+    states: list[int]
+
+    def count(self, run: Run) -> int:
+        """The halves whose windows lie in `run`."""
+        period = len(self.states)
+        return sum(len(self.classes[label // period]) for label in self.labels[slice(*run)])
+
+    def halves(self, runs: dict[int, Run]) -> list[Half]:
+        """The halves whose windows lie in the runs, each with the first
+        stream bit it is keyed by, jumps outermost and states in cycle
+        order; each window is also the window of every member of its class."""
+        period = len(self.states)
+        hits: list[tuple[int, int, int]] = []
+        for first, run in runs.items():
+            for label in self.labels[slice(*run)]:
+                c, i = divmod(label, period)
+                hits += [(j, (mult * i - off) % period, first) for j, mult, off in self.classes[c]]
+        # the period is 2^L - 1, which has L bits
+        return [(first, j, BitVector(self.states[i], period.bit_length()))
+                for j, i, first in sorted(hits)]
+
+
+def _windows(spec: LfsrSpec, jumps: list[int], width: int) -> _Side:
     """The sorted `width`-bit windows of the least jump of each doubling
-    class of `jumps`, the label class * P + position of each, the members
-    of each class, and the states from state 1 in cycle order.  Bit k from
-    the top of the window of jump j at position i is the output bit (the
-    top cell) of the state k*j clocks on from position i.
+    class of `jumps`, with their labels, classes and states (see _Side).
+    Bit k from the top of the window of jump j at position i is the output
+    bit (the top cell) of the state k*j clocks on from position i.
 
     b_(2t) for t < P is b's even positions, then its odd ones, so tau is
     where that string starts in b, checked over the whole period.  Member
@@ -155,29 +223,26 @@ def _windows(spec: LfsrSpec, jumps: list[int], width: int
                 row[i] = packed >> shift & mask
         windows += row
     labels = sorted(range(len(windows)), key=windows.__getitem__)
-    return ([windows[i] for i in labels], labels, classes,
-            [BitVector(st, spec.length) for st in states])
+    return _Side([windows[i] for i in labels], labels, classes, states)
 
 
-def _kept(windows: list[int], labels: list[int], classes: list[list[Member]],
-          vectors: list[BitVector], width: int, diffs: list[int]) -> list[Half]:
-    """The halves whose stream's successive differences begin with `diffs`,
-    jumps outermost and states in cycle order.
+def _runs(side: _Side, width: int, diffs: Iterable[int]) -> dict[int, Run]:
+    """The nonempty runs of the sorted windows whose streams' successive
+    differences begin with `diffs`, by first stream bit.
 
     Bit k of the peeled stream is the stream's bit k xor its bit 0, so a
     kept stream begins with the peeled one or with its complement.  The
     windows that begin with a prefix p of `bits` bits are those in
-    [p, p + 1) shifted up by width - bits, one run of the sorted windows,
-    and each is also the window of every member of its class.
+    [p, p + 1) shifted up by width - bits, one run of the sorted windows.
     """
-    period = len(vectors)
-    bits = min(len(diffs) + 1, width)  # the empty target has 0-bit windows
-    peeled = int("".join(map(str, accumulate(diffs, xor, initial=0))), 2)
+    digits = bytes(accumulate(diffs, xor, initial=0)).translate(_DIGITS)
+    bits = min(len(digits), width)  # the empty target has 0-bit windows
+    peeled = int(digits, 2)
     shift = width - bits
-    hits: list[tuple[int, int, int]] = []
-    for p in {peeled, peeled ^ (1 << bits) - 1}:
-        first = p >> max(bits - 1, 0)  # stream bit 0, which 0-bit windows read as 0
-        for label in labels[bisect_left(windows, p << shift):bisect_left(windows, p + 1 << shift)]:
-            c, i = divmod(label, period)
-            hits += [(j, (mult * i - off) % period, first) for j, mult, off in classes[c]]
-    return [(first, j, vectors[i]) for j, i, first in sorted(hits)]
+    runs = {}
+    for p in (peeled, peeled ^ (1 << bits) - 1):
+        lo = bisect_left(side.windows, p << shift)
+        hi = bisect_left(side.windows, p + 1 << shift, lo)
+        if lo < hi:
+            runs[p >> max(bits - 1, 0)] = lo, hi  # stream bit 0, which 0-bit windows read as 0
+    return runs

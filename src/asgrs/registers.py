@@ -30,8 +30,8 @@ clocks, and every span-l state of the de Bruijn register after 2^l steps.
 A jump of k clocks is the polynomial c = x^k mod f: since f(T) = 0 for
 the one-clock map T, the state after k clocks is the XOR of the states
 after i clocks over the terms x^i of c, i < L.  So any jump costs
-O(log k) products modulo f plus L clocks per basis state, however large
-k is.  `jumped_states` then takes one table entry per half of the state:
+O(log k) products modulo f plus 2L clocks, however large k is: L for
+the first basis state, and one more for each of the others.  `jumped_states` then takes one table entry per half of the state:
 two lookups per jump (tables of a byte at L = 16), not a loop over L rows.
 """
 
@@ -88,13 +88,19 @@ def lfsr_states(spec: LfsrSpec, state: int) -> Iterator[int]:
 def jump_rows(feedback_mask: int, length: int, k: int) -> tuple[int, ...]:
     """Row masks of T^k, the k-clock jump applied as a row-vector product.
 
-    Row j is basis state e_j after k clocks: the XOR of its first
-    `length` successors picked by the terms of x^k mod f.
+    Row j is basis state e_j after k clocks.  Row 0 is the XOR of the
+    first `length` successors of e_0 picked by the terms of x^k mod f.
+    One clock takes e_j to e_(j+1) plus e_0 where tap j is set, and T^k
+    commutes with T, so row j+1 is row j clocked once plus row 0 where
+    tap j is set.
     """
     spec = LfsrSpec(length, BinaryPolynomial(feedback_mask))
     c = poly_pow_mod(k, spec.feedback).mask
-    return tuple(xor_rows(c, tuple(islice(lfsr_states(spec, 1 << j), length)))
-                 for j in range(length))
+    rows = [xor_rows(c, tuple(islice(lfsr_states(spec, 1), length)))]
+    for j in range(length - 1):
+        clocked = next(islice(lfsr_states(spec, rows[-1]), 1, None))
+        rows.append(clocked ^ rows[0] if spec.taps_mask >> j & 1 else clocked)
+    return tuple(rows)
 
 
 def _word_rows(feedback_mask: int, length: int) -> list[int]:

@@ -11,7 +11,7 @@ import pytest
 from asgrs import AsgKey, AsgParams, BitMatrix, BitVector
 from asgrs.attack import DecimationFit
 from asgrs.field import is_primitive
-from asgrs.gf2 import BinaryPolynomial, _poly_mulmod
+from asgrs.gf2 import BinaryPolynomial, _poly_mulmod, poly_pow_mod, xor_rows
 from asgrs.registers import (
     PRIMITIVE_POLYNOMIALS,
     LfsrSpec,
@@ -95,6 +95,16 @@ def _ref_debruijn_step(cells, poly_mask):
     if all(c == 0 for c in cells[:-1]):
         nxt[0] ^= 1
     return nxt
+
+
+def reference_jump_rows(feedback_mask, length, k):
+    """Row j of T^k by its definition, each row on its own: basis state
+    e_j after k clocks, the XOR of its first `length` successors picked
+    by the terms of x^k mod f."""
+    spec = LfsrSpec(length, BinaryPolynomial(feedback_mask))
+    c = poly_pow_mod(k, spec.feedback).mask
+    return tuple(xor_rows(c, tuple(islice(lfsr_states(spec, 1 << j), length)))
+                 for j in range(length))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from asgrs.errors import KeyValidationError, UnsupportedParameterError
 from asgrs.field import field_context
 from asgrs.generator import AsgKey, keystream, validate
 from asgrs.gf2 import BinaryPolynomial, BitVector, invert, rank
-from asgrs.oracle import ORACLE_KEY_CAP, brute_force_oracle
+from asgrs.oracle import ORACLE_KEY_CAP, ORACLE_WINDOW_CAP, brute_force_oracle
 from asgrs.registers import (
     DeBruijnRegister,
     LfsrSpec,
@@ -524,6 +524,23 @@ class TestRunAttack:
             assert keystream(P334, k, len(z)) == z
             assert k in matching
 
+    def test_long_keystream_with_last_bit_flipped(self, rng, monkeypatch):
+        # on 20 000 bits the true guess passes the lane test, which reads
+        # only a prefix, and its own whole-stream check fails at the
+        # flipped last bit, so no key is reported
+        key = random_valid_key(P875, rng)
+        z = keystream(P875, key, 20_000)
+        assert any(keystream(P875, k, len(z)) == z
+                   for k in run_attack(AttackConfig(P875, z)).recovered_keys)
+        tested, reconstruct = [], attack.reconstruct_streams
+        monkeypatch.setattr(attack, "reconstruct_streams",
+                            lambda *args: tested.append(args[::2]) or reconstruct(*args))
+        z[-1] ^= 1
+        assert run_attack(AttackConfig(P875, z)).recovered_keys == []
+        control = de_bruijn_sequence(
+            DeBruijnRegister(LfsrSpec(P875.l, P875.poly_a), key.state_a), len(z) - 1)
+        assert (control, reference_trace(P875, key, 2).beta_stream[0]) in tested
+
     def test_deterministic_across_workers(self, rng, monkeypatch):
         key = random_valid_key(P334, rng)
         z = keystream(P334, key, suggested_keystream_length(P334))
@@ -676,9 +693,45 @@ class TestBruteForceOracle:
                 break
         assert found_empty
 
-    def test_work_cap(self):
-        with pytest.raises(UnsupportedParameterError):
-            brute_force_oracle(P875, [0] * 40)
+    def test_window_cap(self, monkeypatch):
+        # (16,15,16) needs 1800 * 32767 + 2048 * 65535 windows, refused
+        # before any jump list or window is built; a target that takes
+        # strict (5,4,7)'s 2316 windows up to the cap is accepted, and one
+        # bit more is refused
+        def built(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(oracle, "_jumps", built)
+        with pytest.raises(UnsupportedParameterError,
+                           match=r"^oracle window cap: 193196280 windows of 160 bits weigh 2\^37\.73, above 2\^30$"):
+            brute_force_oracle(make_params(16, 15, 16), [0] * 160)
+        bits = ORACLE_WINDOW_CAP // 2316 - 1024
+        with pytest.raises(AssertionError, match="built"):
+            brute_force_oracle(make_params(5, 4, 7), [0] * bits)
+        with pytest.raises(UnsupportedParameterError, match="2316 windows"):
+            brute_force_oracle(make_params(5, 4, 7), [0] * (bits + 1))
+
+    def test_phase_cap(self, monkeypatch):
+        # 2^16 phases of 1984 bits weigh 2^16 * (1984 + 2^6) = 2^27, the
+        # cap; one bit more is refused
+        def built(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(oracle, "_jumps", built)
+        with pytest.raises(AssertionError, match="built"):
+            brute_force_oracle(make_params(16, 2, 3), [0] * 1984)
+        with pytest.raises(UnsupportedParameterError,
+                           match=r"^oracle phase cap: 65536 phases of 1985 bits weigh 2\^27\.00, above 2\^27$"):
+            brute_force_oracle(make_params(16, 2, 3), [0] * 1985)
+
+    @pytest.mark.parametrize("strict", [True, False], ids=["strict", "loose"])
+    def test_class_count_matches_windows(self, strict):
+        # the closed form the window cap counts by is the number of
+        # classes _windows builds windows for
+        for length in range(2, 13):
+            spec = LfsrSpec(length, primitive_polynomial(length))
+            side = oracle._windows(spec, oracle._jumps(length, strict), 1)
+            assert oracle._class_count(length, strict) == len(side.classes)
 
     def test_matches_generator_on_all_keys(self, rng):
         # every oracle hit regenerates the target through the real generator
@@ -694,21 +747,38 @@ class TestBruteForceOracle:
         assert KEY_R3 in matching
         assert all(keystream(P343_LOOSE, k, 30) == z for k in matching)
 
-    def test_work_cap_counts_non_coprime_jumps(self):
-        # strict (5,4,7) counts 8 jumps r and works 2^25.98; without the
-        # gcd constraints 14 jumps r take it past the cap of 2^26 (a 40-bit
-        # target keeps a missed cap from listing all 2^26.8 keys)
-        with pytest.raises(UnsupportedParameterError, match="2\\^26.8"):
-            brute_force_oracle(make_params(5, 4, 7, strict=False), [0] * 40)
+    def test_window_cap_counts_non_coprime_jumps(self, monkeypatch):
+        # strict (5,4,7) has 8 jumps r in 2 classes, 2 * 15 + 18 * 127 =
+        # 2316 windows, and is accepted on a target at its cap; without
+        # the gcd constraints 14 jumps r in 4 classes give 2346 windows,
+        # which that target takes past the cap
+        def built(*args):
+            raise AssertionError("built")
 
-    def test_key_cap(self):
+        monkeypatch.setattr(oracle, "_jumps", built)
+        bits = ORACLE_WINDOW_CAP // 2316 - 1024
+        with pytest.raises(AssertionError, match="built"):
+            brute_force_oracle(make_params(5, 4, 7), [0] * bits)
+        with pytest.raises(UnsupportedParameterError, match="oracle window cap: 2346 windows"):
+            brute_force_oracle(make_params(5, 4, 7, strict=False), [0] * bits)
+
+    def test_key_cap(self, monkeypatch):
         # the empty target matches every key: 624,960 at (4,3,5) and about
-        # 2^26 at strict (5,4,7), which is under the work cap
+        # 2^26 at strict (5,4,7)
         for params in (make_params(4, 3, 5), make_params(5, 4, 7)):
             with pytest.raises(UnsupportedParameterError, match="more than 65536 keys"):
                 brute_force_oracle(params, [])
         # the cap is above the largest list a target can give at (3,3,4)
         assert len(brute_force_oracle(P334, [])) == 40320 < ORACLE_KEY_CAP
+        # a phase's keys are counted before any half is built: at (2,11,12)
+        # a 1-bit target keeps every one of 1936 * 2047 B halves and 1728 *
+        # 4095 C halves
+        def built(*args):
+            raise AssertionError("built")
+
+        monkeypatch.setattr(oracle._Side, "halves", built)
+        with pytest.raises(UnsupportedParameterError, match="more than 65536 keys"):
+            brute_force_oracle(make_params(2, 11, 12), [1])
 
     def test_non_binary_target_rejected(self):
         for entry in (2, 300, 1.0):
@@ -781,6 +851,30 @@ class TestBruteForceOracle:
         for z in inputs:
             assert brute_force_oracle(params, z) == scan_oracle(params, z)
 
+    def test_matches_scan_across_control_laps(self, rng):
+        # at l = 2 a 40-bit target spans ten laps of the 4-bit control
+        # cycle, so each phase's slice of the extended control bits wraps
+        # the lap nine or ten times
+        params = make_params(2, 3, 5)
+        key = random_valid_key(params, rng)
+        z = keystream(params, key, 40)
+        assert key in brute_force_oracle(params, z)
+        for z in (z, z[:-1] + [1 - z[-1]], [rng.randrange(2) for _ in range(40)]):
+            assert brute_force_oracle(params, z) == scan_oracle(params, z)
+
+    @pytest.mark.parametrize("lmn, nbits", [((13, 7, 9), 48), ((14, 5, 6), 33)],
+                             ids=["13-7-9-48", "14-5-6-33"])
+    def test_at_the_attacks_shapes(self, lmn, nbits, rng):
+        # at exactly 3(m+n) bits, where the attack can miss classes: the
+        # true key is listed, every listed key regenerates z, and the
+        # attack's keys are among the oracle's
+        params = make_params(*lmn)
+        key = random_valid_key(params, rng)
+        z = keystream(params, key, nbits)
+        keys = brute_force_oracle(params, z)
+        assert key in keys
+        assert all(keystream(params, k, nbits) == z for k in keys)
+        assert all(k in keys for k in run_attack(AttackConfig(params, z)).recovered_keys)
 
     @pytest.mark.parametrize("params, key", [(P365_LOOSE, KEY_R21), (P365_LOOSE, KEY_R9),
                                              (P244_LOOSE, KEY_R3_S5)],

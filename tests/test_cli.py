@@ -281,11 +281,12 @@ class TestOracle:
             assert (formats.key_to_dict(key) in doc["keys"]) == found
 
     def test_cap_refusal(self, tmp_path, capsys):
+        # (16,15,16) needs about 1.9 * 10^8 windows
         pfile = tmp_path / "p.json"
-        formats.write_params(pfile, make_params(8, 7, 5))
+        formats.write_params(pfile, make_params(16, 15, 16))
         z = tmp_path / "z.txt"
         formats.write_bits(z, [0] * 40)
-        with pytest.raises(ValueError, match="cap") as raised:
+        with pytest.raises(ValueError, match="window cap") as raised:
             brute_force_oracle(formats.read_params(pfile), [0] * 40)
         assert run("oracle", "--params", str(pfile), "--in", str(z)) == 1
         assert_reported(capsys, raised)

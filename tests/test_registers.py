@@ -25,7 +25,7 @@ from asgrs.registers import (
     state_from_outputs,
 )
 
-from conftest import _ref_debruijn_step, wide_polynomial
+from conftest import _ref_debruijn_step, reference_jump_rows, wide_polynomial
 
 SPEC3 = LfsrSpec(3, BinaryPolynomial(0b1011))
 # x^25 + x^3 + 1, primitive, one degree past the primitivity test's cap
@@ -116,6 +116,18 @@ class TestLfsrStep:
                 after = [walk(k) for walk in walks]
                 assert jump_rows(poly_mask, length, k) == tuple(after[:length])
                 assert lfsr_step(spec, BitVector(state, length), k).mask == after[-1]
+
+
+    def test_rows_match_their_definition(self):
+        # each row clocks the one before it: primitive and other feedback
+        # of every length up to 24, jumps up to 2^20
+        rng = random.Random(24)
+        for length in range(1, 25):
+            for poly_mask in (wide_polynomial(length).mask,
+                              (1 << length) | rng.randrange(1 << length)):
+                for k in (0, 1, length, rng.randrange(1 << 20), 1 << 20):
+                    assert (jump_rows(poly_mask, length, k)
+                            == reference_jump_rows(poly_mask, length, k))
 
 
 def reference_walk(start, poly_mask):
