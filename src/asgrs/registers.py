@@ -31,8 +31,9 @@ A jump of k clocks is the polynomial c = x^k mod f: since f(T) = 0 for
 the one-clock map T, the state after k clocks is the XOR of the states
 after i clocks over the terms x^i of c, i < L.  So any jump costs
 O(log k) products modulo f plus 2L clocks, however large k is: L for
-the first basis state, and one more for each of the others.  `jumped_states` then takes one table entry per half of the state:
-two lookups per jump (tables of a byte at L = 16), not a loop over L rows.
+the first basis state and one for each of the others.  `jumped_states`
+then takes one table entry per half of the state: two lookups per jump
+(tables of a byte at L = 16), not a loop over L rows.
 """
 
 from __future__ import annotations

@@ -152,6 +152,11 @@ def by_guess(cands):
     return sorted(cands, key=lambda c: (c.a_init.mask, c.beta0))
 
 
+def built(*args):
+    """A stand-in for a step that must not run."""
+    raise AssertionError("built")
+
+
 def over_cap_keystream(params, a_mask, nbits):
     """A keystream on which the guess (a_mask, beta_0 = 0) harvests a
     constant beta stream and a lambda stream whose 2n-bit fit, of linear
@@ -698,12 +703,9 @@ class TestBruteForceOracle:
         # before any jump list or window is built; a target that takes
         # strict (5,4,7)'s 2316 windows up to the cap is accepted, and one
         # bit more is refused
-        def built(*args):
-            raise AssertionError("built")
-
         monkeypatch.setattr(oracle, "_jumps", built)
-        with pytest.raises(UnsupportedParameterError,
-                           match=r"^oracle window cap: 193196280 windows of 160 bits weigh 2\^37\.73, above 2\^30$"):
+        with pytest.raises(UnsupportedParameterError, match=r"^oracle window cap: 193196280 "
+                           r"windows of 160 bits weigh 2\^37\.73, above 2\^30$"):
             brute_force_oracle(make_params(16, 15, 16), [0] * 160)
         bits = ORACLE_WINDOW_CAP // 2316 - 1024
         with pytest.raises(AssertionError, match="built"):
@@ -714,14 +716,11 @@ class TestBruteForceOracle:
     def test_phase_cap(self, monkeypatch):
         # 2^16 phases of 1984 bits weigh 2^16 * (1984 + 2^6) = 2^27, the
         # cap; one bit more is refused
-        def built(*args):
-            raise AssertionError("built")
-
         monkeypatch.setattr(oracle, "_jumps", built)
         with pytest.raises(AssertionError, match="built"):
             brute_force_oracle(make_params(16, 2, 3), [0] * 1984)
-        with pytest.raises(UnsupportedParameterError,
-                           match=r"^oracle phase cap: 65536 phases of 1985 bits weigh 2\^27\.00, above 2\^27$"):
+        with pytest.raises(UnsupportedParameterError, match=r"^oracle phase cap: 65536 "
+                           r"phases of 1985 bits weigh 2\^27\.00, above 2\^27$"):
             brute_force_oracle(make_params(16, 2, 3), [0] * 1985)
 
     @pytest.mark.parametrize("strict", [True, False], ids=["strict", "loose"])
@@ -752,9 +751,6 @@ class TestBruteForceOracle:
         # 2316 windows, and is accepted on a target at its cap; without
         # the gcd constraints 14 jumps r in 4 classes give 2346 windows,
         # which that target takes past the cap
-        def built(*args):
-            raise AssertionError("built")
-
         monkeypatch.setattr(oracle, "_jumps", built)
         bits = ORACLE_WINDOW_CAP // 2316 - 1024
         with pytest.raises(AssertionError, match="built"):
@@ -773,9 +769,6 @@ class TestBruteForceOracle:
         # a phase's keys are counted before any half is built: at (2,11,12)
         # a 1-bit target keeps every one of 1936 * 2047 B halves and 1728 *
         # 4095 C halves
-        def built(*args):
-            raise AssertionError("built")
-
         monkeypatch.setattr(oracle._Side, "halves", built)
         with pytest.raises(UnsupportedParameterError, match="more than 65536 keys"):
             brute_force_oracle(make_params(2, 11, 12), [1])
