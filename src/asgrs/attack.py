@@ -92,8 +92,8 @@ from typing import Iterator
 
 from .analysis import LfsrFit, berlekamp_massey, berlekamp_massey_lanes
 from .field import FieldContext, field_context
-from .gf2 import BitVector, _poly_mulmod, poly_pow_mod, reverse_bits
-from .generator import _BITS, AsgKey, AsgParams, keystream, require_bits, require_valid
+from .gf2 import _BITS, BitVector, _poly_mulmod, poly_pow_mod, reverse_bits
+from .generator import AsgKey, AsgParams, keystream, require_bits, require_valid
 from .registers import (
     BitSequence,
     DeBruijnRegister,
@@ -330,12 +330,6 @@ def _recover_key(config: AttackConfig, cand: CandidateModel,
 CHUNK_LANES = 1 << 16
 
 
-def _window_state(bits: int, l: int, j: int) -> int:
-    """The control state at position lo + j of a chunk: the l control
-    bits ending there, the newest in cell 0."""
-    return reverse_bits(bits >> j, l)
-
-
 def _peel_lanes(z: list[int], words: Iterator[int], width: int,
                 cap: int) -> tuple[list[int], list[int]]:
     """The B side of `reconstruct_streams` on 2 * width lanes at once, up
@@ -483,8 +477,9 @@ def _sweep_lanes(config: AttackConfig, lo: int, width: int,
         # the B side past the cap: likewise, its whole stream within m
         fit_beta = berlekamp_massey(beta_j)
         if fit_beta.linear_complexity <= m:
+            # its control state: the l control bits ending at lane i, the newest in cell 0
             survivors.append(CandidateModel(
-                BitVector(_window_state(bits, l, i), l), j // width, fit_beta, fit_lam))
+                BitVector(reverse_bits(bits >> i, l), l), j // width, fit_beta, fit_lam))
     counters.verified_candidates += len(survivors)
     return survivors
 

@@ -67,81 +67,77 @@ class EstimateRow:
     flagged: bool
 
 
-# (name, mklr, complexity, published value at l = m = n = 64)
-_TABLE1: list[tuple[str, Callable, Callable, float]] = [
+# each attack's keystream requirement (MKLR), the same in both tables;
+# None where the tables leave it blank
+_MKLR: dict[str, Callable | None] = {
+    "Edit Distance Correlation": lambda c: math.log2(c.m + c.n),
+    "Clock Control Guessing": lambda c: math.log2(c.total_length),
+    "Algebraic Attack": lambda c: math.log2(c.m + c.n),
+    "Edit Probability Correlation": lambda c: math.log2(c.m + c.n),
+    "Khazaei Reduced Complexity": lambda c: math.log2(2 * c.m),
+    "Improved Edit Distance Correlation": lambda c: math.log2(c.max_generator),
+    "Linear Consistency": None,
+    "Johansson Reduced Complexity": lambda c: 2 * c.m / 3,
+    "ASG(r,s) Algebraic Key Recovery": lambda c: math.log2(3 * (c.m + c.n)),
+}
+
+# (name, complexity, published value at l = m = n = 64)
+_TABLE1: list[tuple[str, Callable, float]] = [
     ("Edit Distance Correlation",
-     lambda c: math.log2(c.m + c.n),
      lambda c: math.log2(c.m + c.n) + (c.m + c.n),
      135.0),
     ("Clock Control Guessing",
-     lambda c: math.log2(c.total_length),
      lambda c: 3 * math.log2(c.total_length) + c.total_length / 2,
      118.8),
     ("Algebraic Attack",
-     lambda c: math.log2(c.m + c.n),
      lambda c: math.log2(c.m ** 3 + c.n ** 3) + c.l,
      83.0),
     ("Edit Probability Correlation",
-     lambda c: math.log2(c.m + c.n),
      lambda c: 2 * math.log2(c.max_generator) + c.max_generator,
      76.0),
     ("Khazaei Reduced Complexity",
-     lambda c: math.log2(2 * c.m),
      lambda c: 2 * math.log2(c.m) + c.gamma * c.m,
      71.8),
     ("Improved Edit Distance Correlation",
-     lambda c: math.log2(c.max_generator),
      lambda c: math.log2(c.max_generator) + c.max_generator,
      70.0),
     ("Linear Consistency",
-     None,
      lambda c: math.log2(min(c.m, c.n)) + c.l,
      70.0),
     ("Johansson Reduced Complexity",
-     lambda c: 2 * c.m / 3,
      lambda c: 2 * math.log2(c.m) + 2 * c.m / 3,
      54.7),
     ("ASG(r,s) Algebraic Key Recovery",
-     lambda c: math.log2(3 * (c.m + c.n)),
      lambda c: math.log2(c.m ** 2 + c.n ** 2) + c.l + 1,
      78.0),
 ]
 
-_TABLE2: list[tuple[str, Callable, Callable, float]] = [
+_TABLE2: list[tuple[str, Callable, float]] = [
     ("Clock Control Guessing",
-     lambda c: math.log2(c.total_length),
      lambda c: 3 * math.log2(c.total_length) + (c.total_length + 2 * c.m + 2 * c.n - 4) / 2,
      566.0),
     ("Edit Distance Correlation",
-     lambda c: math.log2(c.m + c.n),
      lambda c: math.log2(c.m + c.n) + 2 * (c.m + c.n) - 2,
      261.0),
     ("Algebraic Attack",
-     lambda c: math.log2(c.m + c.n),
      lambda c: math.log2(c.m ** 3 + c.n ** 3) + c.total_length - 2,
      209.0),
     ("Edit Probability Correlation",
-     lambda c: math.log2(c.m + c.n),
      lambda c: 2 * math.log2(c.max_generator) + c.max_generator + c.m + c.n - 2,
      202.0),
     ("Improved Edit Distance Correlation",
-     lambda c: math.log2(c.max_generator),
      lambda c: math.log2(c.max_generator) + c.max_generator + c.m + c.n - 2,
      196.0),
     ("Linear Consistency",
-     None,
      lambda c: math.log2(min(c.m, c.n)) + 3 * c.l - 2,
      196.0),
     ("Khazaei Reduced Complexity",
-     lambda c: math.log2(2 * c.m),
      lambda c: 2 * math.log2(c.m) + (c.gamma + 2) * (c.m - 2),
      167.5),
     ("Johansson Reduced Complexity",
-     lambda c: 2 * c.m / 3,
      lambda c: 2 * math.log2(c.m) + 8 * c.m / 3 - 2,
      153.5),
     ("ASG(r,s) Algebraic Key Recovery",
-     lambda c: math.log2(3 * (c.m + c.n)),
      lambda c: attack_complexity(c),
      82.0),
 ]
@@ -153,9 +149,9 @@ _PUBLISHED_AT = ComplexityInputs(64, 64, 64)
 def _rows(table, inputs: ComplexityInputs) -> list[EstimateRow]:
     """The table's rows at `inputs`, flagged where the formula misses the
     published figure by more than 0.5 at the point it was taken."""
-    return [EstimateRow(name, None if mklr is None else mklr(inputs), cost(inputs),
-                        abs(cost(_PUBLISHED_AT) - published) > 0.5)
-            for name, mklr, cost, published in table]
+    return [EstimateRow(name, None if (mklr := _MKLR[name]) is None else mklr(inputs),
+                        cost(inputs), abs(cost(_PUBLISHED_AT) - published) > 0.5)
+            for name, cost, published in table]
 
 
 def estimate_table1(inputs: ComplexityInputs) -> list[EstimateRow]:

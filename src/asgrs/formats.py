@@ -20,8 +20,8 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .attack import AttackCounters, AttackReport
-from .generator import _BITS, _DIGITS, AsgKey, AsgParams, require_bits
-from .gf2 import BinaryPolynomial, BitVector
+from .generator import AsgKey, AsgParams, require_bits
+from .gf2 import _BITS, _DIGITS, BinaryPolynomial, BitVector
 
 BINARY_MAGIC = b"ASGB"
 

@@ -56,7 +56,7 @@ from typing import Callable
 from .analysis import LfsrFit, berlekamp_massey
 from .errors import DegenerateStateError, KeyValidationError
 from .field import MAX_DEGREE, is_primitive
-from .gf2 import BinaryPolynomial, BitVector, poly_pow_mod
+from .gf2 import _BITS, _DIGITS, BinaryPolynomial, BitVector, poly_pow_mod
 from .registers import (
     DeBruijnRegister,
     LfsrSpec,
@@ -205,9 +205,6 @@ _BLOCK_BITS = 1 << 12
 # the fit already wins from about 600 to 768.
 _SHORT_STREAM = 1024
 
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-
 # (an int whose bit t is bit t of a sequence, the period or length held)
 Periodic = tuple[int, int]
 
@@ -341,9 +338,15 @@ def _decimated(poly: BinaryPolynomial, state: BitVector, jump: int, need: int) -
 
 def _alternate(control_reg: DeBruijnRegister, stream_b: Callable[[int], Periodic],
                stream_c: Callable[[int], Periodic], count: int) -> list[int]:
-    """First `count` >= 1 bits of the generator whose control register
-    moves stream b on a 1 and stream c on a 0; stream_x(need) gives the
-    first `need` outputs of x, one period at most."""
+    """First `count` bits of the generator whose control register moves
+    stream b on a 1 and stream c on a 0, none for count <= 0;
+    stream_x(need) gives the first `need` outputs of x, one period at most."""
+    # bool is an int subclass: True would give one bit, and 2.5 or "3" a
+    # TypeError from deep inside the generator
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"count must be an int, not {count!r}")
+    if count <= 0:
+        return []
     base = control_reg.base
     period = min(count - 1, 1 << base.length) or 1
     width = min(-(-_BLOCK_BITS // period) * period, count - 1)
@@ -356,8 +359,6 @@ def _alternate(control_reg: DeBruijnRegister, stream_b: Callable[[int], Periodic
 def keystream(params: AsgParams, key: AsgKey, count: int) -> list[int]:
     """First `count` keystream bits; raises KeyValidationError on a bad key."""
     require_valid(params, key)
-    if count <= 0:
-        return []
     return _alternate(DeBruijnRegister(LfsrSpec(params.l, params.poly_a), key.state_a),
                       partial(_decimated, params.poly_b, key.state_b, key.r),
                       partial(_decimated, params.poly_c, key.state_c, key.s), count)
@@ -412,7 +413,5 @@ def classical_asg_keystream(model: ReducedModel, count: int) -> list[int]:
     """Run the reduced model with unit jumps on both generating registers."""
     if model.beta_state.mask == 0 or model.lambda_state.mask == 0:
         raise DegenerateStateError("all-zero generating register in reduced model")
-    if count <= 0:
-        return []
     return _alternate(model.control, partial(_register, model.beta_spec, model.beta_state),
                       partial(_register, model.lambda_spec, model.lambda_state), count)

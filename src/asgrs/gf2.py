@@ -22,6 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+# bytes.translate tables: bit bytes 0/1 to the digits "0"/"1", and back
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
+
 
 @dataclass(frozen=True)
 class BitVector:

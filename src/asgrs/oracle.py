@@ -54,8 +54,8 @@ from typing import Iterable, NamedTuple
 
 from .errors import UnsupportedParameterError
 from .field import _order_factors
-from .generator import _DIGITS, AsgKey, AsgParams, require_bits, require_valid
-from .gf2 import BitVector
+from .generator import AsgKey, AsgParams, require_bits, require_valid
+from .gf2 import _DIGITS, BitVector
 from .registers import BitSequence, LfsrSpec, de_bruijn_cycle, lfsr_states, output_bits
 
 # Sized for about 10 s and 256 MB on a 2-CPU host with Python 3.11: a window
@@ -201,7 +201,7 @@ def _windows(spec: LfsrSpec, jumps: list[int], width: int) -> _Side:
     """
     period = (1 << spec.length) - 1
     states = list(islice(lfsr_states(spec, 1), period))
-    digits = "".join(map(str, output_bits(states, spec.length)))
+    digits = bytes(output_bits(states, spec.length)).translate(_DIGITS)
     tau = (digits * 2).find(digits[::2] + digits[1::2])
     if tau < 0:
         raise ValueError(f"the output cycle of {spec.feedback} is no m-sequence")
@@ -217,7 +217,7 @@ def _windows(spec: LfsrSpec, jumps: list[int], width: int) -> _Side:
         row = [0] * period
         for coset in range(math.gcd(j, period)):
             walk = [i % period for i in range(coset, coset + math.lcm(j, period), j)]
-            orbit = "".join(map(digits.__getitem__, islice(cycle(walk), len(walk) + width - 1)))
+            orbit = bytes(map(digits.__getitem__, islice(cycle(walk), len(walk) + width - 1)))
             packed = int(orbit, 2)
             for shift, i in zip(range(len(walk) - 1, -1, -1), walk):
                 row[i] = packed >> shift & mask

@@ -70,6 +70,26 @@ def random_valid_key(params, rng):
     )
 
 
+def frobenius_class(params, key):
+    """The keys conjugate to `key` under Frobenius, as a set: for i < m
+    and j < n, r * 2^i mod 2^m - 1 and s * 2^j mod 2^n - 1, each with the
+    state whose output is its register's output b decimated by 2^-i,
+    b'_k = b_(k * 2^-i mod 2^m - 1).  Then b'_(r * 2^i * t) = b_(r * t), so
+    every conjugate has the key's decimated streams and keystream."""
+    def conjugates(poly, state, jump, length):
+        period = (1 << length) - 1
+        spec = LfsrSpec(length, poly)
+        b = list(output_bits(islice(lfsr_states(spec, state.mask), period), length))
+        for i in range(length):
+            inverse = pow(2, -i, period)
+            yield (jump << i) % period, state_from_outputs(
+                [b[k * inverse % period] for k in range(length)])
+
+    return {AsgKey(key.state_a, state_b, state_c, r, s)
+            for r, state_b in conjugates(params.poly_b, key.state_b, key.r, params.m)
+            for s, state_c in conjugates(params.poly_c, key.state_c, key.s, params.n)}
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xA56)

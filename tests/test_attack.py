@@ -19,7 +19,6 @@ from asgrs.attack import (
     _peel_lanes,
     _recover_jump,
     _sweep_lanes,
-    _window_state,
     _windows_at_least,
     reconstruct_streams,
     recover_decimation,
@@ -30,7 +29,7 @@ from asgrs.attack import (
 from asgrs.errors import KeyValidationError, UnsupportedParameterError
 from asgrs.field import field_context
 from asgrs.generator import AsgKey, keystream, validate
-from asgrs.gf2 import BinaryPolynomial, BitVector, invert, rank
+from asgrs.gf2 import BinaryPolynomial, BitVector, invert, rank, reverse_bits
 from asgrs.oracle import ORACLE_KEY_CAP, ORACLE_WINDOW_CAP, brute_force_oracle
 from asgrs.registers import (
     DeBruijnRegister,
@@ -43,9 +42,9 @@ from asgrs.registers import (
     state_from_outputs,
 )
 
-from conftest import (_ref_debruijn_step, alpha, make_params, minimal_polynomial,
-                      random_valid_key, reference_jump, reference_oracle, reference_trace,
-                      scan_oracle, trace_system_matrix, wide_polynomial)
+from conftest import (_ref_debruijn_step, alpha, frobenius_class, make_params,
+                      minimal_polynomial, random_valid_key, reference_jump, reference_oracle,
+                      reference_trace, scan_oracle, trace_system_matrix, wide_polynomial)
 
 P334 = make_params(3, 3, 4)
 P875 = make_params(8, 7, 5)
@@ -855,19 +854,55 @@ class TestBruteForceOracle:
         for z in (z, z[:-1] + [1 - z[-1]], [rng.randrange(2) for _ in range(40)]):
             assert brute_force_oracle(params, z) == scan_oracle(params, z)
 
-    @pytest.mark.parametrize("lmn, nbits", [((13, 7, 9), 48), ((14, 5, 6), 33)],
-                             ids=["13-7-9-48", "14-5-6-33"])
-    def test_at_the_attacks_shapes(self, lmn, nbits, rng):
-        # at exactly 3(m+n) bits, where the attack can miss classes: the
-        # true key is listed, every listed key regenerates z, and the
-        # attack's keys are among the oracle's
+    @pytest.mark.parametrize("lmn", [(3, 3, 4), (3, 4, 3), (4, 3, 5), (4, 4, 5), (5, 4, 7)],
+                             ids=lmn_id)
+    def test_equals_the_classes_of_the_attacks_keys(self, lmn):
+        # a key is fixed only up to its Frobenius conjugates r * 2^i and
+        # s * 2^j, so at desk scale, from 3(m+n) bits on, the oracle lists
+        # exactly the conjugates of the attack's keys, and each regenerates z
         params = make_params(*lmn)
-        key = random_valid_key(params, rng)
-        z = keystream(params, key, nbits)
-        keys = brute_force_oracle(params, z)
-        assert key in keys
-        assert all(keystream(params, k, nbits) == z for k in keys)
-        assert all(k in keys for k in run_attack(AttackConfig(params, z)).recovered_keys)
+        floor = 3 * (params.m + params.n)
+        for seed in range(6):
+            key = random_valid_key(params, random.Random(seed))
+            for nbits in (floor, floor + 4, floor + 8):
+                z = keystream(params, key, nbits)
+                report = run_attack(AttackConfig(params, z, max_candidates=1 << 20))
+                found = set().union(*(frobenius_class(params, k) for k in report.recovered_keys))
+                assert set(brute_force_oracle(params, z)) == found, (seed, nbits)
+                assert all(keystream(params, k, nbits) == z for k in found)
+
+    @pytest.mark.parametrize("lmn, nbits, misses",
+                             [((13, 7, 9), 48, {5}), ((14, 5, 6), 33, {0, 8}),
+                              ((13, 9, 7), 48, set()), ((14, 6, 5), 33, set())],
+                             ids=["13-7-9-48", "14-5-6-33", "13-9-7-48", "14-6-5-33"])
+    def test_at_the_attacks_shapes(self, lmn, nbits, misses):
+        # at exactly 3(m+n) bits: the oracle lists the true key, only keys
+        # that regenerate z, and every conjugate of every key the attack
+        # reports.  The sweep skips a guess with fewer than 2m beta bits or
+        # 2n lambda bits over its len(z) - 1 control bits, so each oracle
+        # key outside the attack's classes must be such a guess's; the seeds
+        # where that happens are listed (ROADMAP item 5).  At (14, 6, 5)
+        # seed 7 has a second class with exactly 2m beta bits
+        params = make_params(*lmn)
+        l, m, n = params.l, params.m, params.n
+        cycle = de_bruijn_cycle(LfsrSpec(l, params.poly_a))
+        position = {state: i for i, state in enumerate(cycle)}
+        missed = set()
+        for seed in (0, 1, 2, 3, 5, 7, 8):
+            key = random_valid_key(params, random.Random(seed))
+            z = keystream(params, key, nbits)
+            keys = set(brute_force_oracle(params, z))
+            assert key in keys
+            assert all(keystream(params, k, nbits) == z for k in keys)
+            found = set().union(*(frobenius_class(params, k)
+                                  for k in run_attack(AttackConfig(params, z)).recovered_keys))
+            assert found <= keys
+            for k in keys - found:
+                at = position[k.state_a.mask]
+                ones = sum(cycle[(at + t) % (1 << l)] & 1 for t in range(nbits - 1))
+                assert ones + 1 < 2 * m or nbits - ones < 2 * n, (seed, k)
+                missed.add(seed)
+        assert missed == misses
 
     @pytest.mark.parametrize("params, key", [(P365_LOOSE, KEY_R21), (P365_LOOSE, KEY_R9),
                                              (P244_LOOSE, KEY_R3_S5)],
@@ -1131,7 +1166,7 @@ class TestChunkControl:
                     # different step
                     lanes = range(width) if steps <= l else {*range(0, width, 37), width - 1}
                     for j in range(width):
-                        assert _window_state(bits, l, j) == cycle[lo + j]
+                        assert reverse_bits(bits >> j, l) == cycle[lo + j]
                     for j in lanes:
                         reg = DeBruijnRegister(spec, BitVector(cycle[lo + j], l))
                         assert [(w >> j) & 1 for w in words] == de_bruijn_sequence(reg, steps)

@@ -199,6 +199,14 @@ class TestKeystream:
             assert keystream(P334, fixed_key(), count) == []
             assert classical_asg_keystream(model, count) == []
 
+    @pytest.mark.parametrize("count", [2.5, True, "3"])
+    def test_count_must_be_an_int(self, count):
+        model = reduce_to_classical(P334, fixed_key())
+        with pytest.raises(ValueError, match=r"^count must be an int, not "):
+            keystream(P334, fixed_key(), count)
+        with pytest.raises(ValueError, match=r"^count must be an int, not "):
+            classical_asg_keystream(model, count)
+
     def test_first_bit_ignores_control(self, rng):
         key = fixed_key()
         b0 = key.state_b[2] ^ key.state_c[3]
