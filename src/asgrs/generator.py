@@ -26,8 +26,8 @@ x^(2^L - 1) = 1 mod f (a hand-built model with other feedback gets all
 `keystream` reads each stream off its substitute register, the fit
 `reduce_to_classical` makes, so it runs the classical generator over
 the reduced model; both read 64 outputs per table lookup
-(`registers.output_word`).  A stream too short to repay its fit is
-stepped one jump per output instead.
+(`registers.output_word`).  A stream too short to repay its fit (128
+outputs) is stepped one row product per jump instead (`jump_rows`).
 
 The merge works a block of whole control laps at a time, on Python
 ints with one bit per step: the expand network of Hacker's Delight
@@ -50,19 +50,19 @@ import math
 import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
+from itertools import accumulate, islice, repeat
 from typing import Callable
 
 from .analysis import LfsrFit, berlekamp_massey
 from .errors import DegenerateStateError, KeyValidationError
 from .field import MAX_DEGREE, is_primitive
-from .gf2 import _BITS, _DIGITS, BinaryPolynomial, BitVector, poly_pow_mod
+from .gf2 import _BITS, _DIGITS, BinaryPolynomial, BitVector, poly_pow_mod, xor_rows
 from .registers import (
     DeBruijnRegister,
     LfsrSpec,
     _repeat,
     de_bruijn_word,
-    jumped_states,
+    jump_rows,
     output_bits,
     output_word,
     state_from_outputs,
@@ -197,13 +197,19 @@ def random_key(params: AsgParams, rng: random.Random) -> AsgKey:
 # serves every block.
 _BLOCK_BITS = 1 << 12
 
-# A decimated stream of at most this many outputs is stepped one jump
-# per output: below it, the fit of 2m head bits and the word tables of
-# the substitute register cost more than they save.  With cold tables
-# the two paths cost the same at about 1024 to 1280 outputs for m = 13
-# to 16 (0.22-0.45 ms each on a 2-CPU host, Python 3.11); with warm ones
-# the fit already wins from about 600 to 768.
-_SHORT_STREAM = 1024
+# A decimated stream of at most this many outputs is stepped one row
+# product per output: below it, the fit of 2m head bits and the word
+# tables of the substitute register cost more than they save.  Cold, the
+# two paths cost (us, row products / fit; 2-CPU host, Python 3.11):
+#   outputs      64         128        256        512
+#   L =  7     45 /  67    71 /  66   74 /  68   75 /  69
+#   L =  9     62 /  87    99 /  88  178 /  93  317 /  91
+#   L = 14     88 / 137   144 / 142  245 / 137  436 / 132
+#   L = 16     98 / 165   158 / 165  276 / 168  532 / 179
+#   L = 24    150 / 560   235 / 553  412 / 559  771 / 565
+# so they cross at about 128 outputs for L = 7 to 14 (a stream of L = 7
+# stops at its period of 127), 150 at L = 16 and 360 at L = 24.
+_SHORT_STREAM = 128
 
 # (an int whose bit t is bit t of a sequence, the period or length held)
 Periodic = tuple[int, int]
@@ -293,8 +299,9 @@ def _merge(control: Periodic, b: Periodic, c: Periodic, count: int) -> list[int]
 
 def _jumped(poly: BinaryPolynomial, state: BitVector, jump: int, count: int) -> bytes:
     """The register's outputs after 0, 1, ..., count - 1 jumps of `jump`."""
-    spec = LfsrSpec(state.length, poly)
-    return bytes(output_bits(islice(jumped_states(spec, state.mask, jump), count), spec.length))
+    rows = jump_rows(poly.mask, state.length, jump)
+    states = accumulate(repeat(rows), xor_rows, initial=state.mask)
+    return bytes(output_bits(islice(states, count), state.length))
 
 
 def _register(spec: LfsrSpec, state: BitVector, need: int) -> Periodic:

@@ -15,25 +15,25 @@ new cell 0 is sum_i f_i * cell[L-1-i], which makes the output sequence
 satisfy s_{t+L} = sum_i f_i s_{t+i}: the feedback polynomial is the
 characteristic polynomial of the output recurrence.
 
-Each register kind has one stepping core, an endless generator of packed
-states (`lfsr_states` clocks a generating register, `jumped_states`
-jumps it k clocks at a time, `de_bruijn_states` steps the control
-register); every other stepping function reads them.  A state holds the
-register's next L outputs.  `output_word` reads a generating register's
-outputs as one int, 64 per lookup of tables that pack a half-state's
-next 64 outputs with its part of the state 64 clocks on: the generator
-reads its streams this way, and `de_bruijn_word` the control bits off
+Each register kind has one unit-clock core, an endless generator of
+packed states (`lfsr_states` clocks a generating register,
+`de_bruijn_states` steps the control register); every other stepping
+function reads them.  A state holds the register's next L outputs.
+`output_word` reads a generating register's outputs as one int, 64 per
+lookup of the one table kind: tables that pack a half-state's next 64
+outputs with its part of the state 64 clocks on.  The generator reads
+its long streams this way, and `de_bruijn_word` the control bits off
 the base register, splicing in the de Bruijn cycle's extra zero.  A
 nonzero state of a primitive register of length m recurs after 2^m - 1
 clocks, and every span-l state of the de Bruijn register after 2^l steps.
 
 A jump of k clocks is the polynomial c = x^k mod f: since f(T) = 0 for
 the one-clock map T, the state after k clocks is the XOR of the states
-after i clocks over the terms x^i of c, i < L.  So any jump costs
-O(log k) products modulo f plus 2L clocks, however large k is: L for
-the first basis state and one for each of the others.  `jumped_states`
-then takes one table entry per half of the state: two lookups per jump
-(tables of a byte at L = 16), not a loop over L rows.
+after i clocks over the terms x^i of c, i < L.  So the L rows of T^k
+(`jump_rows`, the one jump cache) cost O(log k) products modulo f plus
+2L clocks, however large k is: L for the first basis state and one for
+each of the others.  Each jump after that is one row product, the XOR
+of the rows picked by the state's set cells.
 """
 
 from __future__ import annotations
@@ -86,70 +86,65 @@ def lfsr_states(spec: LfsrSpec, state: int) -> Iterator[int]:
         state = ((state << 1) & full) | ((state & taps).bit_count() & 1)
 
 
+def _clocked_one(spec: LfsrSpec, k: int) -> int:
+    """State 1 after k clocks: the XOR of its first `length` successors
+    picked by the terms of x^k mod f."""
+    return xor_rows(poly_pow_mod(k, spec.feedback).mask,
+                    tuple(islice(lfsr_states(spec, 1), spec.length)))
+
+
+@lru_cache(maxsize=16)
 def jump_rows(feedback_mask: int, length: int, k: int) -> tuple[int, ...]:
     """Row masks of T^k, the k-clock jump applied as a row-vector product.
 
-    Row j is basis state e_j after k clocks.  Row 0 is the XOR of the
-    first `length` successors of e_0 picked by the terms of x^k mod f.
+    Row j is basis state e_j after k clocks, so row 0 is `_clocked_one`.
     One clock takes e_j to e_(j+1) plus e_0 where tap j is set, and T^k
     commutes with T, so row j+1 is row j clocked once plus row 0 where
-    tap j is set.
+    tap j is set.  The cache is bounded: every key brings its own jumps.
     """
     spec = LfsrSpec(length, BinaryPolynomial(feedback_mask))
-    c = poly_pow_mod(k, spec.feedback).mask
-    rows = [xor_rows(c, tuple(islice(lfsr_states(spec, 1), length)))]
+    rows = [_clocked_one(spec, k)]
     for j in range(length - 1):
         clocked = next(islice(lfsr_states(spec, rows[-1]), 1, None))
         rows.append(clocked ^ rows[0] if spec.taps_mask >> j & 1 else clocked)
     return tuple(rows)
 
 
-def _word_rows(feedback_mask: int, length: int) -> list[int]:
-    """Rows of the map from a window (the state with its cells reversed,
-    bit i = output i) to its outputs 0 .. 63 + L, bit t = output t: row i
-    is u >> (L - 1 - i) less the rows above i, for the outputs u, stepped
-    by s_(t+L) = sum_i f_i s_(t+i), from the window of output L - 1."""
-    low, u = feedback_mask ^ (1 << length), 1 << (length - 1)
+@lru_cache(maxsize=16)
+def _half_tables(feedback_mask: int, length: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The map from a window (the state with its cells reversed, bit i =
+    output i) to its outputs 0 .. 63 + L, bit t = output t, on every value
+    of the window's low L//2 bits and of the rest: row i is u >> (L - 1 - i)
+    less the rows above i, for the outputs u stepped by s_(t+L) = sum_i
+    f_i s_(t+i) from the window of output L - 1, and the entries with row
+    j set are the earlier entries XOR row j.  The cache is bounded: every
+    fit brings its own feedback."""
+    taps, u = feedback_mask ^ (1 << length), 1 << (length - 1)
     for t in range(63 + length):
-        u |= ((u >> t & low).bit_count() & 1) << (t + length)
+        u |= ((u >> t & taps).bit_count() & 1) << (t + length)
     rows = [0] * length
     for i in reversed(range(length)):
         row = (u >> (length - 1 - i)) & ((1 << (64 + length)) - 1)
         rows[i] = row ^ xor_rows(row & ((1 << length) - 1) ^ (1 << i), rows)
-    return rows
-
-
-@lru_cache(maxsize=16)
-def _half_tables(feedback_mask: int, length: int, k: int | None) -> tuple[tuple[int, ...], ...]:
-    """T^k of every state of the low L//2 cells, and of the rest, or with
-    k None the map of `_word_rows` on windows: the entries with row j set
-    are the earlier entries XOR row j.  The cache is bounded: every
-    distinct key brings its own jump sizes, and every fit its feedback."""
     half = length // 2
     low, high = [0], [0]
-    rows = _word_rows(feedback_mask, length) if k is None else jump_rows(feedback_mask, length, k)
     for j, row in enumerate(rows):
         table = low if j < half else high
         table += [t ^ row for t in table]
     return tuple(low), tuple(high)
 
 
-def jumped_states(spec: LfsrSpec, state: int, k: int) -> Iterator[int]:
-    """The packed states from `state` on, k clocks apart, without end."""
-    low, high = _half_tables(spec.feedback.mask, spec.length, k)
-    half, mask = spec.length // 2, len(low) - 1
-    while True:
-        yield state
-        state = low[state & mask] ^ high[state >> half]
-
-
 def lfsr_step(spec: LfsrSpec, state: BitVector, k: int = 1) -> BitVector:
     """Advance the register k clocks; equals state * T^k."""
     if state.length != spec.length:
         raise ValueError("state length does not match register length")
+    # bool is an int subclass, and True would clock once
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"k must be an int, not {k!r}")
     if k < 0:
         raise ValueError("cannot clock a register backwards")
-    return BitVector(next(islice(jumped_states(spec, state.mask, k), 1, None)), spec.length)
+    return BitVector(xor_rows(state.mask, jump_rows(spec.feedback.mask, spec.length, k)),
+                     spec.length)
 
 
 def output_sequence(spec: LfsrSpec, init: BitVector, count: int) -> list[int]:
@@ -221,7 +216,7 @@ def output_word(spec: LfsrSpec, state: int, count: int) -> int:
     """Output bits 0 .. count - 1 of the generating register from `state`
     as one int, bit t = output t, 64 per table lookup."""
     length, count = spec.length, max(count, 0)
-    low, high = _half_tables(spec.feedback.mask, length, None)
+    low, high = _half_tables(spec.feedback.mask, length)
     half, mask = length // 2, len(low) - 1
     window = reverse_bits(state, length)
     words = array("Q")
@@ -278,14 +273,11 @@ def de_bruijn_bits(base: LfsrSpec, start: int, count: int) -> int:
 
     Cycle state 0 is the all-zero state, and cycle state p >= 1 is the
     base register's state p - 1 clocks past state 1, reached by one jump
-    of x^(p-1) mod f; `de_bruijn_word` reads on from there.  Nothing of
-    size 2^span is built.
+    of x^(p-1) mod f, which caches nothing; `de_bruijn_word` reads on
+    from there.  Nothing of size 2^span is built.
     """
-    span = base.length
-    start %= 1 << span
-    state = start and xor_rows(poly_pow_mod(start - 1, base.feedback).mask,
-                               tuple(islice(lfsr_states(base, 1), span)))
-    return de_bruijn_word(base, state, count)
+    start %= 1 << base.length
+    return de_bruijn_word(base, start and _clocked_one(base, start - 1), count)
 
 
 def de_bruijn_sequence(reg: DeBruijnRegister, count: int) -> list[int]:

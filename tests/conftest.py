@@ -2,7 +2,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, combinations, compress, cycle, islice, repeat
 from operator import xor
 
@@ -16,8 +16,8 @@ from asgrs.registers import (
     PRIMITIVE_POLYNOMIALS,
     LfsrSpec,
     de_bruijn_cycle,
-    jumped_states,
     lfsr_states,
+    lfsr_step,
     output_bits,
     primitive_polynomial,
     state_from_outputs,
@@ -445,7 +445,7 @@ def reference_jump(ctx, fit, counters=None):
         return None
     if counters:
         counters.trace_solves += 1
-    period = (1 << m) - 1
-    states = jumped_states(LfsrSpec(m, fit.connection),
-                           state_from_outputs(fit.initial_state).mask, pow(r, -1, period))
-    return DecimationFit(r, BitVector.from_bits(list(islice(output_bits(states, m), m))))
+    inverse = pow(r, -1, (1 << m) - 1)
+    states = accumulate(repeat(inverse, m - 1), partial(lfsr_step, LfsrSpec(m, fit.connection)),
+                        initial=state_from_outputs(fit.initial_state))
+    return DecimationFit(r, BitVector.from_bits([state.mask >> (m - 1) for state in states]))

@@ -27,6 +27,7 @@ from asgrs.registers import (
     DeBruijnRegister,
     LfsrSpec,
     _half_tables,
+    jump_rows,
     output_sequence,
     primitive_polynomial,
 )
@@ -245,7 +246,8 @@ class TestKeystream:
                         assert keystream(params, key, count) == expected[:count], count
 
     def test_jump_cache_is_bounded(self, rng):
-        bound = _half_tables.cache_info().maxsize
+        # every key brings its own jumps, one entry of the jump cache each
+        bound = jump_rows.cache_info().maxsize
         assert bound is not None
         params = make_params(3, 7, 8)
         jumps = set()
@@ -254,10 +256,11 @@ class TestKeystream:
             jumps.update({(7, key.r), (8, key.s)})
             keystream(params, key, 10)
         assert len(jumps) > bound
-        assert _half_tables.cache_info().currsize <= bound
-        # the word tables share the cache: streams longer than
-        # _SHORT_STREAM are read off their substitute registers, one
-        # feedback per decimation
+        assert jump_rows.cache_info().currsize <= bound
+        # streams longer than _SHORT_STREAM are read off their substitute
+        # registers through word tables, one feedback per decimation
+        bound = _half_tables.cache_info().maxsize
+        assert bound is not None
         feedbacks = set()
         for _ in range(bound):
             key = random_valid_key(params, rng)

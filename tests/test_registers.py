@@ -1,12 +1,14 @@
 import math
 import random
-from itertools import islice
+from functools import partial
+from itertools import accumulate, islice, repeat
 
 import pytest
 
 from asgrs.analysis import berlekamp_massey, measure_period
 from asgrs.errors import DegenerateStateError, UnsupportedParameterError
 from asgrs.field import MAX_DEGREE
+from asgrs.generator import _jumped
 from asgrs.gf2 import BinaryPolynomial, BitMatrix, BitVector, xor_rows
 from asgrs.registers import (
     DeBruijnRegister,
@@ -15,7 +17,6 @@ from asgrs.registers import (
     de_bruijn_sequence,
     de_bruijn_word,
     jump_rows,
-    jumped_states,
     lfsr_states,
     lfsr_step,
     output_bits,
@@ -78,6 +79,13 @@ class TestLfsrStep:
     def test_negative_clocks_rejected(self):
         with pytest.raises(ValueError, match="cannot clock a register backwards"):
             lfsr_step(SPEC3, BitVector(1, 3), -1)
+
+    @pytest.mark.parametrize("k", [2.0, "3", True], ids=["float", "str", "bool"])
+    def test_non_int_clocks_rejected(self, k):
+        # a count of clocks is an int, as a key's jumps and a keystream's
+        # count are: True would clock once
+        with pytest.raises(ValueError, match="k must be an int"):
+            lfsr_step(SPEC3, BitVector(1, 3), k)
 
     def test_length_mismatch(self):
         # every entry that takes a state checks it against the register
@@ -201,26 +209,40 @@ class TestOutputSequence:
             output_sequence(SPEC25, BitVector(0, 25), 5)
 
 
+def stepped(spec, state, k, count):
+    """`count` packed states `state`, then k clocks on, and so on, by
+    iterated `lfsr_step`."""
+    return [s.mask for s in accumulate(repeat(k, count - 1), partial(lfsr_step, spec),
+                                       initial=BitVector(state, spec.length))]
+
+
 class TestJumpedStates:
     @pytest.mark.parametrize("length", range(1, 17))
     def test_matches_iterated_row_products(self, length):
-        # the tables split the state at length // 2, so odd lengths and
-        # lengths that are not a multiple of 8 split unevenly; the
-        # reference is the row product state * T^k, one jump at a time
-        spec = LfsrSpec(length, primitive_polynomial(length))
-        period = (1 << length) - 1
+        # iterated lfsr_step and the generator's jumped outputs against
+        # the rows of T^k built each on its own, one row product per jump,
+        # for primitive, reducible and singular feedback
         rng = random.Random(length)
-        for k in (0, 1, 2, length, period, 3 * period, rng.randrange(1 << 20)):
-            rows = jump_rows(spec.feedback.mask, length, k)
-            state = rng.randrange(1, 1 << length)
-            expected = []
-            for _ in range(12):
-                expected.append(state)
-                state = xor_rows(state, rows)
-            assert list(islice(jumped_states(spec, expected[0], k), 12)) == expected
-            assert lfsr_step(spec, BitVector(expected[0], length), k).mask == expected[1]
-            if k % period == 0:
-                assert set(expected) == {expected[0]}
+        period = (1 << length) - 1
+        half = (1 << (length - 1)) | rng.randrange(1 << (length - 1))
+        feedbacks = {"primitive": primitive_polynomial(length),
+                     "reducible": BinaryPolynomial(half ^ (half << 1)),
+                     "singular": BinaryPolynomial((1 << length) | rng.randrange(0, 1 << length, 2))}
+        for kind, feedback in feedbacks.items():
+            spec = LfsrSpec(length, feedback)
+            for k in (0, 1, 2, 3, 5, period, 3 * period, rng.randrange(1 << 20)):
+                rows = reference_jump_rows(feedback.mask, length, k)
+                state = rng.randrange(1, 1 << length)
+                expected = []
+                for _ in range(12):
+                    expected.append(state)
+                    state = xor_rows(state, rows)
+                assert stepped(spec, expected[0], k, 12) == expected, (kind, k)
+                outputs = bytes(s >> (length - 1) for s in expected)
+                assert _jumped(feedback, BitVector(expected[0], length), k, 12) == outputs
+                assert _jumped(feedback, BitVector(expected[0], length), k, 0) == b""
+                if kind == "primitive" and k % period == 0:
+                    assert set(expected) == {expected[0]}
 
     @pytest.mark.parametrize("length", range(1, 25))
     def test_matches_unit_clocks_for_any_feedback(self, length):
@@ -238,7 +260,9 @@ class TestJumpedStates:
             clocks = list(islice(lfsr_states(spec, state), max(counts)))
             for k in (1, 2, 3, 5):
                 expected = clocks[:40:k]
-                assert list(islice(jumped_states(spec, state, k), len(expected))) == expected
+                assert stepped(spec, state, k, len(expected)) == expected
+                assert (_jumped(feedback, BitVector(state, length), k, len(expected))
+                        == bytes(output_bits(expected, length)))
             outputs = list(output_bits(clocks, length))
             for count in counts:
                 word = output_word(spec, state, count)
